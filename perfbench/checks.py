@@ -282,11 +282,15 @@ class Checker:
 
 
 class Tally:
-    """Samples, counts and failures of one run."""
+    """Samples, counts and failures of one run.
+
+    ``latencies`` and ``scaled_busy`` are scaled to the reference speed
+    (speed.py); ``raw_latencies`` and ``busy`` are the wall times.
+    """
 
     def __init__(self):
-        self.latencies, self.group_means, self.busy, self.items = [], [], 0.0, 0
-        self.peak_kb, self.attempted, self.failed = 0, 0, 0
+        self.latencies, self.raw_latencies, self.busy, self.scaled_busy, self.items = [], [], 0.0, 0.0, 0
+        self.peak_kb, self.processes, self.attempted, self.failed = 0, 0, 0, 0
         self.failures, self.extra = [], {}
 
     def fail(self, message: str) -> None:

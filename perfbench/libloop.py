@@ -1,27 +1,40 @@
 """The lib_scalar child: a closed loop of scalar library cases in one process.
 
-Usage: python libloop.py SEED SECONDS MIN_CASES RESULT_JSON
+Usage: python libloop.py SEED PART SECONDS MIN_CASES RESULT_BIN
 
-Runs cases from ``workloads.lib_cases`` until SECONDS of case time have
-passed and at least MIN_CASES ran. Only the library calls are timed; the
-case generation before and the check after each case are not. Writes
-the mean case time of each batch of BATCH cases, per-case latency
-percentiles, the busy time, the failure count and the first failure
-messages.
+Runs cases from ``workloads.lib_cases(SEED, rows, PART)`` until SECONDS of case
+time have passed and at least MIN_CASES ran. Only the library calls are
+timed; the case generation before each case is not.
+
+This process's peak RSS is lib_scalar's ``peak_rss_mb``, so it loads only
+iondecoh and the stdlib case generator, and keeps nothing that grows with
+the case count: each case appends one record of RECORD doubles to
+RESULT_BIN through a buffered file, and the parent checks the records
+(``read_results``). A record is the case's wall time and the seven results
+of ``run_case``, the verdict as its index in VERDICTS. A case that raised
+has NaN results and verdict -1; its message goes to stderr. Before the
+first case and after every BATCH cases the child times the reference loop
+of speed.py and writes it as a record with verdict -2, so the parent can
+scale each case to the reference speed.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import struct
 import sys
 import time
-from array import array
 
-BATCH = 1000  # cases per batch mean
+import speed
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+
+BATCH = 500  # cases between reference loops
+VERDICTS = ("QuantumMechanicsAdequate", "ClassicalLimit", "QftRegimeIndicated")
+RECORD = struct.Struct("<8d")
+NAN = float("nan")
+RAISED, REFERENCE = -1, -2
 
 
 def run_case(d, units, records, case):
@@ -36,56 +49,62 @@ def run_case(d, units, records, case):
     return wavelength.si, rate.si, t1.si, t2.si, factor, report.timescale_ratio, report.verdict.value
 
 
+def read_results(path: str):
+    """(wall times, scale factors, results) of the cases in a RESULT_BIN.
+
+    A case's factor is speed.factor of the reference loops on either side
+    of its batch; its result is as ``run_case`` returns it, or None if it raised.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    walls, factors, results = [], [], []
+    last, pending = None, 0
+    for wall, *values, code in RECORD.iter_unpack(data):
+        if code == REFERENCE:
+            if last is not None:
+                factors += [speed.factor(last, wall)] * pending
+            last, pending = wall, 0
+            continue
+        walls.append(wall)
+        results.append(None if code == RAISED else (*values, VERDICTS[int(code)]))
+        pending += 1
+    if pending:
+        raise ValueError(f"{path}: the last {pending} cases have no closing reference loop")
+    return walls, factors, results
+
+
 def main(argv) -> int:
-    seed, seconds, min_cases, result_path = int(argv[0]), float(argv[1]), int(argv[2]), argv[3]
-    sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
+    seed, part, seconds, min_cases, result_path = int(argv[0]), int(argv[1]), float(argv[2]), int(argv[3]), argv[4]
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     import iondecoh as d
-    import numpy as np
     from iondecoh import units
 
-    import checks
-    import workloads
+    import workloads  # stdlib only
 
-    rows = workloads.bundled_rows(ROOT)
     records = d.bundled_salt_database()
-    cases = workloads.lib_cases(seed, rows)
-    latencies = array("d")
-    failures = []
-    failed = 0
-    clock = time.perf_counter
-    busy = 0.0
-    while busy < seconds or len(latencies) < min_cases:
-        case = next(cases)
-        start = clock()
-        try:
-            result = run_case(d, units, records, case)
-        except Exception as exc:  # a case the library rejects counts as failed
-            result, problem = None, f"lib case raised {type(exc).__name__}: {exc}"
-        elapsed = clock() - start
-        busy += elapsed
-        latencies.append(elapsed)
-        if result is not None:
-            problem = checks.check_lib_case(rows[case[0]], case, result)
-        if problem is not None:
-            failed += 1
-            if len(failures) < 20:
-                failures.append(problem)
-    # numpy views the samples in place; a sorted list of Python floats would
-    # add megabytes to this process's peak RSS in proportion to the case count
-    samples = np.frombuffer(latencies)
-    whole = len(samples) // BATCH * BATCH
-    batches = samples[:whole].reshape(-1, BATCH).mean(axis=1).tolist() or [float(samples.mean())]
-    p75, p99 = np.percentile(samples, [75, 99])  # linear, as statistics.quantiles(method="inclusive")
-    with open(result_path, "w", encoding="utf-8") as handle:
-        json.dump({
-            "cases": len(samples),
-            "busy_s": busy,
-            "batch_means_s": batches,
-            "p75_s": float(p75),
-            "p99_s": float(p99),
-            "failed": failed,
-            "failures": failures,
-        }, handle)
+    cases = workloads.lib_cases(seed, workloads.bundled_rows(ROOT), part)
+    clock, pack = time.perf_counter, RECORD.pack
+    busy, count, raised = 0.0, 0, 0
+    with open(result_path, "wb") as out:
+        out.write(pack(speed.reference_s(), *(NAN,) * 6, REFERENCE))
+        while busy < seconds or count < min_cases:
+            if count and count % BATCH == 0:
+                out.write(pack(speed.reference_s(), *(NAN,) * 6, REFERENCE))
+            case = next(cases)
+            start = clock()
+            try:
+                *values, verdict = run_case(d, units, records, case)
+                code = VERDICTS.index(verdict)
+            except Exception as exc:  # a case the library rejects counts as failed
+                values, code = (NAN,) * 6, RAISED
+                raised += 1
+                if raised <= 20:
+                    print(f"lib case {count} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            elapsed = clock() - start
+            busy += elapsed
+            count += 1
+            out.write(pack(elapsed, *values, code))
+        out.write(pack(speed.reference_s(), *(NAN,) * 6, REFERENCE))
     return 0
 
 

@@ -17,14 +17,16 @@ as the last line, ``{"correct", "attempted", "failed", "metrics"}``.
 ``--trace 1`` runs the separate traced replay of tracer.py and reports the
 per-layer metrics the same way.
 
-Each workload is a stream of groups of operations (OPERATION says what
-one operation is). latency_p50_s is the median over groups of the mean
-operation time in the group, not over single operations: on a shared
-machine whose speed drifts by tens of percent, a median of single
-operations jumps between a fast and a slow mode, while group means do
-not. latency_p75_s is over single operations. Every run also writes its full result, with the
-environment record, the pinned thread settings and the check failures, to
-``--out`` (default ``.perfbench_out``) as ``<workload>-s<seed>-trace<t>.json``.
+Each workload is a stream of groups of operations; OPERATION says what
+one operation is. Every timed operation and set-up probe is bracketed by
+the reference loop of speed.py, and the time metrics are wall times
+scaled to that loop's reference speed, because a shared machine's speed
+drifts by tens of percent for minutes at a time. Set-up is probed at even
+steps of busy time through the run, so the probes see the same machine
+as the workload. Every run also writes its full result, with the raw
+wall-time figures, the speed factors, the environment record, the pinned
+thread settings and the check failures, to ``--out`` (default
+``.perfbench_out``) as ``<workload>-s<seed>-trace<t>.json``.
 
 The inputs of each run come from ``--seed`` (workloads.py); every output
 is checked (checks.py), and a failed check counts toward ``failed``.
@@ -43,6 +45,8 @@ import subprocess
 import sys
 from importlib import metadata
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -55,19 +59,22 @@ THREAD_ENV = {
 os.environ.update(THREAD_ENV)  # before numpy loads, here and in every child
 
 import checks  # noqa: E402
+import libloop  # noqa: E402
 import spawner  # noqa: E402
+import speed  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("cli_short", "table_bulk", "sim_grid", "lib_scalar")
 
-# name -> (unit, meaning); every workload reports all of them
+# name -> (unit, meaning); every workload reports all of them. Times are
+# scaled to the reference speed of speed.py.
 END_TO_END = {
-    "setup_s": ("s", "median wall time of a fresh interpreter that imports iondecoh and loads the bundled salt table"),
+    "setup_s": ("s", "median time of a fresh interpreter that imports iondecoh and loads the bundled salt table"),
     "peak_rss_mb": ("MB", "largest peak RSS of any process doing iondecoh work in the run"),
-    "latency_p50_s": ("s", "median over groups of the mean wall time of one operation in the group"),
-    "latency_p75_s": ("s", "75th percentile wall time of one operation"),
-    "throughput_per_s": ("1/s", "work items completed per second of operation wall time"),
+    "latency_p50_s": ("s", "median time of one operation"),
+    "latency_p75_s": ("s", "75th percentile time of one operation"),
+    "throughput_per_s": ("1/s", "work items completed per second of operation time"),
 }
 
 # what one operation and one work item are, per workload
@@ -89,6 +96,7 @@ class Context:
     def __init__(self, workdir: str, out_dir: str, sizes, spawner, checker):
         self.workdir, self.out_dir, self.sizes = workdir, out_dir, sizes
         self.spawner, self.checker = spawner, checker
+        self.clock = speed.Clock()
 
     def cli(self, argv: list) -> dict:
         return self.spawner.run([sys.executable, "-m", "iondecoh.cli", *argv])
@@ -151,99 +159,133 @@ def environment() -> dict:
     return record
 
 
-def percentile(samples, q: int) -> float:
-    """The q-th percentile, inclusive method (statistics.quantiles)."""
-    if len(samples) == 1:
-        return samples[0]
-    return statistics.quantiles(samples, n=100, method="inclusive")[q - 1]
+class SetupProbes:
+    """Set-up time, probed at even steps of busy time through the run.
 
+    An untimed probe first fills the bytecode cache. ``due`` runs the
+    probes whose step the run's busy time has reached; ``finish`` the rest.
+    """
 
-def measure_setup(ctx: Context) -> list:
-    """Set-up time: one untimed warm-up fills the bytecode cache, then timed repeats."""
-    walls = []
-    for rep in range(ctx.sizes.setup_reps + 1):
-        reply = ctx.spawner.run([sys.executable, "-c", SETUP_CODE])
+    def __init__(self, ctx: Context, reps: int, seconds: float):
+        self.ctx, self.reps, self.step = ctx, reps, seconds / reps
+        self.raw, self.scaled = [], []
+        self._probe()
+
+    def _probe(self) -> tuple:
+        reply = self.ctx.spawner.run([sys.executable, "-c", SETUP_CODE])
         if reply["returncode"] != 0:
             raise RuntimeError(f"import of iondecoh failed: {reply['stderr'].strip()[-500:]}")
-        if rep:
-            walls.append(reply["wall_s"])
-    return walls
+        return reply["wall_s"], self.ctx.clock.scale(reply["wall_s"])
+
+    def due(self, busy: float) -> None:
+        while len(self.raw) < self.reps and busy >= len(self.raw) * self.step:
+            raw, scaled = self._probe()
+            self.raw.append(raw)
+            self.scaled.append(scaled)
+
+    def finish(self) -> None:
+        self.due(float("inf"))
 
 
 MIN_GROUPS = {"cli_short": "cli_min_blocks", "table_bulk": "bulk_min_pairs", "sim_grid": "sim_min_rounds"}
 
 
-def run_cli_workload(name: str, seed: int, seconds: float, ctx: Context):
+def run_cli_workload(name: str, seed: int, seconds: float, ctx: Context, probes: SetupProbes, tally):
     """Run groups of CLI calls until the next group would pass ``seconds`` of busy time."""
-    tally = checks.Tally()
     min_groups = getattr(ctx.sizes, MIN_GROUPS[name])
+    whole_group = name in workloads.GROUP_IS_ONE_OPERATION
     by_label = {}
     for count, group in enumerate(workloads.GENERATORS[name](seed, ROOT, ctx.workdir, ctx.sizes), start=1):
-        group_wall = 0.0
+        group_raw = group_scaled = 0.0
         for op in group:
+            probes.due(tally.busy)
             reply = ctx.cli(op.argv)
+            wall = reply["wall_s"]
+            scaled = ctx.clock.scale(wall)
             problem = ctx.checker.check(op, reply["returncode"], reply["stdout"], reply["stderr"])
             if problem is not None:
                 tally.fail(f"{problem} [argv: {' '.join(op.argv)}]")
             tally.attempted += 1
+            tally.items += op.items
+            tally.processes += 1
             tally.peak_kb = max(tally.peak_kb, reply["maxrss_kb"])
-            tally.busy += reply["wall_s"]
-            group_wall += reply["wall_s"]
-            if name == "sim_grid":
-                n = op.expect["num_points"]
-                tally.items += n * n * (op.expect["steps"] + 1)
-                by_label.setdefault(f"sim_wall_n{n}_s", []).append(reply["wall_s"])
-            else:
-                tally.items += op.items
-                tally.latencies.append(reply["wall_s"])
-                by_label.setdefault(f"{op.kind}_wall_s", []).append(reply["wall_s"])
-        if name == "sim_grid":
-            tally.latencies.append(group_wall)
-            tally.group_means.append(group_wall)
-        else:
-            tally.group_means.append(group_wall / len(group))
+            tally.busy += wall
+            tally.scaled_busy += scaled
+            group_raw += wall
+            group_scaled += scaled
+            by_label.setdefault(op.label, []).append(scaled)
+            if not whole_group:
+                tally.raw_latencies.append(wall)
+                tally.latencies.append(scaled)
+        if whole_group:
+            tally.raw_latencies.append(group_raw)
+            tally.latencies.append(group_scaled)
         if count >= min_groups and tally.busy * (count + 1) / count > seconds:
             break
     tally.extra["median_by_kind"] = {k: statistics.median(v) for k, v in sorted(by_label.items())}
     tally.extra["groups"] = count
-    return tally
 
 
-def run_lib_scalar(seed: int, seconds: float, ctx: Context):
-    tally = checks.Tally()
-    result_path = os.path.join(ctx.workdir, "lib_result.json")
-    reply = ctx.spawner.run(
-        [sys.executable, os.path.join(HERE, "libloop.py"), str(seed), repr(seconds),
-         str(ctx.sizes.lib_min_cases), result_path],
-        timeout=170.0,
-    )
-    if reply["returncode"] != 0:
-        raise RuntimeError(f"lib_scalar child failed: {reply['stderr'].strip()[-1000:]}")
-    with open(result_path, encoding="utf-8") as handle:
-        result = json.load(handle)
-    tally.attempted, tally.items, tally.busy = result["cases"], result["cases"], result["busy_s"]
-    tally.failed, tally.failures = result["failed"], result["failures"]
-    tally.peak_kb = reply["maxrss_kb"]
-    tally.group_means = result["batch_means_s"]
-    tally.extra.update(lib_case_p75_s=result["p75_s"], lib_case_p99_us=result["p99_s"] * 1e6)
-    return tally
+def run_lib_scalar(name: str, seed: int, seconds: float, ctx: Context, probes: SetupProbes, tally):
+    """Cases in ``lib_children`` child processes one after another; the parent checks every result."""
+    rows = workloads.bundled_rows(ROOT)
+    result_path = os.path.join(ctx.workdir, "lib_result.bin")
+    children = ctx.sizes.lib_children
+    for part in range(children):
+        probes.due(tally.busy)
+        reply = ctx.spawner.run(
+            [sys.executable, libloop.__file__, str(seed), str(part), repr(seconds / children),
+             str(-(-ctx.sizes.lib_min_cases // children)), result_path],
+            timeout=170.0,
+        )
+        if reply["returncode"] != 0:
+            raise RuntimeError(f"lib_scalar child failed: {reply['stderr'].strip()[-1000:]}")
+        tally.processes += 1
+        tally.peak_kb = max(tally.peak_kb, reply["maxrss_kb"])
+        raised = iter(reply["stderr"].splitlines())
+        cases = workloads.lib_cases(seed, rows, part)
+        for wall, factor, result in zip(*libloop.read_results(result_path)):
+            case = next(cases)
+            if result is None:
+                problem = next(raised, "lib case raised")
+            else:
+                problem = checks.check_lib_case(rows[case[0]], case, result)
+            if problem is not None:
+                tally.fail(problem)
+            tally.attempted += 1
+            tally.items += 1
+            tally.busy += wall
+            tally.scaled_busy += wall * factor
+            tally.raw_latencies.append(wall)
+            tally.latencies.append(wall * factor)
+    tally.extra["lib_case_p99_us"] = float(np.percentile(tally.latencies, 99)) * 1e6
 
 
 def end_to_end(name: str, seed: int, seconds: float, ctx: Context):
-    setup = measure_setup(ctx)
-    if name == "lib_scalar":
-        tally = run_lib_scalar(seed, seconds, ctx)
-        p75, n_ops, n_procs = tally.extra.pop("lib_case_p75_s"), tally.attempted, 1
-    else:
-        tally = run_cli_workload(name, seed, seconds, ctx)
-        p75, n_ops, n_procs = percentile(tally.latencies, 75), len(tally.latencies), tally.attempted
+    tally = checks.Tally()
+    probes = SetupProbes(ctx, ctx.sizes.setup_reps, seconds)
+    run_workload = run_lib_scalar if name == "lib_scalar" else run_cli_workload
+    run_workload(name, seed, seconds, ctx, probes, tally)
+    probes.finish()
+    p50, p75 = np.percentile(tally.latencies, [50, 75])
+    n_ops = len(tally.latencies)
     metrics = {
-        "setup_s": (statistics.median(setup), len(setup)),
-        "peak_rss_mb": (tally.peak_kb / 1024.0, n_procs),
-        "latency_p50_s": (statistics.median(tally.group_means), len(tally.group_means)),
-        "latency_p75_s": (p75, n_ops),
-        "throughput_per_s": (tally.items / tally.busy, n_ops),
+        "setup_s": (statistics.median(probes.scaled), len(probes.scaled)),
+        "peak_rss_mb": (tally.peak_kb / 1024.0, tally.processes),
+        "latency_p50_s": (float(p50), n_ops),
+        "latency_p75_s": (float(p75), n_ops),
+        "throughput_per_s": (tally.items / tally.scaled_busy, n_ops),
     }
+    raw_p50, raw_p75 = np.percentile(tally.raw_latencies, [50, 75])
+    tally.extra["raw_wall"] = {
+        "setup_s": statistics.median(probes.raw),
+        "latency_p50_s": float(raw_p50),
+        "latency_p75_s": float(raw_p75),
+        "throughput_per_s": tally.items / tally.busy,
+    }
+    factors = ctx.clock.factors
+    tally.extra["speed_factor"] = {"median": statistics.median(factors), "min": min(factors), "max": max(factors),
+                                   "parent_samples": len(factors)}
     tally.extra["failed_fraction"] = tally.failed / tally.attempted
     tally.extra["operation"], tally.extra["item"] = OPERATION[name]
     return {k: (v, END_TO_END[k][0], n) for k, (v, n) in metrics.items()}, tally
@@ -290,20 +332,19 @@ def run_one(name: str, seed: int, seconds: float, trace: bool, sizes, out_dir: s
     return record
 
 
-def main(argv=None) -> int:
+def main(argv=None, sizes=workloads.FULL) -> int:
+    """The benchmark command; ``sizes`` is FULL except in the smoke test."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", default=os.path.join(ROOT, ".perfbench_out"), help="directory for full results")
-    parser.add_argument("--tiny", action="store_true", help="tiny sizes, for the smoke test")
     args = parser.parse_args(argv)
     if not os.path.isfile(os.path.join(SRC, "iondecoh", "cli.py")):
         print(f"error: no iondecoh sources under {SRC}; run from a checkout of the repository", file=sys.stderr)
         return 2
     sys.path.insert(0, SRC)
-    sizes = workloads.TINY if args.tiny else workloads.FULL
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     records = [run_one(name, args.seed, args.seconds, bool(args.trace), sizes, args.out) for name in names]
     if len(records) == 1:

@@ -7,11 +7,12 @@ names BENCHMARK.json declares, with no failed operation, and that the
 output checks reject corrupted outputs.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
-import subprocess
 import sys
 
 import pytest
@@ -23,7 +24,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 import checks  # noqa: E402
 import libloop  # noqa: E402
 import run  # noqa: E402
-import tracer  # noqa: E402
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
@@ -32,13 +33,12 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
 
 def _run_all(trace: int) -> dict:
     out = os.path.join(ROOT, ".perfbench_out", "smoke")
-    proc = subprocess.run(
-        [sys.executable, os.path.join(HERE, "run.py"), "--workload", "all", "--seed", "7",
-         "--seconds", "0.2", "--trace", str(trace), "--tiny", "--out", out],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run.main(["--workload", "all", "--seed", "7", "--seconds", "0.2", "--trace", str(trace),
+                         "--out", out], sizes=workloads.TINY)
+    assert code == 0
+    return json.loads(stdout.getvalue().strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("trace,section", [(0, "end_to_end"), (1, "per_layer")])
@@ -68,7 +68,7 @@ def replayed():
     os.makedirs(workdir, exist_ok=True)
     ops = next(workloads.cli_short(5, ROOT, workdir, workloads.TINY))
     ops += next(workloads.sim_grid(5, ROOT, workdir, workloads.TINY))
-    results = [(op, *tracer.call_main(cli, op.argv)) for op in ops]
+    results = [(op, *spans.call_main(cli, op.argv)) for op in ops]
     yield checks.Checker(), results
     shutil.rmtree(workdir)
 

@@ -1,17 +1,14 @@
 """The traced run: per-layer metrics from spans around calls into iondecoh.
 
-Spans are recorded from the benchmark's side: while tracing, each public
-function of the layers in LAYERS is replaced, wherever an iondecoh module
-binds it, by a wrapper that records (name, start_ns, end_ns, parent span,
-operation id). Nothing under ``src/`` changes. Spans stay in memory and are
+Spans are recorded from the benchmark's side (spans.py), kept in memory and
 written once, gzipped, when the run ends. A layer's self time is the time
 of its spans minus the time of their child spans.
 
-The replay runs in process: the traced workload's own inputs first, once
-untraced and once traced (the ratio of the time spent inside iondecoh
-calls, output checks excluded, is the tracing overhead), then a
+The replay runs in process: the traced workload's own inputs, then a
 smaller slice of the other three workloads' inputs, so every layer metric
-is measured whichever workload is named. ``units`` is timed by a loop, not
+is measured whichever workload is named. Before it, each of the traced
+workload's inputs runs once untraced and once traced, in turn; the ratio
+of the two totals is the tracing overhead. ``units`` is timed by a loop, not
 by spans: one ``Quantity`` operation costs less than a span.
 
 Per-size densmat metrics (``.n256``, ``.n512``, ``.n1024``) are totals over
@@ -20,13 +17,16 @@ the step counts sim_grid uses. ``vacuum.*.k1e6`` is the cli_short bcs call
 with the most modes. ``state_bytes`` and ``eig_flops`` are computed, not
 measured: N^2 x 16 bytes per complex state, and 16/3 N^3 real flops per
 Hermitian eigenvalue solve (the tridiagonal reduction) times the solves.
+``densmat.share_of_wall.n1024`` is the densmat time of the largest sim_grid
+call, traced in a fresh process, over that process's wall time, spawn to
+exit: the in-process replay runs with warm memory, so its densmat time
+and a fresh call's wall do not compare.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gzip
-import io
 import json
 import os
 import re
@@ -37,18 +37,8 @@ import time
 import checks
 import libloop
 import workloads
+from spans import LAYERS, SCRIPT as SPANS_SCRIPT, SpanRecorder, call_main
 
-LAYERS = {
-    "cli": ("build_parser", "main"),
-    "materials": ("bundled_salt_database", "load_salts", "load_salt_database", "salt_by_name",
-                  "number_density", "parse_ion"),
-    "core": ("context_for_salt", "de_broglie_wavelength", "thermal_speed", "coulomb_cross_section",
-             "scattering_rate", "decoherence_factor", "tau1", "tau2"),
-    "regimes": ("classify", "xray_consistency"),
-    "vacuum": ("pairing_family", "uniform_profile", "log_vacuum_overlap", "overlap_decay_rate"),
-    "densmat": ("prepare_superposition", "suppression_kernel", "apply_decoherence", "check_invariants",
-                "min_eigenvalue", "coherence_ratio", "evolve_series", "trace", "purity", "hermiticity_defect"),
-}
 
 SIZE_TAGS = ("n256", "n512", "n1024")
 DENSMAT_PHASES = {
@@ -81,86 +71,6 @@ PREDICTED = {
 
 IMPORT_PROBE = "import time; t = time.perf_counter(); import iondecoh.cli; print(time.perf_counter() - t)"
 IMPORT_LINE = re.compile(r"^import time:\s+(\d+)\s+\|\s+(\d+)\s+\|\s+(\S.*)$")
-
-
-class SpanRecorder:
-    """Installs span wrappers on the iondecoh modules and restores them on exit."""
-
-    def __init__(self):
-        self.spans = []
-        self.op_id = -1
-        self._stack = []
-        self._restore = []
-
-    def wrap(self, span_name, fn, label=None, post=None):
-        spans, stack, clock, recorder = self.spans, self._stack, time.perf_counter_ns, self
-
-        def wrapper(*args, **kwargs):
-            index = len(spans)
-            spans.append(None)
-            stack.append(index)
-            result = None
-            start = clock()
-            try:
-                result = fn(*args, **kwargs)
-                return result if post is None else post(result)
-            finally:
-                end = clock()
-                stack.pop()
-                name = span_name if label is None else f"{span_name}.{label(args, result)}"
-                spans[index] = (name, start, end, stack[-1] if stack else -1, recorder.op_id)
-
-        return wrapper
-
-    def __enter__(self):
-        modules = {name: mod for name, mod in sys.modules.items()
-                   if name == "iondecoh" or name.startswith("iondecoh.")}
-        replacements = {}
-        for layer, names in LAYERS.items():
-            module = modules[f"iondecoh.{layer}"]
-            for fname in names:
-                fn = getattr(module, fname)
-                label, post = _LABELS.get(fname), None
-                if fname == "pairing_family":
-                    post = lambda family: self.wrap("vacuum.family", family, _first_arg_k)  # noqa: E731
-                replacements[id(fn)] = (fn, self.wrap(f"{layer}.{fname}", fn, label, post))
-        for module in modules.values():
-            for attr, value in list(vars(module).items()):
-                if id(value) in replacements and replacements[id(value)][0] is value:
-                    self._restore.append((module, attr, value))
-                    setattr(module, attr, replacements[id(value)][1])
-        return self
-
-    def __exit__(self, *exc):
-        for module, attr, value in reversed(self._restore):
-            setattr(module, attr, value)
-        self._restore.clear()
-
-
-def _size_tag(args, result):
-    for obj in (*args[:1], result):
-        if hasattr(obj, "size"):
-            return f"n{obj.size}"
-    return "n?"
-
-
-def _first_arg_k(args, result):
-    return f"k{args[0]}"
-
-
-_LABELS = {
-    **{fname: _size_tag for fname in LAYERS["densmat"]},
-    "main": lambda args, result: args[0][0] if args and args[0] else "none",
-    "uniform_profile": lambda args, result: f"k{args[1]}",
-    "log_vacuum_overlap": lambda args, result: f"k{args[0].mode_count}",
-}
-
-
-def call_main(cli, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def per_call_ns(fn, loops: int) -> float:
@@ -214,15 +124,12 @@ def traced_run(named: str, seed: int, ctx):
     ops_by_id = {}
 
     def run_replay(replay, recorder=None):
-        """Run and check every input; returns the seconds spent in iondecoh calls."""
-        busy = 0.0
+        """Run and check every input."""
         for op in replay.ops:
             if recorder is not None:
                 recorder.op_id = len(ops_by_id)
                 ops_by_id[recorder.op_id] = (replay.workload, op)
-            start = time.perf_counter()
             code, out, err = call_main(cli, op.argv)
-            busy += time.perf_counter() - start
             problem = ctx.checker.check(op, code, out, err)
             tally.attempted += 1
             if problem is not None:
@@ -231,18 +138,15 @@ def traced_run(named: str, seed: int, ctx):
             recorder.op_id = len(ops_by_id)
             ops_by_id[recorder.op_id] = (replay.workload, None)
         for case in replay.cases:
-            start = time.perf_counter()
             try:
                 result = libloop.run_case(d, units, records, case)
             except Exception as exc:  # a case the library rejects counts as failed
                 result, problem = None, f"lib case raised {type(exc).__name__}: {exc}"
-            busy += time.perf_counter() - start
             if result is not None:
                 problem = checks.check_lib_case(salts[case[0]], case, result)
             tally.attempted += 1
             if problem is not None:
                 tally.fail(problem)
-        return busy
 
     metrics = {}
 
@@ -278,26 +182,24 @@ def traced_run(named: str, seed: int, ctx):
         overheads.append(ctx.cli(op.argv)["wall_s"] - in_process)
     put("cli.spawn_overhead_s", statistics.median(overheads), "s", len(overheads))
     largest_sim = next(r for r in replays if r.workload == "sim_grid").ops[-1]
-    sim_walls = [ctx.cli(largest_sim.argv)["wall_s"]]
+    shares = [_densmat_share(ctx, largest_sim.argv) for _ in range(2)]
+    put(f"densmat.share_of_wall.{SIZE_TAGS[-1]}", statistics.median(s for s, _, _ in shares), "ratio", len(shares))
 
-    # warm first-call paths, then the named workload untraced, then everything traced
+    # warm first-call paths, time the tracing overhead, then trace everything
     run_replay(Replay("cli_short", cli_replay.ops[: len(workloads.CLI_BLOCK) + 1]))
-    untraced = run_replay(replays[0])
+    untraced, traced = _tracing_overhead(replays[0], cli, d, units, records)
+    put("trace.overhead_ratio", traced / untraced - 1.0, "ratio", len(replays[0].ops) + len(replays[0].cases))
     recorder = SpanRecorder()
     with recorder:
-        traced = run_replay(replays[0], recorder)
-        for replay in replays[1:]:
+        for replay in replays:
             run_replay(replay, recorder)
         recorder.op_id = len(ops_by_id)
         ops_by_id[recorder.op_id] = ("probe", None)
         for _ in range(10):
             d.bundled_salt_database()
-    put("trace.overhead_ratio", traced / untraced - 1.0, "ratio", 1)
-    # the machine's speed drifts, so the wall the traced sim is compared with brackets it
-    sim_walls.append(ctx.cli(largest_sim.argv)["wall_s"])
 
     spans = recorder.spans
-    _span_metrics(spans, ops_by_id, sizes, statistics.fmean(sim_walls), put)
+    _span_metrics(spans, ops_by_id, sizes, put)
     put("run.failed_fraction", tally.failed / tally.attempted, "ratio", tally.attempted)
 
     os.makedirs(ctx.out_dir, exist_ok=True)
@@ -314,7 +216,7 @@ def traced_run(named: str, seed: int, ctx):
         replayed={r.workload: len(r.ops) + len(r.cases) for r in replays},
         spans=len(spans),
         tracing_overhead={"untraced_s": untraced, "traced_s": traced},
-        sim_walls_largest_s=sim_walls,
+        densmat_share_probes=[{"densmat_s": d_s, "wall_s": w_s} for _, d_s, w_s in shares],
     )
     print("# predicted moves, layer metric -> end-to-end metric (workload):")
     for prefix, moves in PREDICTED.items():
@@ -338,7 +240,35 @@ def _import_split(reply):
     return float(reply["stdout"].strip().splitlines()[-1]), scipy_us * 1e-6, numpy_us * 1e-6
 
 
-def _span_metrics(spans, ops_by_id, sizes, largest_sim_wall, put):
+def _tracing_overhead(replay, cli, d, units, records, chunk=100):
+    """(untraced s, traced s) over the replay's inputs, each op or chunk of
+    cases run once untraced and once traced, in alternating order, so that
+    the machine's drift falls on both sides alike. Outputs are not checked."""
+    items = [lambda op=op: call_main(cli, op.argv) for op in replay.ops]
+    items += [
+        lambda part=replay.cases[i:i + chunk]: [libloop.run_case(d, units, records, case) for case in part]
+        for i in range(0, len(replay.cases), chunk)
+    ]
+    totals = [0.0, 0.0]  # untraced, traced
+    for index, item in enumerate(items):
+        for traced in ((False, True) if index % 2 == 0 else (True, False)):
+            with SpanRecorder() if traced else contextlib.nullcontext():
+                start = time.perf_counter()
+                item()
+                totals[traced] += time.perf_counter() - start
+    return totals[0], totals[1]
+
+
+def _densmat_share(ctx, argv):
+    """(share, densmat s, wall s) of one traced sim call in a fresh process (spans.py)."""
+    reply = ctx.spawner.run([sys.executable, SPANS_SCRIPT, *argv])
+    if reply["returncode"] != 0:
+        raise RuntimeError(f"traced sim child failed: {reply['stderr'].strip()[-500:]}")
+    densmat_s = json.loads(reply["stdout"])["densmat_s"]
+    return densmat_s / reply["wall_s"], densmat_s, reply["wall_s"]
+
+
+def _span_metrics(spans, ops_by_id, sizes, put):
     child_ns = [0] * len(spans)
     for name, start, end, parent, _ in spans:
         if parent >= 0:
@@ -391,6 +321,4 @@ def _span_metrics(spans, ops_by_id, sizes, largest_sim_wall, put):
         solves = len(durations(f"densmat.min_eigenvalue.n{n}", "sim_grid"))
         put(f"densmat.state_bytes.{tag}", n * n * 16, "bytes", 1)
         put(f"densmat.eig_flops.{tag}", solves * 16.0 / 3.0 * n ** 3, "flop", solves)
-    largest = f"n{sizes.sim_grid[-1][0]}"
-    in_densmat = sum(sum(durations(f"densmat.{f}.{largest}", "sim_grid")) for f in ("prepare_superposition", "evolve_series"))
-    put(f"densmat.share_of_wall.{SIZE_TAGS[-1]}", in_densmat / largest_sim_wall, "ratio", 1)
+

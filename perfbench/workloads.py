@@ -23,7 +23,7 @@ SALTS_CSV = os.path.join("src", "iondecoh", "data", "salts.csv")
 # Why each workload exists; copied into BENCHMARK.json and every result.
 WHY = {
     "cli_short": "every subcommand at small size, one process per call: interpreter start and imports dominate, densmat does almost no work",
-    "table_bulk": "table over a ~20k-row data file: materials parsing and the scalar units/core formulas dominate, densmat does none",
+    "table_bulk": "table over a 10k-row data file: materials parsing and the scalar units/core formulas dominate, densmat does none",
     "sim_grid": "sim at N=256/512/1024: the O(N^3) eigensolve of the densmat invariant check dominates, plus its N^2 memory",
     "lib_scalar": "in-process loop of scalar library cases: the per-call Quantity cost that start-up hides in cli_short",
 }
@@ -43,6 +43,7 @@ class Sizes:
     sim_grid: tuple  # (num_points, steps) per size, smallest first
     sim_min_rounds: int
     lib_min_cases: int
+    lib_children: int  # lib_scalar runs its cases in this many child processes, one after another
     setup_reps: int
     trace_bulk_rows: int  # table_bulk replay size when another workload is traced
     trace_lib_cases: int  # lib_scalar replay size in a traced run
@@ -54,12 +55,13 @@ FULL = Sizes(
     cli_min_blocks=4,
     cli_sim_points=64,
     big_modes=1_000_000,
-    bulk_rows=20_000,
+    bulk_rows=10_000,  # ~1.7 s calls: enough of them per run to steady the median
     bulk_min_pairs=2,
     sim_grid=((256, 12), (512, 4), (1024, 1)),
     sim_min_rounds=3,
     lib_min_cases=100_000,
-    setup_reps=9,
+    lib_children=4,
+    setup_reps=12,
     trace_bulk_rows=2_000,
     trace_lib_cases=10_000,
     trace_spawn_probes=5,
@@ -75,7 +77,8 @@ TINY = Sizes(
     sim_grid=((16, 2), (20, 2), (24, 2)),
     sim_min_rounds=1,
     lib_min_cases=50,
-    setup_reps=1,
+    lib_children=2,
+    setup_reps=2,
     trace_bulk_rows=40,
     trace_lib_cases=50,
     trace_spawn_probes=1,
@@ -93,6 +96,13 @@ class Op:
     output: str | None = None
     items: int = 1
     expect: dict = field(default_factory=dict)
+
+    @property
+    def label(self) -> str:
+        """Name of this op's median wall time in a result's ``median_by_kind``."""
+        if self.kind == "sim":
+            return f"sim_wall_n{self.expect['num_points']}_s"
+        return f"{self.kind}_wall_s"
 
 
 @dataclass(frozen=True)
@@ -346,25 +356,31 @@ def table_bulk(seed: int, root: str, workdir: str, sizes: Sizes, rows: int | Non
 # -- sim_grid ------------------------------------------------------------------
 
 def sim_grid(seed: int, root: str, workdir: str, sizes: Sizes):
-    """Rounds of one sim call per grid size, csv and json in turn."""
+    """Rounds of one sim call per grid size, csv and json in turn.
+
+    A work item is one density-matrix element certified, N^2 per sample.
+    """
     rng = random.Random(seed)
     salts = bundled_rows(root)
     for round_index in itertools.count():
         fmt = ("csv", "json")[round_index % 2]
-        yield [sim_op(rng, salts, n, steps, fmt, None) for n, steps in sizes.sim_grid]
+        ops = [sim_op(rng, salts, n, steps, fmt, None) for n, steps in sizes.sim_grid]
+        for op, (n, steps) in zip(ops, sizes.sim_grid):
+            op.items = n * n * (steps + 1)
+        yield ops
 
 
 # -- lib_scalar ----------------------------------------------------------------
 
-def lib_cases(seed: int, salts: list[SaltRow]):
-    """Endless scalar library cases.
+def lib_cases(seed: int, salts: list[SaltRow], part: int = 0):
+    """Endless scalar library cases; each lib_scalar child process runs its own ``part``.
 
     Each is (salt index, temperature K, ion count, dx m, time s, tau_dyn s,
     coherence observed, threshold). The time keeps the rate-time product
     in [0.01, 3] and tau_dyn / tau_dec spans [1, 1e6], both sides of any
     threshold in [10, 1e5], using the reference times as the estimate.
     """
-    rng = random.Random(seed)
+    rng = random.Random(seed * 1000 + part)
     while True:
         index = rng.randrange(len(salts))
         salt = salts[index]
@@ -383,3 +399,7 @@ def lib_cases(seed: int, salts: list[SaltRow]):
 
 
 GENERATORS = {"cli_short": cli_short, "table_bulk": table_bulk, "sim_grid": sim_grid}
+
+# workloads whose operation, for latency, is a whole group: a sim round,
+# whose three grid sizes cost about 1:1.5:3
+GROUP_IS_ONE_OPERATION = {"sim_grid"}
