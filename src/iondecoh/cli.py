@@ -73,9 +73,9 @@ def _context_from_args(args, record: SaltRecord) -> core.DecoherenceContext:
     )
 
 
-def _wavelength_and_rate(args, records_loader):
+def _wavelength_and_rate(args):
     if args.salt is not None:
-        ctx = _context_from_args(args, salt_by_name(records_loader(), args.salt))
+        ctx = _context_from_args(args, salt_by_name(_load_records(args), args.salt))
         return core.de_broglie_wavelength(ctx), core.scattering_rate(ctx)
     if args.wavelength is None or args.rate is None:
         raise _CliUsageError("give either --salt or both --wavelength and --rate")
@@ -150,7 +150,7 @@ def _cmd_table(args) -> str:
 
 
 def _cmd_factor(args) -> str:
-    wavelength, rate = _wavelength_and_rate(args, lambda: _load_records(args))
+    wavelength, rate = _wavelength_and_rate(args)
     value = core.decoherence_factor(
         length_m(args.dx), time_s(args.time), wavelength, rate
     )
@@ -163,7 +163,7 @@ def _cmd_factor(args) -> str:
 
 
 def _cmd_sim(args) -> str:
-    wavelength, rate = _wavelength_and_rate(args, lambda: _load_records(args))
+    wavelength, rate = _wavelength_and_rate(args)
     spec = densmat.SuperpositionSpec(
         separation=length_m(args.separation),
         width=length_m(args.width),
@@ -172,6 +172,9 @@ def _cmd_sim(args) -> str:
     state = densmat.prepare_superposition(
         spec, num_points=args.num_points, extent_widths=args.extent_widths
     )
+    if args.steps < 1:
+        # evolve_series checks this too, but dt is computed first
+        raise _CliUsageError(f"steps must be at least 1, got {args.steps}")
     dt = time_s(args.t_total / args.steps)
     samples = densmat.evolve_series(
         state, rate, wavelength, dt, args.steps, spec.separation
@@ -193,8 +196,6 @@ def _cmd_xray(args) -> str:
     ctx = _context_from_args(args, record)
     check = regimes.xray_consistency(ctx, record, time_s(args.tau_x))
     payload = {"salt": record.name, "tau1_s": core.tau1(ctx).si, **check.to_dict()}
-    if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     header = list(payload)
     return _render_table(header, [[payload[k] for k in header]], args.format, payload)
 
@@ -215,8 +216,6 @@ def _cmd_bcs(args) -> str:
     payload = {"points": [dict(zip(header, row)) for row in rows]}
     if len(counts) >= 3:
         payload["decay_rate_per_mode"] = vacuum.overlap_decay_rate(family, counts)
-    if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     text = _render_table(header, rows, args.format, payload)
     if args.format == "human" and "decay_rate_per_mode" in payload:
         text += f"decay rate per mode = {payload['decay_rate_per_mode']!r}\n"
@@ -241,12 +240,10 @@ def _cmd_classify(args) -> str:
     payload = report.to_dict()
     if args.salt is not None:
         payload["salt"] = args.salt
-    if args.format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.format == "csv":
+    if args.format != "human":
         header = ["tau1_s", "tau2_s", "tau_dyn_s", "tau_dec_s", "timescale_ratio", "verdict"]
         row = [t1.si, t2.si, args.tau_dyn, payload["tau_dec_s"], payload["timescale_ratio"], report.verdict.value]
-        return _render_table(header, [row], "csv", payload)
+        return _render_table(header, [row], args.format, payload)
     lines = [
         f"tau1 = {t1.si!r} s",
         f"tau2 = {t2.si!r} s",

@@ -150,8 +150,11 @@ def min_eigenvalue(rho: ReducedDensityMatrix) -> float:
     return rho.spacing.si * float(np.linalg.eigvalsh(hermitian)[0])
 
 
-def check_invariants(rho: ReducedDensityMatrix) -> None:
-    """Raise if the state stopped being a density matrix within tolerance."""
+def check_invariants(rho: ReducedDensityMatrix) -> tuple[float, float]:
+    """Raise if the state stopped being a density matrix within tolerance.
+
+    Returns the (trace, min_eigenvalue) it checked, for the caller to report.
+    """
     defect = hermiticity_defect(rho)
     if defect > HERMITICITY_ATOL * max(1.0, float(np.max(np.abs(rho.elements)))):
         raise ValidationError(f"state is not Hermitian: defect {defect:g}")
@@ -161,6 +164,7 @@ def check_invariants(rho: ReducedDensityMatrix) -> None:
     low = min_eigenvalue(rho)
     if low < -EIGENVALUE_FLOOR:
         raise ValidationError(f"state has a negative eigenvalue {low:g}")
+    return tr, low
 
 
 def _offset_for_separation(rho: ReducedDensityMatrix, separation: Quantity) -> int:
@@ -217,18 +221,19 @@ def evolve_series(
 
     Invariants (Hermiticity, unit trace, positivity) are checked at every
     sample and violations raise, so a returned series is also a certificate.
+    Each sample reports the trace and min_eigenvalue that check measured.
     """
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
 
     def sample(state: ReducedDensityMatrix) -> SimSample:
-        check_invariants(state)
+        tr, low = check_invariants(state)
         return SimSample(
             time=state.time.si,
             coherence=coherence_ratio(state, separation),
-            trace=trace(state),
+            trace=tr,
             purity=purity(state),
-            min_eigenvalue=min_eigenvalue(state),
+            min_eigenvalue=low,
         )
 
     samples = [sample(rho)]

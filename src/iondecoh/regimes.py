@@ -92,7 +92,7 @@ def classify(
         q.require(TIME, label)
         if q.si <= 0:
             raise ValidationError(f"{label} must be positive, got {q.si!r}")
-    if threshold_ratio <= 1.0:
+    if not threshold_ratio > 1.0:  # also rejects NaN
         raise ValidationError(
             f"threshold_ratio must exceed 1, got {threshold_ratio!r}"
         )

@@ -215,10 +215,6 @@ def quantity(value: float, tag: str) -> Quantity:
 
 # -- constructors in customary units -----------------------------------------
 
-def mass_kg(value: float) -> Quantity:
-    return Quantity(value, MASS)
-
-
 def mass_amu(value: float) -> Quantity:
     return Quantity(value * _codata.atomic_mass, MASS)
 

@@ -109,6 +109,17 @@ def test_sim_rejects_unresolvable_grid(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_sim_rejects_nonpositive_steps(capsys, steps):
+    code, out, err = run_cli(
+        capsys, "sim", "--wavelength", "1e-10", "--rate", "1e15",
+        "--separation", "1e-8", "--width", "1e-9", "--t-total", "3e-15",
+        f"--steps={steps}",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: steps must be at least 1, got {steps}\n"
+
+
 def test_xray_output(capsys):
     code, out, _ = run_cli(
         capsys, "xray", "--salt", "NaCl", "--tau-x", "0.5e-18", "--format", "json"
@@ -158,6 +169,16 @@ def test_classify_explicit_times(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "QuantumMechanicsAdequate"
+
+
+def test_classify_rejects_nan_threshold(capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--tau1", "1e-3", "--tau2", "2e-3", "--tau-dyn", "0.5",
+        "--threshold", "nan", "--format", "json",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: threshold_ratio must exceed 1")
+    assert err.count("\n") == 1
 
 
 def test_output_file_written_atomically(capsys, tmp_path):

@@ -162,7 +162,29 @@ def test_negative_dt_rejected():
 
 def test_check_invariants_flags_corruption():
     rho = two_packet_state()
-    densmat.check_invariants(rho)
+    assert densmat.check_invariants(rho) == (densmat.trace(rho), densmat.min_eigenvalue(rho))
     rho.elements[0, 0] += 1e9
     with pytest.raises(ValidationError):
         densmat.check_invariants(rho)
+
+
+def test_each_sample_is_certified_by_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rho = two_packet_state(num_points=64)
+    dt, steps = time_s(3e-17), 4
+    samples = densmat.evolve_series(rho, RATE, WAVELENGTH, dt, steps, SEPARATION)
+    assert len(calls) == steps + 1
+
+    # the reported values are the certified ones, bit for bit
+    state = rho
+    for sample in samples:
+        assert sample.trace == densmat.trace(state)
+        assert sample.min_eigenvalue == densmat.min_eigenvalue(state)
+        state = densmat.apply_decoherence(state, RATE, WAVELENGTH, dt)

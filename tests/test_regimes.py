@@ -74,8 +74,9 @@ def test_scale_invariance_randomized():
 def test_classify_validation():
     with pytest.raises(ValidationError):
         regimes.classify(time_s(-1.0), time_s(1.0), time_s(1.0), False)
-    with pytest.raises(ValidationError):
-        regimes.classify(time_s(1.0), time_s(1.0), time_s(1.0), False, threshold_ratio=0.5)
+    for threshold in (0.5, 1.0, float("nan")):
+        with pytest.raises(ValidationError, match="threshold_ratio"):
+            regimes.classify(time_s(1.0), time_s(1.0), time_s(2.0), False, threshold_ratio=threshold)
 
 
 def test_report_round_trips_through_json(nacl_ctx):
