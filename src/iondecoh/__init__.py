@@ -47,13 +47,12 @@ from .regimes import (
     classify,
     xray_consistency,
 )
-from .units import CODATA, Quantity, quantity
+from .units import CODATA, Quantity
 from .vacuum import (
     BogoliubovProfile,
     log_vacuum_overlap,
     overlap_decay_rate,
     pairing_family,
-    pairing_profile,
     uniform_profile,
     vacuum_overlap,
 )
@@ -94,10 +93,8 @@ __all__ = [
     "number_density",
     "overlap_decay_rate",
     "pairing_family",
-    "pairing_profile",
     "parse_ion",
     "prepare_superposition",
-    "quantity",
     "salt_by_name",
     "scattering_rate",
     "tau1",

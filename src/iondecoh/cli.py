@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -34,6 +35,12 @@ class _CliUsageError(IonDecohError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers, not -1e-3,
+        # and would parse the latter as an option name
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _CliUsageError(message)
 
@@ -112,14 +119,21 @@ def _deliver(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".iondecoh-")
+    # mkstemp creates the file with mode 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".iondecoh-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, output)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise _CliUsageError(f"cannot write {output!r}: {exc.strerror or exc}") from None
         raise
 
 

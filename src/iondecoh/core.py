@@ -186,10 +186,13 @@ def decoherence_factor(
         raise ValidationError("wavelength must be positive")
     if rate.si < 0:
         raise ValidationError("rate must be nonnegative")
+    rate_time = rate.si * time.si
+    if not math.isfinite(rate_time):
+        raise ValidationError(f"rate * time must be finite, got {rate.si!r} * {time.si!r}")
     u = 0.5 * (separation.si / wavelength.si) ** 2
     # expm1 keeps the small-separation branch accurate: exponent is
     # Lambda t (exp(-u) - 1).
-    return math.exp(rate.si * time.si * math.expm1(-u))
+    return math.exp(rate_time * math.expm1(-u))
 
 
 def tau1(ctx: DecoherenceContext) -> Quantity:

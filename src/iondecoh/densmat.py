@@ -49,7 +49,12 @@ class SuperpositionSpec:
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    """Grid-sampled density matrix plus its t=0 elements for coherence ratios."""
+    """Grid-sampled density matrix plus its t=0 elements for coherence ratios.
+
+    This package never modifies these arrays in place: each evolution step
+    builds a new ``elements`` array, so a freshly prepared state holds one
+    array as both ``elements`` and ``initial_elements``.
+    """
 
     positions: np.ndarray
     spacing: Quantity
@@ -100,7 +105,7 @@ def prepare_superposition(
         positions=x,
         spacing=length_m(float(h)),
         elements=rho,
-        initial_elements=rho.copy(),
+        initial_elements=rho,
         time=time_s(0.0),
     )
 
@@ -118,9 +123,12 @@ def suppression_kernel(
         raise ValidationError("wavelength must be positive")
     if rate.si < 0:
         raise ValidationError("rate must be nonnegative")
+    rate_dt = rate.si * dt.si
+    if not math.isfinite(rate_dt):
+        raise ValidationError(f"rate * dt must be finite, got {rate.si!r} * {dt.si!r}")
     dx = positions[:, None] - positions[None, :]
     u = 0.5 * (dx / wavelength.si) ** 2
-    return np.exp(rate.si * dt.si * np.expm1(-u))
+    return np.exp(rate_dt * np.expm1(-u))
 
 
 def apply_decoherence(
@@ -154,15 +162,17 @@ def check_invariants(rho: ReducedDensityMatrix) -> tuple[float, float]:
     """Raise if the state stopped being a density matrix within tolerance.
 
     Returns the (trace, min_eigenvalue) it checked, for the caller to report.
+    Each test is written so that NaN fails it; a non-finite element makes
+    the Hermiticity defect NaN, so it is rejected before the eigensolve.
     """
     defect = hermiticity_defect(rho)
-    if defect > HERMITICITY_ATOL * max(1.0, float(np.max(np.abs(rho.elements)))):
+    if not defect <= HERMITICITY_ATOL * max(1.0, float(np.max(np.abs(rho.elements)))):
         raise ValidationError(f"state is not Hermitian: defect {defect:g}")
     tr = trace(rho)
-    if abs(tr - 1.0) > TRACE_RTOL:
+    if not abs(tr - 1.0) <= TRACE_RTOL:
         raise ValidationError(f"trace drifted to {tr!r}")
     low = min_eigenvalue(rho)
-    if low < -EIGENVALUE_FLOOR:
+    if not low >= -EIGENVALUE_FLOOR:
         raise ValidationError(f"state has a negative eigenvalue {low:g}")
     return tr, low
 

@@ -130,18 +130,15 @@ def _parse_optional(field: str, name: str, line_number: int) -> float | None:
     return _parse_float(field, name, line_number)
 
 
-def load_salt_database(stream: IO[str] | IO[bytes] | Iterable[str]) -> list[SaltRecord]:
-    """Parse salt records from a text or byte stream in file order.
+def load_salt_database(stream: IO[str] | Iterable[str]) -> list[SaltRecord]:
+    """Parse salt records from a text stream in file order.
 
     Raises SaltDataError with a line number on malformed input and
     ValidationError when a parsed value fails a physical constraint.
-    Byte streams are decoded as UTF-8.
     """
     records: list[SaltRecord] = []
     seen: set[str] = set()
     for line_number, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,8 +7,7 @@ similar mistakes, so malformed formulas fail at evaluation time instead of
 producing silently wrong numbers.
 
 Inputs arrive in the units people actually use (amu, angstrom, Celsius) and
-are converted on construction; all internal math is SI. Display helpers
-convert back out.
+are converted on construction; all internal math is SI.
 """
 
 from __future__ import annotations
@@ -75,21 +74,6 @@ RATE = DIMENSIONLESS / TIME
 ENERGY = MASS * SPEED ** 2
 NUMBER_DENSITY = DIMENSIONLESS / LENGTH ** 3
 MASS_DENSITY = MASS / LENGTH ** 3
-
-DIMENSIONS = {
-    "dimensionless": DIMENSIONLESS,
-    "mass": MASS,
-    "length": LENGTH,
-    "time": TIME,
-    "temperature": TEMPERATURE,
-    "charge": CHARGE,
-    "speed": SPEED,
-    "area": AREA,
-    "rate": RATE,
-    "energy": ENERGY,
-    "numberdensity": NUMBER_DENSITY,
-    "massdensity": MASS_DENSITY,
-}
 
 
 @dataclass(frozen=True)
@@ -199,20 +183,6 @@ class Quantity:
         return f"{self.si:g} {self.dim}"
 
 
-def quantity(value: float, tag: str) -> Quantity:
-    """Build a Quantity from an SI magnitude and a dimension tag name.
-
-    Tags are case-insensitive: Mass, Length, Time, Temperature, Charge,
-    Speed, Area, Rate, Energy, NumberDensity, MassDensity, Dimensionless.
-    """
-    key = tag.replace("_", "").replace(" ", "").lower()
-    try:
-        dim = DIMENSIONS[key]
-    except KeyError:
-        raise DimensionError(f"unknown dimension tag {tag!r}") from None
-    return Quantity(value, dim)
-
-
 # -- constructors in customary units -----------------------------------------
 
 def mass_amu(value: float) -> Quantity:
@@ -253,16 +223,6 @@ def rate_per_s(value: float) -> Quantity:
 
 def dimensionless(value: float) -> Quantity:
     return Quantity(value, DIMENSIONLESS)
-
-
-# -- display conversions ------------------------------------------------------
-
-def as_amu(q: Quantity) -> float:
-    return q.require(MASS, "mass").si / _codata.atomic_mass
-
-
-def as_angstrom(q: Quantity) -> float:
-    return q.require(LENGTH, "length").si / 1e-10
 
 
 @dataclass(frozen=True)

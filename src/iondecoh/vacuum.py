@@ -1,8 +1,10 @@
 """Overlap between Bogoliubov-rotated vacua over a finite set of modes.
 
-Each mode k carries coefficients (U_k, V_k) with U_k^2 + V_k^2 = 1. The
-overlap between the untransformed and transformed vacuum is the product of
-the U_k, computed in log space so thousands of modes cannot underflow:
+Each mode k carries coefficients (U_k, V_k) with U_k^2 + V_k^2 = 1. A
+profile stores only the U_k, with V_k = sqrt(1 - U_k^2) implied, because
+the overlap between the untransformed and transformed vacuum is the
+product of the U_k alone, computed in log space so thousands of modes
+cannot underflow:
 
     <0|0'> = prod_k U_k = exp(sum_k ln U_k)
 
@@ -23,40 +25,25 @@ import numpy as np
 
 from .errors import ValidationError
 
-COEFFICIENT_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BogoliubovProfile:
-    """Per-mode coefficients (U_k, V_k), validated to U_k^2 + V_k^2 = 1."""
+    """Per-mode coefficients U_k, each in (0, 1]; V_k = sqrt(1 - U_k^2) is implied."""
 
     u: np.ndarray
-    v: np.ndarray
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValidationError("u and v must be 1-d arrays of equal length")
-        if u.size and not np.all(np.isfinite(u) & np.isfinite(v)):
-            raise ValidationError("coefficients must be finite")
-        if u.size and np.max(np.abs(u * u + v * v - 1.0)) > COEFFICIENT_ATOL:
-            worst = float(np.max(np.abs(u * u + v * v - 1.0)))
-            raise ValidationError(f"U_k^2 + V_k^2 must equal 1, worst deviation {worst:g}")
-        if u.size and np.min(u) <= 0.0:
-            raise ValidationError("every U_k must be positive")
+        if u.ndim != 1:
+            raise ValidationError("u must be a 1-d array")
+        # NaN fails both comparisons, so it is rejected too
+        if u.size and not (np.min(u) > 0.0 and np.max(u) <= 1.0):
+            raise ValidationError("every U_k must be in (0, 1]")
 
     @property
     def mode_count(self) -> int:
         return int(self.u.size)
-
-    def extended(self, other: "BogoliubovProfile") -> "BogoliubovProfile":
-        """This profile with the other's modes appended."""
-        return BogoliubovProfile(
-            np.concatenate([self.u, other.u]), np.concatenate([self.v, other.v])
-        )
 
 
 def uniform_profile(u: float, modes: int) -> BogoliubovProfile:
@@ -65,9 +52,7 @@ def uniform_profile(u: float, modes: int) -> BogoliubovProfile:
         raise ValidationError(f"modes must be nonnegative, got {modes}")
     if not 0.0 < u <= 1.0:
         raise ValidationError(f"u must be in (0, 1], got {u!r}")
-    return BogoliubovProfile(
-        np.full(modes, float(u)), np.full(modes, math.sqrt(max(0.0, 1.0 - u * u)))
-    )
+    return BogoliubovProfile(np.full(modes, float(u)))
 
 
 def pairing_family(
@@ -105,18 +90,9 @@ def pairing_family(
             )
         xi = cache[:modes]
         v_sq = 0.5 * (1.0 - xi / np.hypot(xi, gap))
-        v = np.sqrt(v_sq)
-        u = np.sqrt(1.0 - v_sq)
-        return BogoliubovProfile(u, v)
+        return BogoliubovProfile(np.sqrt(1.0 - v_sq))
 
     return family
-
-
-def pairing_profile(
-    modes: int, gap: float = 0.2, half_bandwidth: float = 1.0, seed: int = 0
-) -> BogoliubovProfile:
-    """One profile from :func:`pairing_family` with the given mode count."""
-    return pairing_family(gap, half_bandwidth, seed)(modes)
 
 
 def log_vacuum_overlap(profile: BogoliubovProfile) -> float:

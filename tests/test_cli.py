@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -199,6 +201,64 @@ def test_failed_run_leaves_no_output_file(capsys, tmp_path):
     )
     assert code == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--wavelength", "1e-10", "--rate", "1e300", "--time", "1e300", "--dx", "0"],
+    ["sim", "--wavelength", "3e-11", "--rate", "1e300", "--separation", "3e-9",
+     "--width", "3e-10", "--t-total", "1e300", "--steps", "1", "--num-points", "16"],
+])
+def test_overflowing_rate_times_time_exits_one(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "iondecoh.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["absent/table.csv", "taken"])
+def test_unwritable_output_exits_one(capsys, tmp_path, target):
+    (tmp_path / "taken").mkdir()
+    code, out, err = run_cli(
+        capsys, "table", "--salts", "NaCl", "--output", str(tmp_path / target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_file_mode_follows_umask(capsys, tmp_path, umask, mode):
+    target = tmp_path / "table.csv"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "table", "--salts", "NaCl", "--output", str(target))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+def test_negative_phase_in_scientific_notation(capsys):
+    code, out, err = run_cli(
+        capsys, "sim", "--wavelength", "1e-10", "--rate", "1e15",
+        "--separation", "1e-8", "--width", "1e-9", "--t-total", "3e-15",
+        "--steps", "2", "--num-points", "64", "--phase", "-1e-3", "--format", "csv",
+    )
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 4
+
+
+def test_negative_time_in_scientific_notation_reaches_value_check(capsys):
+    code, out, err = run_cli(
+        capsys, "sim", "--wavelength", "1e-10", "--rate", "1e15",
+        "--separation", "1e-8", "--width", "1e-9", "--t-total", "-3e-15",
+        "--steps", "5", "--num-points", "64",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: dt must be nonnegative") and err.count("\n") == 1
 
 
 def test_missing_data_file_exits_two(capsys, tmp_path):

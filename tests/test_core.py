@@ -198,6 +198,18 @@ def test_factor_input_validation():
         core.decoherence_factor(length_m(1e-10), time_s(1e-18), length_m(0.0), rate)
     with pytest.raises(DimensionError):
         core.decoherence_factor(time_s(1e-10), time_s(1e-18), lam, rate)
+    # rate * time overflows to inf; at dx = 0 that would give inf * 0 = nan
+    for dx in (0.0, 1e-10):
+        with pytest.raises(ValidationError, match="finite"):
+            core.decoherence_factor(length_m(dx), time_s(1e300), lam, rate_per_s(1e300))
+
+
+def test_every_public_name_resolves():
+    import iondecoh
+
+    assert len(set(iondecoh.__all__)) == len(iondecoh.__all__)
+    for name in iondecoh.__all__:
+        assert getattr(iondecoh, name) is not None, name
 
 
 def test_all_timescale_outputs_have_time_dimension(nacl_ctx):

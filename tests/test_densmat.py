@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,11 @@ def test_two_half_steps_equal_one_step():
     two = densmat.apply_decoherence(half, RATE, WAVELENGTH, time_s(1e-16))
     np.testing.assert_allclose(two.elements, one.elements, rtol=1e-12, atol=0.0)
     assert two.time.si == pytest.approx(one.time.si, rel=1e-15)
+
+
+def test_prepared_state_stores_t0_elements_once():
+    rho = two_packet_state()
+    assert rho.initial_elements is rho.elements
 
 
 def test_evolution_preserves_initial_reference():
@@ -166,6 +172,26 @@ def test_check_invariants_flags_corruption():
     rho.elements[0, 0] += 1e9
     with pytest.raises(ValidationError):
         densmat.check_invariants(rho)
+
+
+def test_check_invariants_rejects_nan_before_eigensolve(monkeypatch):
+    rho = two_packet_state(num_points=64)
+    elements = rho.elements.copy()
+    elements[3, 5] = elements[5, 3] = complex(np.nan, 0.0)
+    corrupted = dataclasses.replace(rho, elements=elements)
+
+    def no_eigensolve(matrix):
+        raise AssertionError("eigensolve reached with a non-finite state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    with pytest.raises(ValidationError):
+        densmat.check_invariants(corrupted)
+
+
+def test_non_finite_rate_times_dt_rejected():
+    rho = two_packet_state(num_points=16)
+    with pytest.raises(ValidationError, match="finite"):
+        densmat.suppression_kernel(rho.positions, rate_per_s(1e300), WAVELENGTH, time_s(1e300))
 
 
 def test_each_sample_is_certified_by_one_eigensolve(monkeypatch):

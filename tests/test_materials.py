@@ -94,13 +94,6 @@ def test_comments_and_blank_lines_skipped():
     assert len(records) == 1 and records[0].name == "NaCl"
 
 
-def test_byte_stream_accepted():
-    raw = b"NaCl,Na+,22.990,Cl-,35.453,2163,5.64,-,-,-\n"
-    records = materials.load_salt_database(io.BytesIO(raw))
-    assert records[0].water_per_ion is None
-    assert records[0].ref_tau1 is None
-
-
 def test_wrong_field_count_reports_line_number():
     text = "# comment\nNaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6\n"
     with pytest.raises(SaltDataError, match="line 2") as excinfo:

@@ -28,16 +28,6 @@ def test_celsius_to_kelvin():
 finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 
 
-@given(finite)
-def test_amu_round_trip(value):
-    assert units.as_amu(units.mass_amu(value)) == pytest.approx(value, rel=1e-12)
-
-
-@given(finite)
-def test_angstrom_round_trip(value):
-    assert units.as_angstrom(units.length_angstrom(value)) == pytest.approx(value, rel=1e-12)
-
-
 exponents = st.tuples(*(st.integers(min_value=-4, max_value=4) for _ in range(5)))
 
 
@@ -93,14 +83,6 @@ def test_quantities_are_immutable():
     q = units.length_m(1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.si = 2.0
-
-
-def test_tag_factory():
-    assert units.quantity(3.0, "NumberDensity").dim == units.NUMBER_DENSITY
-    assert units.quantity(3.0, "mass_density").dim == units.MASS_DENSITY
-    assert units.quantity(1.0, "Rate").dim == units.RATE
-    with pytest.raises(DimensionError):
-        units.quantity(1.0, "frobnication")
 
 
 def test_ratio_and_require():

@@ -45,16 +45,6 @@ def test_extension_strictly_decreases_overlap():
     assert all(a > b for a, b in zip(logs, logs[1:]))
 
 
-def test_extended_profile_appends_modes():
-    a = vacuum.uniform_profile(0.9, 10)
-    b = vacuum.uniform_profile(0.8, 5)
-    combined = a.extended(b)
-    assert combined.mode_count == 15
-    assert vacuum.log_vacuum_overlap(combined) == pytest.approx(
-        vacuum.log_vacuum_overlap(a) + vacuum.log_vacuum_overlap(b), rel=1e-12
-    )
-
-
 def test_pairing_family_counts_are_nested_prefixes():
     family = vacuum.pairing_family(seed=123)
     large = family(200)
@@ -65,8 +55,12 @@ def test_pairing_family_counts_are_nested_prefixes():
 
 
 def test_pairing_profile_satisfies_constraint():
-    profile = vacuum.pairing_profile(1000, gap=0.2, half_bandwidth=1.0, seed=0)
-    assert float(np.max(np.abs(profile.u ** 2 + profile.v ** 2 - 1.0))) <= 1e-12
+    profile = vacuum.pairing_family(gap=0.2, half_bandwidth=1.0, seed=0)(1000)
+    assert profile.mode_count == 1000
+    # U_k = sqrt(1 - V_k^2) with V_k^2 from the same band energies, bit for bit
+    xi = np.random.default_rng(0).uniform(-1.0, 1.0, 1000)
+    v_sq = 0.5 * (1.0 - xi / np.hypot(xi, 0.2))
+    assert np.array_equal(profile.u, np.sqrt(1.0 - v_sq))
     assert float(np.min(profile.u)) > 0.0
     assert float(np.max(profile.u)) < 1.0
 
@@ -104,12 +98,13 @@ def test_decay_rate_needs_three_counts():
 
 
 def test_profile_validation():
+    assert vacuum.BogoliubovProfile(np.array([1.0, 0.5])).mode_count == 2
+    assert vacuum.BogoliubovProfile(np.array([])).mode_count == 0
+    for bad in (1.5, 0.0, -0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            vacuum.BogoliubovProfile(np.array([0.9, bad, 0.8]))
     with pytest.raises(ValidationError):
-        vacuum.BogoliubovProfile(np.array([0.5]), np.array([0.5]))  # not normalised
-    with pytest.raises(ValidationError):
-        vacuum.BogoliubovProfile(np.array([0.0]), np.array([1.0]))  # U must be positive
-    with pytest.raises(ValidationError):
-        vacuum.BogoliubovProfile(np.array([np.nan]), np.array([1.0]))
+        vacuum.BogoliubovProfile(np.array([[0.5]]))
     with pytest.raises(ValidationError):
         vacuum.uniform_profile(1.5, 10)
     with pytest.raises(ValidationError):
