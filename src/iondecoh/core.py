@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import exp1
-
 from .errors import ValidationError
 from .materials import SaltRecord, number_density
 from .units import (
@@ -158,6 +156,9 @@ def scattering_rate(
     if averaging == "maxwell_boltzmann":
         if not 0.0 < cutoff_fraction < 10.0:
             raise ValidationError(f"cutoff_fraction must be in (0, 10), got {cutoff_fraction!r}")
+        # Imported here so that scipy loads only for this comparison mode.
+        from scipy.special import exp1
+
         boost = math.sqrt(2.0 / math.pi) * 0.5 * float(exp1(0.5 * cutoff_fraction ** 2))
         return point * boost
     raise ValidationError(f"unknown averaging mode {averaging!r}")
@@ -174,7 +175,8 @@ def decoherence_factor(
     Positions separated by dx lose phase coherence at rate Lambda scaled by
     how distinguishable the scattering environment finds them. For
     dx << lambda the exponent reduces to -Lambda t dx^2 / 2 lambda^2; for
-    dx >> lambda it saturates at -Lambda t. Returns a float in (0, 1].
+    dx >> lambda it saturates at -Lambda t. Returns a float in [0, 1]: a
+    large finite Lambda t underflows to 0.0, the correctly rounded value.
     """
     separation.require(LENGTH, "separation")
     time.require(TIME, "time")

@@ -45,6 +45,8 @@ class SuperpositionSpec:
             raise ValidationError("separation must be nonnegative")
         if self.width.si <= 0:
             raise ValidationError("width must be positive")
+        if not math.isfinite(self.relative_phase):
+            raise ValidationError(f"relative_phase must be finite, got {self.relative_phase!r}")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ raises :class:`DimensionError` on mismatched addition, non-integer roots, and
 similar mistakes, so malformed formulas fail at evaluation time instead of
 producing silently wrong numbers.
 
-Inputs arrive in the units people actually use (amu, angstrom, Celsius) and
-are converted on construction; all internal math is SI.
+Inputs arrive in the units people actually use (amu, angstrom) and are
+converted on construction; all internal math is SI.
 """
 
 from __future__ import annotations
@@ -15,10 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants as _codata
-
 from .errors import DimensionError
 
+
+# CODATA 2022 values, exactly as scipy.constants (1.17) gives them; a test
+# pins them bit for bit so full-precision output does not drift.
+_H = 6.62607015e-34
+_HBAR = _H / (2 * math.pi)
+_K_B = 1.380649e-23
+_E = 1.602176634e-19
+_EPSILON_0 = 8.8541878188e-12
+_ATOMIC_MASS = 1.66053906892e-27
+_C = 299792458.0
 
 _BASE_SYMBOLS = ("kg", "m", "s", "K", "C")
 
@@ -186,7 +194,7 @@ class Quantity:
 # -- constructors in customary units -----------------------------------------
 
 def mass_amu(value: float) -> Quantity:
-    return Quantity(value * _codata.atomic_mass, MASS)
+    return Quantity(value * _ATOMIC_MASS, MASS)
 
 
 def length_m(value: float) -> Quantity:
@@ -203,10 +211,6 @@ def time_s(value: float) -> Quantity:
 
 def temperature_kelvin(value: float) -> Quantity:
     return Quantity(value, TEMPERATURE)
-
-
-def temperature_celsius(value: float) -> Quantity:
-    return Quantity(_codata.convert_temperature(value, "Celsius", "Kelvin"), TEMPERATURE)
 
 
 def number_density_per_m3(value: float) -> Quantity:
@@ -229,15 +233,15 @@ def dimensionless(value: float) -> Quantity:
 class PhysicalConstants:
     """CODATA constants as Quantities; g is the Coulomb constant 1/(4 pi eps0)."""
 
-    hbar: Quantity = Quantity(_codata.hbar, MASS * LENGTH ** 2 / TIME)
-    k_B: Quantity = Quantity(_codata.k, ENERGY / TEMPERATURE)
-    q_e: Quantity = Quantity(_codata.e, CHARGE)
+    hbar: Quantity = Quantity(_HBAR, MASS * LENGTH ** 2 / TIME)
+    k_B: Quantity = Quantity(_K_B, ENERGY / TEMPERATURE)
+    q_e: Quantity = Quantity(_E, CHARGE)
     coulomb_g: Quantity = Quantity(
-        1.0 / (4.0 * math.pi * _codata.epsilon_0),
+        1.0 / (4.0 * math.pi * _EPSILON_0),
         MASS * LENGTH ** 3 / (TIME ** 2 * CHARGE ** 2),
     )
-    amu: Quantity = Quantity(_codata.atomic_mass, MASS)
-    c: Quantity = Quantity(_codata.c, SPEED)
+    amu: Quantity = Quantity(_ATOMIC_MASS, MASS)
+    c: Quantity = Quantity(_C, SPEED)
 
 
 CODATA = PhysicalConstants()

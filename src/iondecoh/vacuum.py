@@ -73,10 +73,12 @@ def pairing_family(
     family(K2) whenever K1 < K2. That makes overlap decay across counts
     monotone and the log-slope fit well posed.
     """
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise ValidationError(f"gap must be positive, got {gap!r}")
-    if half_bandwidth <= 0.0:
+    if not half_bandwidth > 0.0:
         raise ValidationError(f"half_bandwidth must be positive, got {half_bandwidth!r}")
+    if not math.isfinite(2.0 * half_bandwidth):
+        raise ValidationError(f"2 * half_bandwidth must be finite, got {half_bandwidth!r}")
     rng = np.random.default_rng(seed)
     cache = np.empty(0)
 

@@ -217,6 +217,39 @@ def test_overflowing_rate_times_time_exits_one(argv):
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--half-bandwidth", "inf"),
+    ("--half-bandwidth", "1e308"),
+    ("--half-bandwidth", "nan"),
+    ("--gap", "nan"),
+])
+def test_bcs_rejects_non_finite_band(capsys, option, value):
+    code, out, err = run_cli(capsys, "bcs", "--modes", "10", option, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert option.lstrip("-").replace("-", "_") in err
+
+
+def test_sim_rejects_non_finite_phase():
+    result = subprocess.run(
+        [sys.executable, "-m", "iondecoh.cli", "sim", "--wavelength", "1e-10",
+         "--rate", "1e15", "--separation", "1e-8", "--width", "1e-9",
+         "--t-total", "3e-15", "--steps", "2", "--num-points", "64", "--phase", "inf"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == "error: relative_phase must be finite, got inf\n"
+
+
+def test_factor_underflow_prints_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "factor", "--wavelength", "1e-10", "--rate", "1e20",
+        "--time", "1", "--dx", "1e-9",
+    )
+    assert (code, out, err) == (0, "decoherence factor = 0.0\n", "")
+
+
 @pytest.mark.parametrize("target", ["absent/table.csv", "taken"])
 def test_unwritable_output_exits_one(capsys, tmp_path, target):
     (tmp_path / "taken").mkdir()
@@ -320,3 +353,16 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1].startswith("NaCl,4.6,4.4,")
+
+
+def test_cli_run_does_not_import_scipy():
+    script = (
+        "import sys\n"
+        "import iondecoh.cli\n"
+        "iondecoh.cli.main(['table', '--format', 'csv'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.startswith("name,tau1_1e-40s,")
+    assert result.stderr == "[]\n"

@@ -146,6 +146,12 @@ def test_suppression_kernel_is_positive_semidefinite():
     assert eigenvalues[0] >= -1e-9 * eigenvalues[-1]
 
 
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_non_finite_relative_phase_rejected(phase):
+    with pytest.raises(ValidationError, match="relative_phase"):
+        densmat.SuperpositionSpec(separation=SEPARATION, width=WIDTH, relative_phase=phase)
+
+
 def test_grid_too_small_rejected():
     spec = densmat.SuperpositionSpec(separation=length_m(4e-8), width=WIDTH)
     with pytest.raises(ValidationError, match="grid"):

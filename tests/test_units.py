@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import constants as codata
 
 from iondecoh import units
 from iondecoh.errors import DimensionError
@@ -18,11 +19,6 @@ def test_amu_to_kg_matches_codata():
 def test_angstrom_to_m():
     assert units.length_angstrom(5.64).si == pytest.approx(5.64e-10, rel=1e-15)
     assert units.length_angstrom(0.0).si == 0.0
-
-
-def test_celsius_to_kelvin():
-    assert units.temperature_celsius(36.85).si == pytest.approx(310.0, rel=1e-12)
-    assert units.temperature_celsius(-273.15).si == 0.0
 
 
 finite = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -98,13 +94,13 @@ def test_dimension_rendering():
     assert str(units.DIMENSIONLESS) == "1"
 
 
-def test_codata_constants_six_significant_figures():
-    assert units.CODATA.hbar.si == pytest.approx(1.054571817e-34, rel=1e-9)
-    assert units.CODATA.k_B.si == pytest.approx(1.380649e-23, rel=1e-12)
-    assert units.CODATA.q_e.si == pytest.approx(1.602176634e-19, rel=1e-12)
-    assert units.CODATA.amu.si == pytest.approx(1.66053907e-27, rel=1e-8)
-    assert units.CODATA.coulomb_g.si == pytest.approx(8.9875518e9, rel=1e-7)
-    assert units.CODATA.c.si == 299792458.0
+def test_codata_constants_match_scipy_bit_for_bit():
+    assert units.CODATA.hbar.si == codata.hbar
+    assert units.CODATA.k_B.si == codata.k
+    assert units.CODATA.q_e.si == codata.e
+    assert units.CODATA.amu.si == codata.atomic_mass
+    assert units.CODATA.c.si == codata.c
+    assert units.CODATA.coulomb_g.si == 1.0 / (4.0 * math.pi * codata.epsilon_0)
 
 
 def test_codata_constant_dimensions():

@@ -109,8 +109,10 @@ def test_profile_validation():
         vacuum.uniform_profile(1.5, 10)
     with pytest.raises(ValidationError):
         vacuum.uniform_profile(0.9, -1)
-    with pytest.raises(ValidationError):
-        vacuum.pairing_family(gap=-0.1)
+    for kwargs in ({"gap": -0.1}, {"gap": math.nan}, {"half_bandwidth": math.nan},
+                   {"half_bandwidth": math.inf}, {"half_bandwidth": 1e308}):
+        with pytest.raises(ValidationError):
+            vacuum.pairing_family(**kwargs)
 
 
 def test_overlap_guards_against_mutated_coefficients():
