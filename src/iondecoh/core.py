@@ -128,40 +128,11 @@ def coulomb_cross_section(ctx: DecoherenceContext) -> Quantity:
     )
 
 
-def scattering_rate(
-    ctx: DecoherenceContext,
-    averaging: str = "thermal_point",
-    cutoff_fraction: float = 0.1,
-) -> Quantity:
-    """Scattering rate Lambda = n <sigma v>.
-
-    averaging="thermal_point" (the default used everywhere) evaluates
-    sigma and v at the single thermal speed sqrt(kT/m). The alternative
-    "maxwell_boltzmann" averages sigma(v) v over a Maxwell-Boltzmann
-    speed distribution; because sigma ~ v^-4 that average diverges at
-    v -> 0, so it starts at cutoff_fraction * sqrt(kT/m). In reduced
-    speed x = v / sqrt(kT/m) the average has the closed form
-
-        <sigma v> = sigma(v_th) v_th sqrt(2/pi) integral_c^inf x^-1 exp(-x^2/2) dx
-                  = sigma(v_th) v_th sqrt(2/pi) E1(c^2 / 2) / 2.
-
-    The comparison mode exists to probe sensitivity to the averaging
-    choice and is not used in the reference tables.
-    """
-    point = (ctx.bath_density * coulomb_cross_section(ctx) * thermal_speed(ctx)).require(
+def scattering_rate(ctx: DecoherenceContext) -> Quantity:
+    """Scattering rate Lambda = n sigma v, with sigma and v at the thermal speed sqrt(kT/m)."""
+    return (ctx.bath_density * coulomb_cross_section(ctx) * thermal_speed(ctx)).require(
         RATE, "scattering rate"
     )
-    if averaging == "thermal_point":
-        return point
-    if averaging == "maxwell_boltzmann":
-        if not 0.0 < cutoff_fraction < 10.0:
-            raise ValidationError(f"cutoff_fraction must be in (0, 10), got {cutoff_fraction!r}")
-        # Imported here so that scipy loads only for this comparison mode.
-        from scipy.special import exp1
-
-        boost = math.sqrt(2.0 / math.pi) * 0.5 * float(exp1(0.5 * cutoff_fraction ** 2))
-        return point * boost
-    raise ValidationError(f"unknown averaging mode {averaging!r}")
 
 
 def decoherence_factor(

@@ -78,12 +78,17 @@ def prepare_superposition(
 
     The grid spans extent_widths * width; both packet centres must sit at
     least five widths inside the boundary or the tails would be truncated,
-    which is rejected as a configuration error.
+    which is rejected as a configuration error; so is a grid whose points
+    all miss the packets, leaving a state of norm zero.
     """
     if num_points < 8:
         raise ValidationError(f"num_points must be at least 8, got {num_points}")
     w = spec.width.si
     half_span = 0.5 * extent_widths * w
+    if not (extent_widths > 0 and math.isfinite(half_span)):
+        raise ValidationError(
+            f"extent_widths must be positive and give a finite grid span, got {extent_widths!r}"
+        )
     if 0.5 * spec.separation.si + 5.0 * w > half_span:
         raise ValidationError(
             "grid too small: packet centres must sit at least five widths "
@@ -92,11 +97,18 @@ def prepare_superposition(
     x = np.linspace(-half_span, half_span, num_points)
     h = x[1] - x[0]
     c = 0.5 * spec.separation.si
-    # |psi|^2 per packet is a normal density with variance w^2.
-    g1 = np.exp(-((x - c) ** 2) / (4.0 * w * w))
-    g2 = np.exp(-((x + c) ** 2) / (4.0 * w * w))
+    # |psi|^2 per packet is a normal density with variance w^2; a squared
+    # distance that overflows gives the amplitude its limit, zero
+    with np.errstate(over="ignore"):
+        g1 = np.exp(-((x - c) ** 2) / (4.0 * w * w))
+        g2 = np.exp(-((x + c) ** 2) / (4.0 * w * w))
     psi = (g1 + np.exp(1j * spec.relative_phase) * g2).astype(np.complex128)
     norm = math.sqrt(h * float(np.sum(np.abs(psi) ** 2)))
+    if not norm > 0:
+        raise ValidationError(
+            f"grid cannot resolve the packets: the sampled state has norm {norm!r}; "
+            "raise num_points or lower extent_widths"
+        )
     psi /= norm
     rho = np.outer(psi, np.conj(psi))
     # rounding in complex products can break rho = rho^dagger at the last
@@ -155,9 +167,13 @@ def hermiticity_defect(rho: ReducedDensityMatrix) -> float:
 
 
 def min_eigenvalue(rho: ReducedDensityMatrix) -> float:
-    """Smallest eigenvalue of the Hermitian part, in trace-normalised units."""
-    hermitian = 0.5 * (rho.elements + rho.elements.conj().T)
-    return rho.spacing.si * float(np.linalg.eigvalsh(hermitian)[0])
+    """Smallest eigenvalue, in trace-normalised units.
+
+    ``eigvalsh`` reads only the lower triangle of the state, so this is
+    exact for a Hermitian state; :func:`check_invariants` bounds the
+    Hermiticity defect before it calls this.
+    """
+    return rho.spacing.si * float(np.linalg.eigvalsh(rho.elements)[0])
 
 
 def check_invariants(rho: ReducedDensityMatrix) -> tuple[float, float]:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import DimensionError
 
 
-# CODATA 2022 values, exactly as scipy.constants (1.17) gives them; a test
-# pins them bit for bit so full-precision output does not drift.
+# CODATA 2022 values; tests/test_units.py pins them bit for bit against the
+# reference table of the test extra, so full-precision output does not drift.
 _H = 6.62607015e-34
 _HBAR = _H / (2 * math.pi)
 _K_B = 1.380649e-23
@@ -136,18 +136,22 @@ class Quantity:
 
     def __truediv__(self, other):
         if isinstance(other, Quantity):
-            return Quantity(self.si / other.si, self.dim / other.dim)
+            return Quantity(_quotient(self.si, other.si), self.dim / other.dim)
         if isinstance(other, (int, float)):
-            return Quantity(self.si / other, self.dim)
+            return Quantity(_quotient(self.si, other), self.dim)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quantity(other / self.si, DIMENSIONLESS / self.dim)
+            return Quantity(_quotient(other, self.si), DIMENSIONLESS / self.dim)
         return NotImplemented
 
     def __pow__(self, k: int) -> "Quantity":
-        return Quantity(self.si ** k, self.dim ** k)
+        try:
+            si = self.si ** k
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"quantity magnitude must be finite, got {self.si!r} ** {k!r}") from None
+        return Quantity(si, self.dim ** k)
 
     def sqrt(self) -> "Quantity":
         if self.si < 0:
@@ -189,6 +193,14 @@ class Quantity:
         if self.dim.is_dimensionless:
             return f"{self.si:g}"
         return f"{self.si:g} {self.dim}"
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b, raising the constructor's ValueError where float division raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        raise ValueError(f"quantity magnitude must be finite, got {a!r} / {b!r}") from None
 
 
 # -- constructors in customary units -----------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -242,6 +243,37 @@ def test_sim_rejects_non_finite_phase():
     assert result.stderr == "error: relative_phase must be finite, got inf\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--salts", "NaCl", "--temperature", "1e300"],
+    ["classify", "--salt", "NaCl", "--tau-dyn", "1", "--temperature", "1e150"],
+    ["factor", "--salt", "NaCl", "--temperature", "1e-320", "--dx", "1e-9", "--time", "1"],
+    ["sim", "--salt", "NaCl", "--temperature", "1e-320", "--separation", "3e-9",
+     "--width", "3e-10", "--t-total", "2e-16", "--steps", "2", "--num-points", "16"],
+    ["xray", "--salt", "NaCl", "--temperature", "1e-320", "--tau-x", "0.5e-18"],
+], ids=["table-hot", "classify-hot", "factor-cold", "sim-cold", "xray-cold"])
+def test_temperature_out_of_float_range_exits_one(capsys, argv):
+    # kT**3 overflows, or 3 m kT underflows to a zero divisor
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: quantity magnitude must be finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extent", ["1000", "1e308"])
+def test_sim_rejects_grid_that_misses_the_packets(extent):
+    result = subprocess.run(
+        [sys.executable, "-m", "iondecoh.cli", "sim", "--salt", "NaCl",
+         "--separation", "3e-9", "--width", "3e-10", "--t-total", "2e-16", "--steps", "2",
+         "--num-points", "8", "--extent-widths", extent],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == (
+        "error: grid cannot resolve the packets: the sampled state has norm 0.0; "
+        "raise num_points or lower extent_widths\n"
+    )
+
+
 def test_factor_underflow_prints_zero(capsys):
     code, out, err = run_cli(
         capsys, "factor", "--wavelength", "1e-10", "--rate", "1e20",
@@ -355,14 +387,53 @@ def test_console_script_entry_point():
     assert result.stdout.splitlines()[1].startswith("NaCl,4.6,4.4,")
 
 
-def test_cli_run_does_not_import_scipy():
+SMALL_RUNS = {
+    "table": ["table", "--format", "csv"],
+    "factor": ["factor", "--salt", "NaCl", "--dx", "3e-9", "--time", "1e-16"],
+    "sim": ["sim", "--salt", "NaCl", "--separation", "3e-9", "--width", "3e-10",
+            "--t-total", "2e-16", "--steps", "2", "--num-points", "32"],
+    "xray": ["xray", "--salt", "NaCl", "--tau-x", "0.5e-18"],
+    "bcs": ["bcs", "--modes", "10,100,1000"],
+    "classify": ["classify", "--salt", "NaCl", "--tau-dyn", "1.0"],
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_cli_run_does_not_import_scipy(command):
+    # a None entry in sys.modules makes every scipy import raise ImportError
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import iondecoh.cli\n"
-        "iondecoh.cli.main(['table', '--format', 'csv'])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        f"sys.exit(iondecoh.cli.main({SMALL_RUNS[command]!r}))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0
-    assert result.stdout.startswith("name,tau1_1e-40s,")
-    assert result.stderr == "[]\n"
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout
+
+
+# sha256 of stdout for the README examples whose output comes from pure-Python
+# float code only. sim and bcs are left out: their last digits depend on the
+# BLAS build and on numpy's SIMD paths, so a pin would differ across machines.
+PINNED_STDOUT_SHA256 = {
+    "table-csv": (["table", "--salts", "all", "--format", "csv"],
+                  "2382b21a30399c92f3771e9029f55d797c7e0eccf90a3582d046a3ab791f93bb"),
+    "table-json": (["table", "--salts", "all", "--format", "json"],
+                   "5b2d45cfb6c600de0fdfd90076080814e0aa961dd7976a38f6560573ae19f4f5"),
+    "factor-json": (["factor", "--salt", "NaCl", "--dx", "3e-9", "--time", "1e-16", "--format", "json"],
+                    "b0e778a7013e4090f81d79d8a81127f3fa8a4368176cdbb947e18d23a6a9f011"),
+    "xray-json": (["xray", "--salt", "NaCl", "--tau-x", "0.5e-18", "--format", "json"],
+                  "f2fb6194145ddfd85345eb702a96d6ae37ad01f8a3fd13a0a31d87f652e882a6"),
+    "classify-json": (["classify", "--salt", "NaCl", "--tau-dyn", "1.0", "--observed-coherence",
+                       "--format", "json"],
+                      "179f7eabb945950a5adb4e93288c55d7f68e33c21aac6d95c1094498767570cc"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_STDOUT_SHA256))
+def test_scalar_output_bytes_are_pinned(capsys, monkeypatch, case):
+    argv, digest = PINNED_STDOUT_SHA256[case]
+    monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

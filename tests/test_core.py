@@ -75,19 +75,6 @@ def test_scattering_rate_value_and_linearity(nacl_ctx):
     assert double_n.si == pytest.approx(2 * rate.si, rel=1e-12)
 
 
-def test_maxwell_boltzmann_mode_against_closed_form(nacl_ctx):
-    point = core.scattering_rate(nacl_ctx).si
-    averaged = core.scattering_rate(nacl_ctx, "maxwell_boltzmann", cutoff_fraction=0.1)
-    assert averaged.si / point == pytest.approx(1.8854392996425322, rel=1e-12)
-    # smaller cutoff admits more slow, high-cross-section ions
-    lower = core.scattering_rate(nacl_ctx, "maxwell_boltzmann", cutoff_fraction=0.05)
-    assert lower.si > averaged.si
-    with pytest.raises(ValidationError):
-        core.scattering_rate(nacl_ctx, "maxwell_boltzmann", cutoff_fraction=0.0)
-    with pytest.raises(ValidationError):
-        core.scattering_rate(nacl_ctx, averaging="harmonic")
-
-
 def test_tau1_anchor(nacl_ctx):
     t1 = core.tau1(nacl_ctx)
     assert t1.si == pytest.approx(4.6117121560058674e-40, rel=1e-12)

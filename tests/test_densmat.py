@@ -158,6 +158,26 @@ def test_grid_too_small_rejected():
         densmat.prepare_superposition(spec)
 
 
+@pytest.mark.parametrize("extent", [0.0, -40.0, math.inf, math.nan])
+def test_extent_widths_must_be_positive_and_finite(extent):
+    with pytest.raises(ValidationError, match="extent_widths must be positive"):
+        two_packet_state(extent_widths=extent)
+
+
+def test_extent_widths_with_an_infinite_span_rejected():
+    spec = densmat.SuperpositionSpec(separation=length_m(0.0), width=length_m(1e300))
+    with pytest.raises(ValidationError, match="finite grid span"):
+        densmat.prepare_superposition(spec, extent_widths=1e10)
+
+
+@pytest.mark.parametrize("extent", [1000.0, 1e308])
+def test_grid_that_misses_the_packets_rejected(extent):
+    # eight points over a span of `extent` widths all land where both
+    # Gaussians underflow, or their squared distance overflows, to zero
+    with pytest.raises(ValidationError, match="raise num_points or lower extent_widths"):
+        two_packet_state(num_points=8, extent_widths=extent)
+
+
 def test_unresolvable_separation_rejected():
     rho = two_packet_state()
     with pytest.raises(ValidationError, match="resolution"):
@@ -205,18 +225,25 @@ def test_each_sample_is_certified_by_one_eigensolve(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def counting_eigvalsh(matrix):
-        calls.append(matrix.shape)
+        calls.append(matrix)
         return eigvalsh(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rho = two_packet_state(num_points=64)
     dt, steps = time_s(3e-17), 4
     samples = densmat.evolve_series(rho, RATE, WAVELENGTH, dt, steps, SEPARATION)
-    assert len(calls) == steps + 1
+    certified = list(calls)
+    assert len(certified) == steps + 1
+    assert certified[0] is rho.elements
 
-    # the reported values are the certified ones, bit for bit
+    # the reported values are the certified ones, bit for bit; each
+    # eigensolve reads the state itself, which stays exactly Hermitian,
+    # so no symmetrised copy is needed
     state = rho
-    for sample in samples:
+    for sample, matrix in zip(samples, certified):
+        assert densmat.hermiticity_defect(state) == 0.0
+        assert np.array_equal(matrix, state.elements)
         assert sample.trace == densmat.trace(state)
         assert sample.min_eigenvalue == densmat.min_eigenvalue(state)
+        assert calls[-1] is state.elements
         state = densmat.apply_decoherence(state, RATE, WAVELENGTH, dt)

@@ -75,6 +75,19 @@ def test_non_finite_magnitudes_rejected():
             units.Quantity(bad)
 
 
+def test_overflow_and_zero_divisor_raise_the_finite_magnitude_error():
+    cases = (
+        lambda: units.Quantity(1e200) ** 2,
+        lambda: units.Quantity(0.0) ** -1,
+        lambda: units.Quantity(1.0) / units.Quantity(0.0),
+        lambda: units.Quantity(1.0) / 0.0,
+        lambda: 1.0 / units.Quantity(0.0),
+    )
+    for case in cases:
+        with pytest.raises(ValueError, match="quantity magnitude must be finite"):
+            case()
+
+
 def test_quantities_are_immutable():
     q = units.length_m(1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
