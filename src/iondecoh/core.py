@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 from .materials import SaltRecord, number_density
@@ -51,6 +52,12 @@ from .units import (
 
 DEFAULT_TEMPERATURE = temperature_kelvin(310.0)
 DEFAULT_ION_COUNT = 1e23
+
+# Constant factors of the formulas below, each computed once by the
+# operations the formulas would otherwise repeat per call.
+_Q_E_SQUARED = CODATA.q_e ** 2
+_COUPLING = CODATA.coulomb_g * _Q_E_SQUARED  # g q_e^2
+_COUPLING_SQUARED = _COUPLING ** 2  # (g q_e^2)^2
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,10 @@ class DecoherenceContext:
         for label, q in (("ion_mass", self.ion_mass), ("temperature", self.temperature), ("bath_density", self.bath_density)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
+        if self.thermal_energy.si == 0.0:
+            raise ValidationError(
+                f"temperature {self.temperature.si!r} K is too low: k_B T underflows to 0.0 J"
+            )
         if self.ion_count < 1:
             raise ValidationError(f"ion_count must be at least 1, got {self.ion_count!r}")
         if self.lattice_edge is not None:
@@ -80,7 +91,7 @@ class DecoherenceContext:
             if self.lattice_edge.si <= 0:
                 raise ValidationError("lattice_edge must be positive")
 
-    @property
+    @cached_property
     def thermal_energy(self) -> Quantity:
         return CODATA.k_B * self.temperature
 
@@ -123,7 +134,7 @@ def coulomb_cross_section(ctx: DecoherenceContext) -> Quantity:
     Evaluating sigma(v) = (g q_e^2 / m v^2)^2 at v = sqrt(kT/m) cancels the
     mass, so equal-temperature ions share one cross section.
     """
-    return ((CODATA.coulomb_g * CODATA.q_e ** 2 / ctx.thermal_energy) ** 2).require(
+    return ((_COUPLING / ctx.thermal_energy) ** 2).require(
         AREA, "cross section"
     )
 
@@ -172,12 +183,8 @@ def tau1(ctx: DecoherenceContext) -> Quantity:
     """Ensemble decoherence time sqrt(m (kT)^3) / (N n g^2 q_e^4) = 1/(N Lambda)."""
     kT = ctx.thermal_energy
     numerator = (ctx.ion_mass * kT ** 3).sqrt()
-    denominator = (
-        dimensionless(ctx.ion_count)
-        * ctx.bath_density
-        * (CODATA.coulomb_g * CODATA.q_e ** 2) ** 2
-    )
-    return (numerator / denominator).require(TIME, "tau1")
+    denominator = dimensionless(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
+    return _nonzero((numerator / denominator).require(TIME, "tau1"), "tau1", ctx)
 
 
 def tau2(ctx: DecoherenceContext) -> Quantity:
@@ -188,7 +195,17 @@ def tau2(ctx: DecoherenceContext) -> Quantity:
         dimensionless(ctx.ion_count)
         * ctx.bath_density
         * ctx.require_lattice_edge()
+        # g and q_e^2 multiply in turn; _COUPLING here would reassociate the
+        # product and change the last bits of tau2
         * CODATA.coulomb_g
-        * CODATA.q_e ** 2
+        * _Q_E_SQUARED
     )
-    return (numerator / denominator).require(TIME, "tau2")
+    return _nonzero((numerator / denominator).require(TIME, "tau2"), "tau2", ctx)
+
+
+def _nonzero(tau: Quantity, label: str, ctx: DecoherenceContext) -> Quantity:
+    if tau.si == 0.0:
+        raise ValidationError(
+            f"{label} underflows to 0.0 s at temperature {ctx.temperature.si!r} K"
+        )
+    return tau

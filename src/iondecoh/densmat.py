@@ -84,6 +84,9 @@ def prepare_superposition(
     if num_points < 8:
         raise ValidationError(f"num_points must be at least 8, got {num_points}")
     w = spec.width.si
+    four_w2 = 4.0 * w * w
+    if four_w2 == 0.0:
+        raise ValidationError(f"width {w!r} m is too small: 4 * width**2 underflows to 0.0")
     half_span = 0.5 * extent_widths * w
     if not (extent_widths > 0 and math.isfinite(half_span)):
         raise ValidationError(
@@ -100,8 +103,8 @@ def prepare_superposition(
     # |psi|^2 per packet is a normal density with variance w^2; a squared
     # distance that overflows gives the amplitude its limit, zero
     with np.errstate(over="ignore"):
-        g1 = np.exp(-((x - c) ** 2) / (4.0 * w * w))
-        g2 = np.exp(-((x + c) ** 2) / (4.0 * w * w))
+        g1 = np.exp(-((x - c) ** 2) / four_w2)
+        g2 = np.exp(-((x + c) ** 2) / four_w2)
     psi = (g1 + np.exp(1j * spec.relative_phase) * g2).astype(np.complex128)
     norm = math.sqrt(h * float(np.sum(np.abs(psi) ** 2)))
     if not norm > 0:

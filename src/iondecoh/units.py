@@ -6,14 +6,22 @@ raises :class:`DimensionError` on mismatched addition, non-integer roots, and
 similar mistakes, so malformed formulas fail at evaluation time instead of
 producing silently wrong numbers.
 
+The checks are cheap enough to leave on everywhere. A :class:`Dimension` is
+interned, one instance per exponent tuple, so comparing two dimensions is
+an identity test. Each instance remembers the results of its ``*``, ``/``,
+``**`` and ``root``, so a formula that has run once composes its dimensions
+by dictionary lookups and creates no new ``Dimension``. A ``Quantity`` is a
+slotted object whose constructor still coerces to float and rejects
+non-finite magnitudes. Both classes are immutable: assigning to a field
+raises ``dataclasses.FrozenInstanceError``.
+
 Inputs arrive in the units people actually use (amu, angstrom) and are
 converted on construction; all internal math is SI.
 """
-
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DimensionError
 
@@ -32,28 +40,72 @@ _BASE_SYMBOLS = ("kg", "m", "s", "K", "C")
 
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
+_INTERNED: dict[tuple, "Dimension"] = {}
 
-@dataclass(frozen=True)
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class Dimension:
-    """Integer exponents over (mass, length, time, temperature, charge)."""
+    """Integer exponents over (mass, length, time, temperature, charge).
 
-    exponents: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
+    Interned: ``Dimension(e) is Dimension(e)``, so ``==`` is identity.
+    """
+
+    __slots__ = ("exponents", "_products", "_quotients", "_powers", "_roots")
+
+    def __new__(cls, exponents: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)) -> "Dimension":
+        exponents = tuple(exponents)
+        self = _INTERNED.get(exponents)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "exponents", exponents)
+            for cache in ("_products", "_quotients", "_powers", "_roots"):
+                object.__setattr__(self, cache, {})
+            _INTERNED[exponents] = self
+        return self
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        try:
+            return self._products[other]
+        except KeyError:
+            result = self._products[other] = Dimension(
+                tuple(a + b for a, b in zip(self.exponents, other.exponents))
+            )
+            return result
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        try:
+            return self._quotients[other]
+        except KeyError:
+            result = self._quotients[other] = Dimension(
+                tuple(a - b for a, b in zip(self.exponents, other.exponents))
+            )
+            return result
 
     def __pow__(self, k: int) -> "Dimension":
         if not isinstance(k, int):
             raise DimensionError(f"dimension exponent must be an integer, got {k!r}")
-        return Dimension(tuple(a * k for a in self.exponents))
+        try:
+            return self._powers[k]
+        except KeyError:
+            result = self._powers[k] = Dimension(tuple(a * k for a in self.exponents))
+            return result
 
     def root(self, k: int) -> "Dimension":
+        try:
+            return self._roots[k]
+        except KeyError:
+            pass
         if any(a % k for a in self.exponents):
             raise DimensionError(f"cannot take {k}th root of dimension {self}")
-        return Dimension(tuple(a // k for a in self.exponents))
+        result = self._roots[k] = Dimension(tuple(a // k for a in self.exponents))
+        return result
 
     @property
     def is_dimensionless(self) -> bool:
@@ -68,6 +120,15 @@ class Dimension:
                 continue
             parts.append(symbol if a == 1 else symbol + str(a).translate(_SUPERSCRIPTS))
         return "·".join(parts)
+
+    def __repr__(self) -> str:
+        return f"Dimension(exponents={self.exponents!r})"
+
+    def __reduce__(self):
+        return Dimension, (self.exponents,)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
 
 DIMENSIONLESS = Dimension()
@@ -84,7 +145,6 @@ NUMBER_DENSITY = DIMENSIONLESS / LENGTH ** 3
 MASS_DENSITY = MASS / LENGTH ** 3
 
 
-@dataclass(frozen=True)
 class Quantity:
     """A finite SI magnitude with dimension exponents.
 
@@ -96,18 +156,36 @@ class Quantity:
         Dimension exponents.
     """
 
-    si: float
-    dim: Dimension = DIMENSIONLESS
+    __slots__ = ("si", "dim")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "si", float(self.si))
-        if not math.isfinite(self.si):
-            raise ValueError(f"quantity magnitude must be finite, got {self.si!r}")
+    def __init__(self, si: float, dim: Dimension = DIMENSIONLESS) -> None:
+        si = float(si)
+        if not math.isfinite(si):
+            raise ValueError(f"quantity magnitude must be finite, got {si!r}")
+        _set_si(self, si)
+        _set_dim(self, dim)
+
+    def __repr__(self) -> str:
+        return f"Quantity(si={self.si!r}, dim={self.dim!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.si == other.si and self.dim is other.dim
+
+    def __hash__(self) -> int:
+        return hash((self.si, self.dim))
+
+    def __reduce__(self):
+        return self.__class__, (self.si, self.dim)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     # -- arithmetic ---------------------------------------------------------
 
     def _require_same_dim(self, other: "Quantity", op: str) -> None:
-        if self.dim != other.dim:
+        if self.dim is not other.dim:
             raise DimensionError(f"cannot {op} [{self.dim}] and [{other.dim}]")
 
     def __add__(self, other: "Quantity") -> "Quantity":
@@ -185,7 +263,7 @@ class Quantity:
 
     def require(self, dim: Dimension, what: str = "quantity") -> "Quantity":
         """Return self after checking the dimension, for argument validation."""
-        if self.dim != dim:
+        if self.dim is not dim:
             raise DimensionError(f"{what} must have dimension [{dim}], got [{self.dim}]")
         return self
 
@@ -193,6 +271,11 @@ class Quantity:
         if self.dim.is_dimensionless:
             return f"{self.si:g}"
         return f"{self.si:g} {self.dim}"
+
+
+# the slots' own setters, which bypass the frozen __setattr__
+_set_si = Quantity.si.__set__
+_set_dim = Quantity.dim.__set__
 
 
 def _quotient(a: float, b: float) -> float:

@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -243,19 +245,47 @@ def test_sim_rejects_non_finite_phase():
     assert result.stderr == "error: relative_phase must be finite, got inf\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["table", "--salts", "NaCl", "--temperature", "1e300"],
-    ["classify", "--salt", "NaCl", "--tau-dyn", "1", "--temperature", "1e150"],
-    ["factor", "--salt", "NaCl", "--temperature", "1e-320", "--dx", "1e-9", "--time", "1"],
-    ["sim", "--salt", "NaCl", "--temperature", "1e-320", "--separation", "3e-9",
-     "--width", "3e-10", "--t-total", "2e-16", "--steps", "2", "--num-points", "16"],
-    ["xray", "--salt", "NaCl", "--temperature", "1e-320", "--tau-x", "0.5e-18"],
+HOT = "error: quantity magnitude must be finite"
+COLD = "error: temperature 1e-320 K is too low: k_B T underflows to 0.0 J\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--salts", "NaCl", "--temperature", "1e300"], HOT),
+    (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--temperature", "1e150"], HOT),
+    (["factor", "--salt", "NaCl", "--temperature", "1e-320", "--dx", "1e-9", "--time", "1"], COLD),
+    (["sim", "--salt", "NaCl", "--temperature", "1e-320", "--separation", "3e-9",
+      "--width", "3e-10", "--t-total", "2e-16", "--steps", "2", "--num-points", "16"], COLD),
+    (["xray", "--salt", "NaCl", "--temperature", "1e-320", "--tau-x", "0.5e-18"], COLD),
 ], ids=["table-hot", "classify-hot", "factor-cold", "sim-cold", "xray-cold"])
-def test_temperature_out_of_float_range_exits_one(capsys, argv):
-    # kT**3 overflows, or 3 m kT underflows to a zero divisor
+def test_temperature_out_of_float_range_exits_one(capsys, argv, message):
+    # kT**3 overflows, or kT underflows to 0.0
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error: quantity magnitude must be finite") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--salts", "NaCl", "--temperature", "1e-310"],
+     "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
+    (["table", "--salts", "NaCl", "--temperature", "1e-300"],
+     "tau1 underflows to 0.0 s at temperature 1e-300 K"),
+    (["table", "--salts", "NaCl", "--temperature", "1e-100"],
+     "tau1 underflows to 0.0 s at temperature 1e-100 K"),
+    (["factor", "--salt", "NaCl", "--temperature", "1e-310", "--dx", "1e-9", "--time", "1"],
+     "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
+    (["xray", "--salt", "NaCl", "--temperature", "1e-100", "--tau-x", "0.5e-18"],
+     "tau1 underflows to 0.0 s at temperature 1e-100 K"),
+], ids=["table-1e-310", "table-1e-300", "table-1e-100", "factor-1e-310", "xray-1e-100"])
+def test_underflowing_temperature_exits_one(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_cold_table_keeps_representable_times(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--salts", "NaCl", "--temperature", "1e-60", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[3] == "8.449279016595415e-134"
 
 
 @pytest.mark.parametrize("extent", ["1000", "1e308"])
@@ -272,6 +302,18 @@ def test_sim_rejects_grid_that_misses_the_packets(extent):
         "error: grid cannot resolve the packets: the sampled state has norm 0.0; "
         "raise num_points or lower extent_widths\n"
     )
+
+
+def test_sim_rejects_width_whose_square_underflows():
+    result = subprocess.run(
+        [sys.executable, "-m", "iondecoh.cli", "sim", "--wavelength", "1e-170", "--rate", "1",
+         "--separation", "0", "--width", "1e-170", "--t-total", "1e-15", "--steps", "1",
+         "--num-points", "16"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == "error: width 1e-170 m is too small: 4 * width**2 underflows to 0.0\n"
 
 
 def test_factor_underflow_prints_zero(capsys):
@@ -437,3 +479,49 @@ def test_scalar_output_bytes_are_pinned(capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _write_perturbed_salts(path, rows=500, seed=7):
+    """``rows`` valid records: bundled rows with seeded, full-precision perturbations."""
+    text = resources.files("iondecoh").joinpath("data/salts.csv").read_text(encoding="utf-8")
+    bundled = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
+    rng = random.Random(seed)
+    lines = []
+    for i in range(rows):
+        name, cation, m_cat, anion, m_an, density, edge, water, ref1, ref2 = rng.choice(bundled)
+        lines.append(",".join([
+            f"{name}{i}", cation, repr(float(m_cat) * rng.uniform(0.5, 2.0)),
+            anion, repr(float(m_an) * rng.uniform(0.5, 2.0)),
+            repr(float(density) * rng.uniform(0.5, 2.0)), repr(float(edge) * rng.uniform(0.8, 1.25)),
+            water, ref1 if rng.random() < 0.5 else "-", ref2 if rng.random() < 0.5 else "-",
+        ]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# sha256 of the csv and json stdout of `table` over the 500-row perturbed file
+PINNED_BULK_TABLE_SHA256 = {
+    "250K": (["--temperature", "250"],
+             "fdb4b285c5e29e53523db248be9027199b12a5750dbdb872eeda5383ee2f49d2",
+             "74181f4948e8bce935eaa8cfd10f293369e5e1ebd14387dd9d3d2e60d16dd190"),
+    "310K": ([],
+             "0673959c7c621b2a7eaead5e25608e13603bb3b8d4322f28b7397a8bdeb02711",
+             "772720ea7ec668ddc55dc82d408a675edd475ded80a36bd192f14c0c4bfbff2a"),
+    "400K": (["--temperature", "400"],
+             "6bdc42b48645de61495188305b1434a76e1ace958a09cbc1c04476b8add65212",
+             "025547ac7798a0d2742c40246df02863fa534cfba0dcb2f450013d6c0f33ca34"),
+    "310K-N1e19": (["--ion-count", "1e19"],
+                   "f324a0fb675ac58126555b3a8724db8803b18bc1ee056f8716c1112172a9631a",
+                   "06a335a152438d967b200a4f342a85658ed8fdc5496442bc5eb192725cbddf00"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_BULK_TABLE_SHA256))
+def test_bulk_table_bytes_are_pinned(capsys, tmp_path, case):
+    extra, csv_digest, json_digest = PINNED_BULK_TABLE_SHA256[case]
+    data = tmp_path / "salts.csv"
+    _write_perturbed_salts(data)
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        code, out, err = run_cli(capsys, "table", "--data-file", str(data), "--format", fmt, *extra)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > 500
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,30 @@ def test_context_validation():
             temperature=temperature_kelvin(310.0),
             bath_density=number_density_per_m3(1e28),
         )
+
+
+@pytest.mark.parametrize("temperature", [1e-310, 1e-320])
+def test_context_rejects_a_temperature_whose_thermal_energy_underflows(temperature):
+    message = f"temperature {temperature!r} K is too low: k_B T underflows to 0.0 J"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make_ctx(temperature=temperature)
+
+
+@pytest.mark.parametrize("temperature, label", [
+    (1e-300, "tau1"), (1e-100, "tau1"), (1e-80, "tau1"), (1e-300, "tau2"),
+])
+def test_underflowing_decoherence_time_rejected(temperature, label):
+    ctx = make_ctx(temperature=temperature, lattice_edge=length_m(5.64e-10))
+    message = f"{label} underflows to 0.0 s at temperature {temperature!r} K"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        getattr(core, label)(ctx)
+
+
+def test_cold_but_representable_decoherence_times_are_kept():
+    nacl = salt_by_name(bundled_salt_database(), "NaCl")
+    ctx = core.context_for_salt(nacl, temperature=temperature_kelvin(1e-60))
+    assert core.tau1(ctx).si == 8.449279016595415e-134
+    assert core.tau2(ctx).si == 2.5033378073123554e-69
 
 
 def test_factor_is_one_at_zero_separation():

@@ -178,6 +178,12 @@ def test_grid_that_misses_the_packets_rejected(extent):
         two_packet_state(num_points=8, extent_widths=extent)
 
 
+def test_width_whose_square_underflows_rejected():
+    spec = densmat.SuperpositionSpec(separation=length_m(0.0), width=length_m(1e-170))
+    with pytest.raises(ValidationError, match=r"width 1e-170 m is too small: 4 \* width\*\*2 underflows"):
+        densmat.prepare_superposition(spec, num_points=16)
+
+
 def test_unresolvable_separation_rejected():
     rho = two_packet_state()
     with pytest.raises(ValidationError, match="resolution"):

@@ -1,13 +1,16 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import constants as codata
 
-from iondecoh import units
+from iondecoh import core, units
 from iondecoh.errors import DimensionError
+from iondecoh.materials import bundled_salt_database, salt_by_name
 
 
 def test_amu_to_kg_matches_codata():
@@ -92,6 +95,77 @@ def test_quantities_are_immutable():
     q = units.length_m(1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.si = 2.0
+
+
+@pytest.mark.parametrize("target, field, value", [
+    (units.length_m(1.0), "si", 2.0),
+    (units.length_m(1.0), "dim", units.TIME),
+    (units.LENGTH, "exponents", (0, 0, 1, 0, 0)),
+])
+def test_fields_cannot_be_assigned(target, field, value):
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+        setattr(target, field, value)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{field}'"):
+        delattr(target, field)
+
+
+@given(exponents)
+def test_dimensions_are_interned(exps):
+    assert units.Dimension(exps) is units.Dimension(exps)
+    assert units.Dimension(list(exps)) is units.Dimension(exps)
+    assert units.Dimension(exps) * units.DIMENSIONLESS is units.Dimension(exps)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_value_and_interned_dimension(clone):
+    q = units.Quantity(2.5, units.ENERGY)
+    c = clone(q)
+    assert c == q and hash(c) == hash(q)
+    assert c.dim is units.ENERGY
+    assert clone(units.ENERGY) is units.ENERGY
+
+
+def test_equality_hash_and_repr():
+    q = units.length_m(1.5)
+    assert q == units.Quantity(1.5, units.LENGTH) and hash(q) == hash(units.Quantity(1.5, units.LENGTH))
+    assert q != units.time_s(1.5) and q != 1.5
+    assert repr(q) == "Quantity(si=1.5, dim=Dimension(exponents=(0, 1, 0, 0, 0)))"
+
+
+@pytest.mark.parametrize("operation, message", [
+    (lambda: units.length_m(1.0) + units.time_s(1.0), "cannot add [m] and [s]"),
+    (lambda: units.length_m(1.0) < units.time_s(1.0), "cannot compare [m] and [s]"),
+    (lambda: units.length_m(3.0).require(units.TIME, "elapsed time"),
+     "elapsed time must have dimension [s], got [m]"),
+    (lambda: units.length_m(4.0).sqrt(), "cannot take 2th root of dimension m"),
+    (lambda: units.length_m(4.0) ** 0.5, "dimension exponent must be an integer, got 0.5"),
+], ids=["add", "compare", "require", "root", "non-integer-power"])
+def test_dimension_error_messages(operation, message):
+    with pytest.raises(DimensionError) as info:
+        operation()
+    assert str(info.value) == message
+
+
+def test_warm_formulas_create_no_dimension(monkeypatch):
+    records = bundled_salt_database()
+
+    def evaluate(record):
+        ctx = core.context_for_salt(record)
+        return core.tau1(ctx), core.tau2(ctx)
+
+    evaluate(salt_by_name(records, "NaCl"))
+    created = []
+    original = units.Dimension.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(units.Dimension, "__new__", counting_new)
+    tau1, tau2 = evaluate(salt_by_name(records, "PbS"))
+    assert tau1.dim is tau2.dim is units.TIME
+    assert created == []
 
 
 def test_ratio_and_require():
