@@ -23,15 +23,11 @@ import sys
 import tempfile
 
 from . import core, densmat, regimes, vacuum
-from .errors import IonDecohError, SaltDataError
+from .errors import IonDecohError, SaltDataError, ValidationError
 from .materials import SaltRecord, bundled_salt_database, load_salts, salt_by_name
 from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
-
-
-class _CliUsageError(IonDecohError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
-        raise _CliUsageError(message)
+        raise ValidationError(message)
 
 
 def _load_records(args) -> list[SaltRecord]:
@@ -64,7 +60,7 @@ def _select_salts(records: list[SaltRecord], spec: str) -> list[SaltRecord]:
         return list(records)
     wanted = [name.strip() for name in spec.split(",") if name.strip()]
     if not wanted:
-        raise _CliUsageError("--salts must name at least one salt")
+        raise ValidationError("--salts must name at least one salt")
     for name in wanted:
         salt_by_name(records, name)
     # keep data-file order no matter how the request was ordered
@@ -85,7 +81,7 @@ def _wavelength_and_rate(args):
         ctx = _context_from_args(args, salt_by_name(_load_records(args), args.salt))
         return core.de_broglie_wavelength(ctx), core.scattering_rate(ctx)
     if args.wavelength is None or args.rate is None:
-        raise _CliUsageError("give either --salt or both --wavelength and --rate")
+        raise ValidationError("give either --salt or both --wavelength and --rate")
     return length_m(args.wavelength), rate_per_s(args.rate)
 
 
@@ -133,7 +129,7 @@ def _deliver(text: str, output: str | None) -> None:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
         if isinstance(exc, OSError):
-            raise _CliUsageError(f"cannot write {output!r}: {exc.strerror or exc}") from None
+            raise ValidationError(f"cannot write {output!r}: {exc.strerror or exc}") from None
         raise
 
 
@@ -188,7 +184,7 @@ def _cmd_sim(args) -> str:
     )
     if args.steps < 1:
         # evolve_series checks this too, but dt is computed first
-        raise _CliUsageError(f"steps must be at least 1, got {args.steps}")
+        raise ValidationError(f"steps must be at least 1, got {args.steps}")
     dt = time_s(args.t_total / args.steps)
     samples = densmat.evolve_series(
         state, rate, wavelength, dt, args.steps, spec.separation
@@ -209,7 +205,7 @@ def _cmd_xray(args) -> str:
     record = salt_by_name(_load_records(args), args.salt)
     ctx = _context_from_args(args, record)
     check = regimes.xray_consistency(ctx, record, time_s(args.tau_x))
-    payload = {"salt": record.name, "tau1_s": core.tau1(ctx).si, **check.to_dict()}
+    payload = {"salt": record.name, **check.to_dict()}
     header = list(payload)
     return _render_table(header, [[payload[k] for k in header]], args.format, payload)
 
@@ -217,7 +213,7 @@ def _cmd_xray(args) -> str:
 def _cmd_bcs(args) -> str:
     counts = sorted({int(k.strip()) for k in args.modes.split(",") if k.strip()})
     if not counts:
-        raise _CliUsageError("--modes must list at least one mode count")
+        raise ValidationError("--modes must list at least one mode count")
     if args.uniform_u is not None:
         family = lambda k: vacuum.uniform_profile(args.uniform_u, k)  # noqa: E731
     else:
@@ -243,7 +239,7 @@ def _cmd_classify(args) -> str:
     elif args.tau1 is not None and args.tau2 is not None:
         t1, t2 = time_s(args.tau1), time_s(args.tau2)
     else:
-        raise _CliUsageError("give either --salt or both --tau1 and --tau2")
+        raise ValidationError("give either --salt or both --tau1 and --tau2")
     report = regimes.classify(
         t1,
         t2,

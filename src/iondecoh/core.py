@@ -30,6 +30,7 @@ numbers carried by the species records are metadata only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,22 +63,24 @@ _COUPLING_SQUARED = _COUPLING ** 2  # (g q_e^2)^2
 
 @dataclass(frozen=True)
 class DecoherenceContext:
-    """Inputs for one evaluation: ion mass, bath, temperature, ensemble size.
+    """Inputs for one evaluation: ion mass, temperature, bath, lattice edge a, ensemble size.
 
-    ``lattice_edge`` is only needed for tau2 and may be omitted otherwise.
+    Every field is checked once, here; the formulas below read them as they are.
     """
 
     ion_mass: Quantity
     temperature: Quantity
     bath_density: Quantity
+    lattice_edge: Quantity
     ion_count: float = DEFAULT_ION_COUNT
-    lattice_edge: Quantity | None = None
 
     def __post_init__(self) -> None:
         self.ion_mass.require(MASS, "ion_mass")
         self.temperature.require(TEMPERATURE, "temperature")
         self.bath_density.require(NUMBER_DENSITY, "bath_density")
-        for label, q in (("ion_mass", self.ion_mass), ("temperature", self.temperature), ("bath_density", self.bath_density)):
+        self.lattice_edge.require(LENGTH, "lattice_edge")
+        for label, q in (("ion_mass", self.ion_mass), ("temperature", self.temperature),
+                         ("bath_density", self.bath_density), ("lattice_edge", self.lattice_edge)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
         if self.thermal_energy.si == 0.0:
@@ -86,19 +89,10 @@ class DecoherenceContext:
             )
         if self.ion_count < 1:
             raise ValidationError(f"ion_count must be at least 1, got {self.ion_count!r}")
-        if self.lattice_edge is not None:
-            self.lattice_edge.require(LENGTH, "lattice_edge")
-            if self.lattice_edge.si <= 0:
-                raise ValidationError("lattice_edge must be positive")
 
     @cached_property
     def thermal_energy(self) -> Quantity:
         return CODATA.k_B * self.temperature
-
-    def require_lattice_edge(self) -> Quantity:
-        if self.lattice_edge is None:
-            raise ValidationError("this calculation needs a lattice_edge")
-        return self.lattice_edge
 
 
 def context_for_salt(
@@ -111,8 +105,8 @@ def context_for_salt(
         ion_mass=record.cation.mass,
         temperature=temperature,
         bath_density=number_density(record),
-        ion_count=ion_count,
         lattice_edge=record.lattice_edge,
+        ion_count=ion_count,
     )
 
 
@@ -146,6 +140,26 @@ def scattering_rate(ctx: DecoherenceContext) -> Quantity:
     )
 
 
+def suppression_rate_time(rate: Quantity, time: Quantity, wavelength: Quantity, time_label: str = "time") -> float:
+    """Check the suppression law's inputs, for the scalar and the grid form, and return Lambda t.
+
+    An overflowing Lambda t is rejected: at dx = 0 it would give inf * 0 = nan.
+    """
+    time.require(TIME, time_label)
+    wavelength.require(LENGTH, "wavelength")
+    rate.require(RATE, "rate")
+    if time.si < 0:
+        raise ValidationError(f"{time_label} must be nonnegative, got {time.si!r}")
+    if wavelength.si <= 0:
+        raise ValidationError("wavelength must be positive")
+    if rate.si < 0:
+        raise ValidationError("rate must be nonnegative")
+    rate_time = rate.si * time.si
+    if not math.isfinite(rate_time):
+        raise ValidationError(f"rate * {time_label} must be finite, got {rate.si!r} * {time.si!r}")
+    return rate_time
+
+
 def decoherence_factor(
     separation: Quantity,
     time: Quantity,
@@ -161,18 +175,7 @@ def decoherence_factor(
     large finite Lambda t underflows to 0.0, the correctly rounded value.
     """
     separation.require(LENGTH, "separation")
-    time.require(TIME, "time")
-    wavelength.require(LENGTH, "wavelength")
-    rate.require(RATE, "rate")
-    if time.si < 0:
-        raise ValidationError(f"time must be nonnegative, got {time.si!r}")
-    if wavelength.si <= 0:
-        raise ValidationError("wavelength must be positive")
-    if rate.si < 0:
-        raise ValidationError("rate must be nonnegative")
-    rate_time = rate.si * time.si
-    if not math.isfinite(rate_time):
-        raise ValidationError(f"rate * time must be finite, got {rate.si!r} * {time.si!r}")
+    rate_time = suppression_rate_time(rate, time, wavelength)
     u = 0.5 * (separation.si / wavelength.si) ** 2
     # expm1 keeps the small-separation branch accurate: exponent is
     # Lambda t (exp(-u) - 1).
@@ -181,31 +184,34 @@ def decoherence_factor(
 
 def tau1(ctx: DecoherenceContext) -> Quantity:
     """Ensemble decoherence time sqrt(m (kT)^3) / (N n g^2 q_e^4) = 1/(N Lambda)."""
-    kT = ctx.thermal_energy
-    numerator = (ctx.ion_mass * kT ** 3).sqrt()
+    product = ctx.ion_mass * ctx.thermal_energy ** 3
     denominator = dimensionless(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
-    return _nonzero((numerator / denominator).require(TIME, "tau1"), "tau1", ctx)
+    return _decoherence_time(product, denominator, "tau1", ctx)
 
 
 def tau2(ctx: DecoherenceContext) -> Quantity:
     """Lattice-scale decoherence time sqrt(m kT) / (N n a g q_e^2)."""
-    kT = ctx.thermal_energy
-    numerator = (ctx.ion_mass * kT).sqrt()
+    product = ctx.ion_mass * ctx.thermal_energy
     denominator = (
         dimensionless(ctx.ion_count)
         * ctx.bath_density
-        * ctx.require_lattice_edge()
+        * ctx.lattice_edge
         # g and q_e^2 multiply in turn; _COUPLING here would reassociate the
         # product and change the last bits of tau2
         * CODATA.coulomb_g
         * _Q_E_SQUARED
     )
-    return _nonzero((numerator / denominator).require(TIME, "tau2"), "tau2", ctx)
+    return _decoherence_time(product, denominator, "tau2", ctx)
 
 
-def _nonzero(tau: Quantity, label: str, ctx: DecoherenceContext) -> Quantity:
-    if tau.si == 0.0:
+def _decoherence_time(product: Quantity, denominator: Quantity, label: str, ctx: DecoherenceContext) -> Quantity:
+    """sqrt(product) / denominator, rejected if the product has lost bits or the result is 0.0."""
+    temperature = ctx.temperature.si
+    if 0.0 < product.si < sys.float_info.min:
         raise ValidationError(
-            f"{label} underflows to 0.0 s at temperature {ctx.temperature.si!r} K"
+            f"temperature {temperature!r} K is too low for {label}: the product under its square root is subnormal"
         )
+    tau = (product.sqrt() / denominator).require(TIME, label)
+    if tau.si == 0.0:
+        raise ValidationError(f"{label} underflows to 0.0 s at temperature {temperature!r} K")
     return tau

@@ -18,12 +18,14 @@ purity 1 on the grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import suppression_rate_time
 from .errors import ValidationError
-from .units import LENGTH, RATE, TIME, Quantity, length_m, time_s
+from .units import LENGTH, Quantity, length_m, time_s
 
 HERMITICITY_ATOL = 1e-12
 TRACE_RTOL = 1e-9
@@ -98,7 +100,11 @@ def prepare_superposition(
             "inside the boundary; enlarge extent_widths or shrink separation"
         )
     x = np.linspace(-half_span, half_span, num_points)
-    h = x[1] - x[0]
+    h = float(x[1] - x[0])
+    # h * sum |psi|^2 = 1 makes sum |rho_ij|^2 = 1 / h^2, which bounds every
+    # term of the purity sum, so 1 / h^2 must be a finite double
+    if h * h < 1.0 / sys.float_info.max:
+        raise ValidationError(f"grid spacing {h!r} m is too small: 1 / spacing**2 overflows")
     c = 0.5 * spec.separation.si
     # |psi|^2 per packet is a normal density with variance w^2; a squared
     # distance that overflows gives the amplitude its limit, zero
@@ -120,7 +126,7 @@ def prepare_superposition(
     rho = 0.5 * (rho + rho.conj().T)
     return ReducedDensityMatrix(
         positions=x,
-        spacing=length_m(float(h)),
+        spacing=length_m(h),
         elements=rho,
         initial_elements=rho,
         time=time_s(0.0),
@@ -131,18 +137,7 @@ def suppression_kernel(
     positions: np.ndarray, rate: Quantity, wavelength: Quantity, dt: Quantity
 ) -> np.ndarray:
     """Elementwise damping factors exp(Lambda dt (exp(-dx^2/2 lambda^2) - 1))."""
-    rate.require(RATE, "rate")
-    wavelength.require(LENGTH, "wavelength")
-    dt.require(TIME, "dt")
-    if dt.si < 0:
-        raise ValidationError(f"dt must be nonnegative, got {dt.si!r}")
-    if wavelength.si <= 0:
-        raise ValidationError("wavelength must be positive")
-    if rate.si < 0:
-        raise ValidationError("rate must be nonnegative")
-    rate_dt = rate.si * dt.si
-    if not math.isfinite(rate_dt):
-        raise ValidationError(f"rate * dt must be finite, got {rate.si!r} * {dt.si!r}")
+    rate_dt = suppression_rate_time(rate, dt, wavelength, "dt")
     dx = positions[:, None] - positions[None, :]
     u = 0.5 * (dx / wavelength.si) ** 2
     return np.exp(rate_dt * np.expm1(-u))

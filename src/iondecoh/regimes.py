@@ -124,6 +124,7 @@ class XRayCheck:
     free-space length scale of the probe.
     """
 
+    tau1: Quantity
     tau_x: Quantity
     wavelength_x: Quantity
     implied_density: Quantity
@@ -131,6 +132,7 @@ class XRayCheck:
 
     def to_dict(self) -> dict:
         return {
+            "tau1_s": self.tau1.si,
             "tau_x_s": self.tau_x.si,
             "wavelength_x_m": self.wavelength_x.si,
             "implied_density_kg_m3": self.implied_density.si,
@@ -143,11 +145,11 @@ def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantit
     tau_x.require(TIME, "tau_x")
     if tau_x.si <= 0:
         raise ValidationError(f"tau_x must be positive, got {tau_x.si!r}")
-    implied_density = (record.mass_density * _tau1(ctx) / tau_x).require(
-        MASS_DENSITY, "implied density"
-    )
+    tau1 = _tau1(ctx)
+    implied_density = (record.mass_density * tau1 / tau_x).require(MASS_DENSITY, "implied density")
     implied_spacing = _cbrt(record.formula_mass / implied_density)
     return XRayCheck(
+        tau1=tau1,
         tau_x=tau_x,
         wavelength_x=(CODATA.c * tau_x).require(LENGTH, "wavelength_x"),
         implied_density=implied_density,

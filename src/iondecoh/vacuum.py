@@ -67,11 +67,12 @@ def pairing_family(
 
         V_k^2 = (1 - xi_k / sqrt(xi_k^2 + gap^2)) / 2,  U_k^2 = 1 - V_k^2.
 
-    The returned callable maps a mode count K to a profile. All counts
-    share one seeded random stream, so the first K draws are identical
-    whatever order the counts are requested in: family(K1) is a prefix of
-    family(K2) whenever K1 < K2. That makes overlap decay across counts
-    monotone and the log-slope fit well posed.
+    The returned callable maps a mode count K to a profile and keeps no
+    state: each call draws its K band energies from a fresh
+    ``np.random.default_rng(seed)``. The generator takes one double per
+    uniform draw, so family(K1) is a prefix of family(K2) whenever K1 < K2,
+    whatever order the counts are requested in. That makes overlap decay
+    across counts monotone and the log-slope fit well posed.
     """
     if not gap > 0.0:
         raise ValidationError(f"gap must be positive, got {gap!r}")
@@ -79,18 +80,11 @@ def pairing_family(
         raise ValidationError(f"half_bandwidth must be positive, got {half_bandwidth!r}")
     if not math.isfinite(2.0 * half_bandwidth):
         raise ValidationError(f"2 * half_bandwidth must be finite, got {half_bandwidth!r}")
-    rng = np.random.default_rng(seed)
-    cache = np.empty(0)
 
     def family(modes: int) -> BogoliubovProfile:
-        nonlocal cache
         if modes < 0:
             raise ValidationError(f"modes must be nonnegative, got {modes}")
-        if modes > cache.size:
-            cache = np.concatenate(
-                [cache, rng.uniform(-half_bandwidth, half_bandwidth, modes - cache.size)]
-            )
-        xi = cache[:modes]
+        xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
         v_sq = 0.5 * (1.0 - xi / np.hypot(xi, gap))
         return BogoliubovProfile(np.sqrt(1.0 - v_sq))
 

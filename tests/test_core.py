@@ -23,7 +23,7 @@ def nacl_ctx():
 
 
 def make_ctx(mass_amu_value=22.990, temperature=310.0, density=2.228819610591948e28,
-             ion_count=1e23, lattice_edge=None):
+             ion_count=1e23, lattice_edge=length_m(5.64e-10)):
     return core.DecoherenceContext(
         ion_mass=mass_amu(mass_amu_value),
         temperature=temperature_kelvin(temperature),
@@ -91,31 +91,24 @@ def test_tau2_anchor(nacl_ctx):
 
 
 def test_tau_ratio_independent_of_mass_and_density():
-    a = length_m(5.64e-10)
     ratios = set()
     for m, n in ((22.990, 2.2e28), (132.905, 4.5e27), (207.2, 9.9e28)):
-        ctx = make_ctx(mass_amu_value=m, density=n, lattice_edge=a)
+        ctx = make_ctx(mass_amu_value=m, density=n)
         ratios.add(round(core.tau2(ctx).si / core.tau1(ctx).si, 6))
     assert len(ratios) == 1
 
 
 def test_tau_scaling_laws():
-    a = length_m(5.64e-10)
-    base = make_ctx(lattice_edge=a)
+    base = make_ctx()
     t1, t2 = core.tau1(base).si, core.tau2(base).si
-    heavier = make_ctx(mass_amu_value=4 * 22.990, lattice_edge=a)
+    heavier = make_ctx(mass_amu_value=4 * 22.990)
     assert core.tau1(heavier).si == pytest.approx(2 * t1, rel=1e-12)
     assert core.tau2(heavier).si == pytest.approx(2 * t2, rel=1e-12)
-    bigger_ensemble = make_ctx(ion_count=1e24, lattice_edge=a)
+    bigger_ensemble = make_ctx(ion_count=1e24)
     assert core.tau1(bigger_ensemble).si == pytest.approx(t1 / 10, rel=1e-12)
     wider = make_ctx(lattice_edge=length_m(2 * 5.64e-10))
     assert core.tau2(wider).si == pytest.approx(t2 / 2, rel=1e-12)
     assert core.tau1(wider).si == pytest.approx(t1, rel=1e-15)
-
-
-def test_tau2_requires_lattice_edge():
-    with pytest.raises(ValidationError, match="lattice_edge"):
-        core.tau2(make_ctx())
 
 
 def test_context_validation():
@@ -123,12 +116,17 @@ def test_context_validation():
         make_ctx(temperature=-1.0)
     with pytest.raises(ValidationError):
         make_ctx(ion_count=0.5)
+    with pytest.raises(ValidationError, match="lattice_edge must be positive"):
+        make_ctx(lattice_edge=length_m(0.0))
     with pytest.raises(DimensionError):
         core.DecoherenceContext(
             ion_mass=time_s(1.0),
             temperature=temperature_kelvin(310.0),
             bath_density=number_density_per_m3(1e28),
+            lattice_edge=length_m(5.64e-10),
         )
+    with pytest.raises(DimensionError):
+        make_ctx(lattice_edge=time_s(1.0))
 
 
 @pytest.mark.parametrize("temperature", [1e-310, 1e-320])
@@ -142,10 +140,21 @@ def test_context_rejects_a_temperature_whose_thermal_energy_underflows(temperatu
     (1e-300, "tau1"), (1e-100, "tau1"), (1e-80, "tau1"), (1e-300, "tau2"),
 ])
 def test_underflowing_decoherence_time_rejected(temperature, label):
-    ctx = make_ctx(temperature=temperature, lattice_edge=length_m(5.64e-10))
+    ctx = make_ctx(temperature=temperature)
     message = f"{label} underflows to 0.0 s at temperature {temperature!r} K"
     with pytest.raises(ValidationError, match=re.escape(message)):
         getattr(core, label)(ctx)
+
+
+@pytest.mark.parametrize("temperature, label", [
+    (1e-72, "tau1"), (1e-76, "tau1"), (1e-270, "tau2"),
+])
+def test_subnormal_product_under_the_square_root_rejected(temperature, label):
+    # m (kT)^3 or m kT below the smallest normal double has lost bits: at
+    # 1e-76 K tau1 would come out 0.8% off, at 1e-270 K tau2 4.4e-7 off
+    message = f"temperature {temperature!r} K is too low for {label}: the product under its square root is subnormal"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        getattr(core, label)(make_ctx(temperature=temperature))
 
 
 def test_cold_but_representable_decoherence_times_are_kept():
@@ -222,6 +231,22 @@ def test_every_public_name_resolves():
     assert len(set(iondecoh.__all__)) == len(iondecoh.__all__)
     for name in iondecoh.__all__:
         assert getattr(iondecoh, name) is not None, name
+
+
+def test_every_traced_layer_name_resolves():
+    # the benchmark's traced run wraps each name in perfbench/spans.py LAYERS
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"iondecoh.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"iondecoh.{layer}.{name}"
 
 
 def test_all_timescale_outputs_have_time_dimension(nacl_ctx):

@@ -184,6 +184,15 @@ def test_width_whose_square_underflows_rejected():
         densmat.prepare_superposition(spec, num_points=16)
 
 
+def test_spacing_whose_inverse_square_overflows_rejected_before_the_outer_product(monkeypatch):
+    # purity sums |rho_ij|^2 = 1 / h^2, which overflows for h below ~7.5e-155 m
+    spec = densmat.SuperpositionSpec(separation=length_m(0.0), width=length_m(1e-154))
+    assert math.isfinite(densmat.purity(densmat.prepare_superposition(spec, num_points=16)))
+    monkeypatch.setattr(np, "outer", None)
+    with pytest.raises(ValidationError, match=r"grid spacing \S+ m is too small: 1 / spacing\*\*2 overflows"):
+        densmat.prepare_superposition(spec, num_points=256)
+
+
 def test_unresolvable_separation_rejected():
     rho = two_packet_state()
     with pytest.raises(ValidationError, match="resolution"):

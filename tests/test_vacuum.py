@@ -57,8 +57,11 @@ def test_pairing_family_counts_are_nested_prefixes():
 def test_pairing_profile_satisfies_constraint():
     profile = vacuum.pairing_family(gap=0.2, half_bandwidth=1.0, seed=0)(1000)
     assert profile.mode_count == 1000
-    # U_k = sqrt(1 - V_k^2) with V_k^2 from the same band energies, bit for bit
-    xi = np.random.default_rng(0).uniform(-1.0, 1.0, 1000)
+    # U_k = sqrt(1 - V_k^2) with V_k^2 from the same band energies, bit for
+    # bit; the generator takes one double per draw, so drawing in pieces
+    # from one stream gives the same energies as one fresh draw
+    rng = np.random.default_rng(0)
+    xi = np.concatenate([rng.uniform(-1.0, 1.0, n) for n in (100, 900)])
     v_sq = 0.5 * (1.0 - xi / np.hypot(xi, 0.2))
     assert np.array_equal(profile.u, np.sqrt(1.0 - v_sq))
     assert float(np.min(profile.u)) > 0.0
