@@ -225,7 +225,8 @@ def _cmd_bcs(args) -> str:
         rows.append([count, log_overlap, math.exp(log_overlap)])
     payload = {"points": [dict(zip(header, row)) for row in rows]}
     if len(counts) >= 3:
-        payload["decay_rate_per_mode"] = vacuum.overlap_decay_rate(family, counts)
+        # overlap_decay_rate's fit, over the log overlaps above: each profile is drawn once
+        payload["decay_rate_per_mode"] = vacuum._log_overlap_slope(counts, [row[1] for row in rows])
     text = _render_table(header, rows, args.format, payload)
     if args.format == "human" and "decay_rate_per_mode" in payload:
         text += f"decay rate per mode = {payload['decay_rate_per_mode']!r}\n"
@@ -363,6 +364,10 @@ def main(argv=None) -> int:
         return 2
     except (IonDecohError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's allocation failure says how much it asked for
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

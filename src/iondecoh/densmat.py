@@ -21,8 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .core import suppression_rate_time
 from .errors import ValidationError
 from .units import LENGTH, Quantity, length_m, time_s

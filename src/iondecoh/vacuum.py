@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ValidationError
 
 
@@ -119,6 +118,10 @@ def overlap_decay_rate(
         raise ValidationError("need at least three distinct mode counts to fit a slope")
     if counts[0] < 0:
         raise ValidationError("mode counts must be nonnegative")
-    logs = [log_vacuum_overlap(family(k)) for k in counts]
+    return _log_overlap_slope(counts, [log_vacuum_overlap(family(k)) for k in counts])
+
+
+def _log_overlap_slope(counts: Sequence[int], logs: Sequence[float]) -> float:
+    """Least-squares slope of ``logs`` against distinct, sorted ``counts``."""
     slope, _ = np.polyfit(np.asarray(counts, dtype=float), np.asarray(logs), 1)
     return float(slope)

@@ -156,6 +156,23 @@ def test_bcs_pairing_slope(capsys):
     assert payload["decay_rate_per_mode"] == pytest.approx(-0.8032293786368829, rel=1e-9)
 
 
+def test_bcs_builds_each_profile_once(capsys, monkeypatch):
+    family = cli.vacuum.pairing_family()
+    calls = []
+
+    def counting_family(modes):
+        calls.append(modes)
+        return family(modes)
+
+    monkeypatch.setattr(cli.vacuum, "pairing_family", lambda *args: counting_family)
+    code, out, err = run_cli(capsys, "bcs", "--modes", "1000,10,100", "--format", "json")
+    assert (code, err) == (0, "")
+    assert calls == [10, 100, 1000]
+    # the same fit as the library's overlap_decay_rate, bit for bit
+    expected = cli.vacuum.overlap_decay_rate(family, [10, 100, 1000])
+    assert json.loads(out)["decay_rate_per_mode"] == expected
+
+
 def test_classify_nacl(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--salt", "NaCl", "--tau-dyn", "1.0",
@@ -433,6 +450,71 @@ def test_cli_run_does_not_import_scipy(command):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout
+
+
+NUMPY_FREE_RUNS = {
+    **{command: (SMALL_RUNS[command], 0) for command in ("table", "factor", "xray", "classify")},
+    "unknown-salt": (["table", "--salts", "Kryptonite"], 1),
+    "malformed-data-file": (["table", "--data-file", "{malformed}"], 2),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_FREE_RUNS))
+def test_scalar_subcommands_run_without_numpy(tmp_path, case):
+    malformed = tmp_path / "salts.csv"
+    malformed.write_text("# header\nNaCl,Na+,22.990\n")
+    argv, expected_code = NUMPY_FREE_RUNS[case]
+    argv = [str(malformed) if arg == "{malformed}" else arg for arg in argv]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import iondecoh.cli\n"
+        f"sys.exit(iondecoh.cli.main({argv!r}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == expected_code
+    if expected_code == 0:
+        assert result.stderr == ""
+        assert result.stdout
+    else:
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["sim", "bcs"])
+def test_sim_and_bcs_load_numpy(command):
+    script = (
+        "import sys\n"
+        "import iondecoh.cli\n"
+        "before = 'numpy' in sys.modules\n"
+        f"code = iondecoh.cli.main({SMALL_RUNS[command]!r})\n"
+        "print(before, 'numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1] == "False True"
+
+
+NUMPY_ALLOCATION_MESSAGE = (
+    "Unable to allocate 16.0 GiB for an array with shape (32768, 32768) and data type complex128"
+)
+
+
+@pytest.mark.parametrize("command, target, message, line", [
+    pytest.param("sim", (cli.densmat, "prepare_superposition"), NUMPY_ALLOCATION_MESSAGE,
+                 f"error: {NUMPY_ALLOCATION_MESSAGE}", id="sim-numpy-message"),
+    pytest.param("bcs", (cli.vacuum, "log_vacuum_overlap"), "", "error: out of memory",
+                 id="bcs-no-message"),
+])
+def test_memory_error_exits_one(capsys, monkeypatch, command, target, message, line):
+    # raised by hand: the test must not allocate
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*target, out_of_memory)
+    code, out, err = run_cli(capsys, *SMALL_RUNS[command])
+    assert (code, out, err) == (1, "", line + "\n")
 
 
 # sha256 of stdout for the README examples whose output comes from pure-Python

@@ -233,9 +233,8 @@ def test_every_public_name_resolves():
         assert getattr(iondecoh, name) is not None, name
 
 
-def test_every_traced_layer_name_resolves():
+def _traced_layers():
     # the benchmark's traced run wraps each name in perfbench/spans.py LAYERS
-    import importlib
     import importlib.util
     from pathlib import Path
 
@@ -243,10 +242,30 @@ def test_every_traced_layer_name_resolves():
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for layer, names in spans.LAYERS.items():
+    return spans.LAYERS
+
+
+def test_every_traced_layer_name_resolves():
+    import importlib
+
+    for layer, names in _traced_layers().items():
         module = importlib.import_module(f"iondecoh.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"iondecoh.{layer}.{name}"
+
+
+def test_cli_import_loads_every_traced_layer_and_no_numpy():
+    # a traced run looks each layer up in sys.modules right after importing the CLI
+    import json
+    import subprocess
+    import sys
+
+    script = "import json, sys\nimport iondecoh.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    loaded = set(json.loads(result.stdout))
+    assert {f"iondecoh.{layer}" for layer in _traced_layers()} <= loaded
+    assert "numpy" not in loaded
 
 
 def test_all_timescale_outputs_have_time_dimension(nacl_ctx):
