@@ -182,12 +182,8 @@ def _cmd_sim(args) -> str:
     state = densmat.prepare_superposition(
         spec, num_points=args.num_points, extent_widths=args.extent_widths
     )
-    if args.steps < 1:
-        # evolve_series checks this too, but dt is computed first
-        raise ValidationError(f"steps must be at least 1, got {args.steps}")
-    dt = time_s(args.t_total / args.steps)
     samples = densmat.evolve_series(
-        state, rate, wavelength, dt, args.steps, spec.separation
+        state, rate, wavelength, t_total=time_s(args.t_total), steps=args.steps, separation=spec.separation
     )
     header = ["time_s", "coherence", "trace", "purity", "min_eigenvalue"]
     rows = [[s.time, s.coherence, s.trace, s.purity, s.min_eigenvalue] for s in samples]

@@ -47,7 +47,6 @@ from .units import (
     TEMPERATURE,
     TIME,
     Quantity,
-    dimensionless,
     temperature_kelvin,
 )
 
@@ -171,12 +170,16 @@ def decoherence_factor(
     Positions separated by dx lose phase coherence at rate Lambda scaled by
     how distinguishable the scattering environment finds them. For
     dx << lambda the exponent reduces to -Lambda t dx^2 / 2 lambda^2; for
-    dx >> lambda it saturates at -Lambda t. Returns a float in [0, 1]: a
-    large finite Lambda t underflows to 0.0, the correctly rounded value.
+    dx >> lambda it saturates at -Lambda t, which is also the value when
+    (dx / lambda)^2 overflows. Returns a float in [0, 1]: a large finite
+    Lambda t underflows to 0.0, the correctly rounded value.
     """
     separation.require(LENGTH, "separation")
     rate_time = suppression_rate_time(rate, time, wavelength)
-    u = 0.5 * (separation.si / wavelength.si) ** 2
+    try:
+        u = 0.5 * (separation.si / wavelength.si) ** 2
+    except OverflowError:
+        u = math.inf
     # expm1 keeps the small-separation branch accurate: exponent is
     # Lambda t (exp(-u) - 1).
     return math.exp(rate_time * math.expm1(-u))
@@ -185,7 +188,7 @@ def decoherence_factor(
 def tau1(ctx: DecoherenceContext) -> Quantity:
     """Ensemble decoherence time sqrt(m (kT)^3) / (N n g^2 q_e^4) = 1/(N Lambda)."""
     product = ctx.ion_mass * ctx.thermal_energy ** 3
-    denominator = dimensionless(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
+    denominator = Quantity(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
     return _decoherence_time(product, denominator, "tau1", ctx)
 
 
@@ -193,7 +196,7 @@ def tau2(ctx: DecoherenceContext) -> Quantity:
     """Lattice-scale decoherence time sqrt(m kT) / (N n a g q_e^2)."""
     product = ctx.ion_mass * ctx.thermal_energy
     denominator = (
-        dimensionless(ctx.ion_count)
+        Quantity(ctx.ion_count)
         * ctx.bath_density
         * ctx.lattice_edge
         # g and q_e^2 multiply in turn; _COUPLING here would reassociate the
@@ -207,9 +210,10 @@ def tau2(ctx: DecoherenceContext) -> Quantity:
 def _decoherence_time(product: Quantity, denominator: Quantity, label: str, ctx: DecoherenceContext) -> Quantity:
     """sqrt(product) / denominator, rejected if the product has lost bits or the result is 0.0."""
     temperature = ctx.temperature.si
-    if 0.0 < product.si < sys.float_info.min:
+    if product.si < sys.float_info.min:
         raise ValidationError(
-            f"temperature {temperature!r} K is too low for {label}: the product under its square root is subnormal"
+            f"temperature {temperature!r} K is too low for {label}: "
+            "the product under its square root is below the smallest normal double"
         )
     tau = (product.sqrt() / denominator).require(TIME, label)
     if tau.si == 0.0:

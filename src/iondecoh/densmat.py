@@ -88,11 +88,14 @@ def prepare_superposition(
     four_w2 = 4.0 * w * w
     if four_w2 == 0.0:
         raise ValidationError(f"width {w!r} m is too small: 4 * width**2 underflows to 0.0")
-    half_span = 0.5 * extent_widths * w
-    if not (extent_widths > 0 and math.isfinite(half_span)):
+    span = extent_widths * w
+    if not (extent_widths > 0 and math.isfinite(span)):
         raise ValidationError(
             f"extent_widths must be positive and give a finite grid span, got {extent_widths!r}"
         )
+    if four_w2 == math.inf:
+        raise ValidationError(f"width {w!r} m is too large: 4 * width**2 overflows")
+    half_span = 0.5 * span
     if 0.5 * spec.separation.si + 5.0 * w > half_span:
         raise ValidationError(
             "grid too small: packet centres must sit at least five widths "
@@ -135,10 +138,14 @@ def prepare_superposition(
 def suppression_kernel(
     positions: np.ndarray, rate: Quantity, wavelength: Quantity, dt: Quantity
 ) -> np.ndarray:
-    """Elementwise damping factors exp(Lambda dt (exp(-dx^2/2 lambda^2) - 1))."""
+    """Elementwise damping factors exp(Lambda dt (exp(-dx^2/2 lambda^2) - 1)).
+
+    An overflowing (dx / lambda)^2 gives the saturated factor exp(-Lambda dt).
+    """
     rate_dt = suppression_rate_time(rate, dt, wavelength, "dt")
     dx = positions[:, None] - positions[None, :]
-    u = 0.5 * (dx / wavelength.si) ** 2
+    with np.errstate(over="ignore"):
+        u = 0.5 * (dx / wavelength.si) ** 2
     return np.exp(rate_dt * np.expm1(-u))
 
 
@@ -238,11 +245,12 @@ def evolve_series(
     rho: ReducedDensityMatrix,
     rate: Quantity,
     wavelength: Quantity,
-    dt: Quantity,
+    *,
+    t_total: Quantity,
     steps: int,
     separation: Quantity,
 ) -> list[SimSample]:
-    """Evolve in equal steps, sampling diagnostics at t=0 and after each step.
+    """Evolve for t_total in steps of dt = t_total / steps, sampling at t=0 and after each step.
 
     Invariants (Hermiticity, unit trace, positivity) are checked at every
     sample and violations raise, so a returned series is also a certificate.
@@ -250,6 +258,7 @@ def evolve_series(
     """
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
+    dt = t_total / steps
 
     def sample(state: ReducedDensityMatrix) -> SimSample:
         tr, low = check_invariants(state)

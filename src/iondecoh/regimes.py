@@ -20,6 +20,7 @@ lattice spacing.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .core import DecoherenceContext, tau1 as _tau1
@@ -96,6 +97,8 @@ def classify(
         raise ValidationError(
             f"threshold_ratio must exceed 1, got {threshold_ratio!r}"
         )
+    if threshold_ratio == math.inf:
+        raise ValidationError("threshold_ratio must be finite, got inf")
     ratio = tau_dyn.ratio(min(tau1, tau2))
     if ratio <= threshold_ratio:
         verdict = Verdict.QUANTUM_MECHANICS_ADEQUATE
@@ -147,7 +150,9 @@ def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantit
         raise ValidationError(f"tau_x must be positive, got {tau_x.si!r}")
     tau1 = _tau1(ctx)
     implied_density = (record.mass_density * tau1 / tau_x).require(MASS_DENSITY, "implied density")
-    implied_spacing = _cbrt(record.formula_mass / implied_density)
+    # a positive formula mass over a positive density: a positive volume
+    volume = record.formula_mass / implied_density
+    implied_spacing = Quantity(volume.si ** (1.0 / 3.0), volume.dim.root(3))
     return XRayCheck(
         tau1=tau1,
         tau_x=tau_x,
@@ -155,9 +160,3 @@ def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantit
         implied_density=implied_density,
         implied_spacing=implied_spacing.require(LENGTH, "implied spacing"),
     )
-
-
-def _cbrt(volume: Quantity) -> Quantity:
-    if volume.si < 0:
-        raise ValidationError("cannot take the cube root of a negative volume")
-    return Quantity(volume.si ** (1.0 / 3.0), volume.dim.root(3))

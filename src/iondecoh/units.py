@@ -20,6 +20,7 @@ converted on construction; all internal math is SI.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 
@@ -145,6 +146,7 @@ NUMBER_DENSITY = DIMENSIONLESS / LENGTH ** 3
 MASS_DENSITY = MASS / LENGTH ** 3
 
 
+@functools.total_ordering
 class Quantity:
     """A finite SI magnitude with dimension exponents.
 
@@ -242,24 +244,15 @@ class Quantity:
         self._require_same_dim(other, "compare")
         return self.si < other.si
 
-    def __le__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.si <= other.si
-
-    def __gt__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.si > other.si
-
-    def __ge__(self, other: "Quantity") -> bool:
-        self._require_same_dim(other, "compare")
-        return self.si >= other.si
-
     # -- helpers ------------------------------------------------------------
 
     def ratio(self, other: "Quantity") -> float:
-        """Dimensionless ratio self / other; the dimensions must match."""
+        """Dimensionless ratio self / other; the dimensions must match.
+
+        Like ``/``, a zero divisor or a non-finite quotient raises the constructor's ValueError.
+        """
         self._require_same_dim(other, "take the ratio of")
-        return self.si / other.si
+        return Quantity(_quotient(self.si, other.si)).si
 
     def require(self, dim: Dimension, what: str = "quantity") -> "Quantity":
         """Return self after checking the dimension, for argument validation."""
@@ -318,10 +311,6 @@ def mass_density_kg_m3(value: float) -> Quantity:
 
 def rate_per_s(value: float) -> Quantity:
     return Quantity(value, RATE)
-
-
-def dimensionless(value: float) -> Quantity:
-    return Quantity(value, DIMENSIONLESS)
 
 
 @dataclass(frozen=True)

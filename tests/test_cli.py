@@ -262,7 +262,7 @@ PHASE_SIM = ["sim", "--wavelength", "1e-10", "--rate", "1e15", "--separation", "
 MISSING_SIM = ["sim", "--salt", "NaCl", "--separation", "3e-9", "--width", "3e-10",
                "--t-total", "2e-16", "--steps", "2", "--num-points", "8"]
 MISSED = "grid cannot resolve the packets: the sampled state has norm 0.0; raise num_points or lower extent_widths"
-SUBNORMAL = "K is too low for tau1: the product under its square root is subnormal"
+SUBNORMAL = "K is too low for tau1: the product under its square root is below the smallest normal double"
 
 # argv -> the one stderr line of a run that exits 1 with nothing on stdout;
 # in process, a numpy RuntimeWarning on the way fails the test
@@ -284,11 +284,11 @@ ONE_LINE_ERRORS = {
     "table-1e-310": (["table", "--salts", "NaCl", "--temperature", "1e-310"],
                      "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
     "table-1e-300": (["table", "--salts", "NaCl", "--temperature", "1e-300"],
-                     "tau1 underflows to 0.0 s at temperature 1e-300 K"),
+                     f"temperature 1e-300 {SUBNORMAL}"),
     "table-1e-100": (["table", "--salts", "NaCl", "--temperature", "1e-100"],
-                     "tau1 underflows to 0.0 s at temperature 1e-100 K"),
+                     f"temperature 1e-100 {SUBNORMAL}"),
     "table-1e-78": (["table", "--salts", "NaCl", "--temperature", "1e-78", "--format", "csv"],
-                    "tau1 underflows to 0.0 s at temperature 1e-78 K"),
+                    f"temperature 1e-78 {SUBNORMAL}"),
     "table-1e-76": (["table", "--salts", "NaCl", "--temperature", "1e-76", "--format", "csv"],
                     f"temperature 1e-76 {SUBNORMAL}"),
     "table-1e-72": (["table", "--salts", "NaCl", "--temperature", "1e-72", "--format", "csv"],
@@ -296,7 +296,26 @@ ONE_LINE_ERRORS = {
     "factor-1e-310": (["factor", "--salt", "NaCl", "--temperature", "1e-310", "--dx", "1e-9", "--time", "1"],
                       "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
     "xray-1e-100": (["xray", "--salt", "NaCl", "--temperature", "1e-100", "--tau-x", "0.5e-18"],
-                    "tau1 underflows to 0.0 s at temperature 1e-100 K"),
+                    f"temperature 1e-100 {SUBNORMAL}"),
+    # m (k_B T)^3 is 1.0e-307, a normal double, but tau1 is about 3e-327 s
+    "table-1e-71-N1e200": (["table", "--salts", "NaCl", "--temperature", "1e-71", "--ion-count", "1e200"],
+                           "tau1 underflows to 0.0 s at temperature 1e-71 K"),
+    "classify-ratio-overflows": (
+        ["classify", "--tau1", "1e-40", "--tau2", "1e-38", "--tau-dyn", "1e308", "--format", "json"],
+        "quantity magnitude must be finite, got inf"),
+    "classify-threshold-inf": (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--threshold", "inf", "--format", "json"],
+                               "threshold_ratio must be finite, got inf"),
+    "classify-subnormal-tau1": (["classify", "--tau1", "1e-320", "--tau2", "1", "--tau-dyn", "1", "--format", "csv"],
+                                "quantity magnitude must be finite, got inf"),
+    "sim-width-squared-overflows": (
+        ["sim", "--wavelength", "3e-10", "--rate", "1", "--separation", "0", "--width", "1e300",
+         "--t-total", "1e-9", "--steps", "1", "--num-points", "16", "--format", "csv"],
+        "width 1e+300 m is too large: 4 * width**2 overflows"),
+    "sim-span-overflows": (
+        ["sim", "--wavelength", "1e-10", "--rate", "1", "--separation", "0", "--width", "1e150",
+         "--extent-widths", "1.8e158", "--t-total", "1e-15", "--steps", "1", "--num-points", "8",
+         "--format", "csv"],
+        "extent_widths must be positive and give a finite grid span, got 1.8e+158"),
 }
 
 
@@ -312,6 +331,25 @@ def test_cold_table_keeps_representable_times(capsys):
     )
     assert (code, err) == (0, "")
     assert out.splitlines()[1].split(",")[3] == "8.449279016595415e-134"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--wavelength", "1e-10", "--rate", "1", "--time", "1", "--dx", "1e200"], "0.36787944117144233"),
+    (["--salt", "NaCl", "--time", "1e-16", "--dx", "1e160"], "0.11436135589653033"),
+], ids=["explicit", "nacl"])
+def test_factor_saturates_where_the_separation_squared_overflows(capsys, argv, line):
+    # (dx / lambda)^2 is not a double: the factor is its dx >> lambda limit exp(-Lambda t)
+    assert run_cli(capsys, "factor", *argv) == (0, f"decoherence factor = {line}\n", "")
+
+
+def test_sim_kernel_saturates_without_a_warning(capsys):
+    # (dx / lambda)^2 overflows off the diagonal; a numpy warning would fail the run
+    code, out, err = run_cli(
+        capsys, "sim", "--wavelength", "1e-300", "--rate", "1", "--separation", "3e-9",
+        "--width", "3e-10", "--t-total", "1e-15", "--steps", "1", "--num-points", "64", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 3
 
 
 def test_factor_underflow_prints_zero(capsys):
@@ -438,60 +476,67 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", list(SMALL_RUNS))
-def test_cli_run_does_not_import_scipy(command):
-    # a None entry in sys.modules makes every scipy import raise ImportError
-    script = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "import iondecoh.cli\n"
-        f"sys.exit(iondecoh.cli.main({SMALL_RUNS[command]!r}))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout
-
-
-NUMPY_FREE_RUNS = {
-    **{command: (SMALL_RUNS[command], 0) for command in ("table", "factor", "xray", "classify")},
+# argv, exit code; every run blocks scipy, and all but sim and bcs block numpy too
+IMPORT_RUNS = {
+    **{command: (argv, 0) for command, argv in SMALL_RUNS.items()},
     "unknown-salt": (["table", "--salts", "Kryptonite"], 1),
     "malformed-data-file": (["table", "--data-file", "{malformed}"], 2),
 }
+NUMPY_FREE_CASES = [case for case in IMPORT_RUNS if case not in ("sim", "bcs")]
 
 
-@pytest.mark.parametrize("case", list(NUMPY_FREE_RUNS))
-def test_scalar_subcommands_run_without_numpy(tmp_path, case):
-    malformed = tmp_path / "salts.csv"
+@pytest.fixture(scope="module")
+def isolated_run(tmp_path_factory):
+    """Run an IMPORT_RUNS case in a fresh interpreter, once per case for the module."""
+    malformed = tmp_path_factory.mktemp("data") / "salts.csv"
     malformed.write_text("# header\nNaCl,Na+,22.990\n")
-    argv, expected_code = NUMPY_FREE_RUNS[case]
-    argv = [str(malformed) if arg == "{malformed}" else arg for arg in argv]
-    script = (
-        "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "import iondecoh.cli\n"
-        f"sys.exit(iondecoh.cli.main({argv!r}))\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    results = {}
+
+    def run(case):
+        if case not in results:
+            argv, _ = IMPORT_RUNS[case]
+            argv = [str(malformed) if arg == "{malformed}" else arg for arg in argv]
+            # a None entry in sys.modules makes every import of that name raise ImportError
+            blocked = ["scipy"] if case in ("sim", "bcs") else ["scipy", "numpy"]
+            script = (
+                "import sys\n"
+                f"for name in {blocked!r}:\n"
+                "    sys.modules[name] = None\n"
+                "import iondecoh.cli\n"
+                "before = 'numpy' in sys.modules\n"
+                f"code = iondecoh.cli.main({argv!r})\n"
+                "print(before, 'numpy' in sys.modules)\n"
+                "sys.exit(code)\n"
+            )
+            results[case] = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        return results[case]
+
+    return run
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_cli_run_does_not_import_scipy(isolated_run, command):
+    result = isolated_run(command)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("case", NUMPY_FREE_CASES)
+def test_scalar_subcommands_run_without_numpy(isolated_run, case):
+    result = isolated_run(case)
+    expected_code = IMPORT_RUNS[case][1]
     assert result.returncode == expected_code
     if expected_code == 0:
         assert result.stderr == ""
-        assert result.stdout
+        assert result.stdout.splitlines()[:-1]
     else:
         (line,) = result.stderr.splitlines()
         assert line.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["sim", "bcs"])
-def test_sim_and_bcs_load_numpy(command):
-    script = (
-        "import sys\n"
-        "import iondecoh.cli\n"
-        "before = 'numpy' in sys.modules\n"
-        f"code = iondecoh.cli.main({SMALL_RUNS[command]!r})\n"
-        "print(before, 'numpy' in sys.modules)\n"
-        "sys.exit(code)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+def test_sim_and_bcs_load_numpy(isolated_run, command):
+    result = isolated_run(command)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines()[-1] == "False True"
 

@@ -1,0 +1,161 @@
+"""Property test over generated argv: every CLI run either writes finite
+output or prints one ``error:`` line, for all six subcommands.
+
+Numeric flags mostly draw from the range a user would type, and otherwise
+from the edges of the float range (0, subnormals, 1e-300, 1e300, the
+largest double, inf, -inf, nan), from any double or from a power of ten
+near either end of the range. Sizes stay small so each run is cheap:
+``--num-points`` <= 32, ``--steps`` <= 3 and mode counts <= 2000.
+pytest's ``error::RuntimeWarning`` filter turns a numpy warning into an
+exception that escapes ``main``, which fails the example.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from iondecoh import cli
+from iondecoh.materials import bundled_salt_database
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+         1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+NAMES = [record.name for record in bundled_salt_database()]
+SALTS = st.sampled_from([*NAMES, "Kryptonite"])
+NON_FINITE = re.compile(r"\b(?:nan|inf)\b")
+
+
+# an edge, any double, or a power of ten near either end of the float range
+WILD = st.one_of(st.sampled_from(EDGES), st.floats(),
+                 st.one_of(st.integers(-323, -280), st.integers(280, 308)).map(lambda k: 10.0 ** k))
+
+
+def mostly(typical, wild=WILD):
+    """``typical`` in four draws of five, else ``wild``."""
+    return st.sampled_from(range(5)).flatmap(lambda i: wild if i == 0 else typical)
+
+
+def real(low, high):
+    """Mostly 10**k for k in [low, high], else a wild double."""
+    return mostly(st.floats(low, high).map(lambda k: 10.0 ** k))
+
+
+def flag(name, values, optional=True):
+    """``[name=value]``, or, for an optional flag, possibly nothing.
+
+    The ``=`` form lets argparse take a value such as ``-inf``.
+    """
+    given_flag = values.map(lambda value: [f"{name}={value}"])
+    return st.one_of(st.just([]), given_flag) if optional else given_flag
+
+
+def joined(*flags):
+    return st.tuples(*flags).map(lambda parts: [arg for part in parts for arg in part])
+
+
+def command(name, *flags):
+    return joined(*flags).map(lambda args: [name, *args])
+
+
+FORMAT = flag("--format", st.sampled_from(["human", "csv", "json"]))
+THERMAL = (flag("--temperature", real(-3, 4)), flag("--ion-count", real(0, 30)))
+
+
+def source(*flags):
+    """Mostly ``--salt`` or all of ``flags``, else any mix of them (which is then usually rejected)."""
+    return mostly(
+        st.one_of(flag("--salt", SALTS, optional=False),
+                  joined(*(flag(name, values, optional=False) for name, values in flags))),
+        joined(flag("--salt", SALTS), *(flag(name, values) for name, values in flags)),
+    )
+
+
+# mostly a width and a separation of 1 to 15 widths, which the grid can hold
+PACKETS = st.tuples(st.floats(-10, -8), st.floats(1, 15)).flatmap(lambda pair: joined(
+    flag("--width", mostly(st.just(10.0 ** pair[0])), optional=False),
+    flag("--separation", mostly(st.just(pair[1] * 10.0 ** pair[0])), optional=False),
+))
+WAVELENGTH_AND_RATE = source(("--wavelength", real(-12, -8)), ("--rate", real(10, 20)))
+BOOLEAN = st.one_of(st.just([]), st.just(["--observed-coherence"]))
+
+ARGV = {
+    "table": command(
+        "table",
+        flag("--salts", st.one_of(SALTS, st.sampled_from(["all", "NaCl,KBr", ",", ""]))),
+        *THERMAL, FORMAT,
+    ),
+    "factor": command(
+        "factor", WAVELENGTH_AND_RATE,
+        flag("--dx", real(-12, -6), optional=False),
+        flag("--time", real(-20, -10), optional=False),
+        *THERMAL, FORMAT,
+    ),
+    "sim": command(
+        "sim", WAVELENGTH_AND_RATE,
+        PACKETS,
+        flag("--t-total", real(-18, -14), optional=False),
+        flag("--steps", mostly(st.integers(1, 3), st.integers(-2, 0)), optional=False),
+        flag("--num-points", mostly(st.integers(8, 32), st.integers(-1, 7)), optional=False),
+        flag("--extent-widths", real(1.5, 1.8)),
+        flag("--phase", real(-2, 1)),
+        *THERMAL, FORMAT,
+    ),
+    "xray": command(
+        "xray",
+        flag("--salt", SALTS, optional=False),
+        flag("--tau-x", real(-20, -15), optional=False),
+        *THERMAL, FORMAT,
+    ),
+    "bcs": command(
+        "bcs",
+        flag("--modes", st.lists(st.integers(-1, 2000), min_size=1, max_size=4)
+             .map(lambda counts: ",".join(map(str, counts))), optional=False),
+        flag("--uniform-u", real(-3, 0)),
+        flag("--gap", real(-3, 1)),
+        flag("--half-bandwidth", real(-2, 1)),
+        flag("--seed", st.integers(-1, 2 ** 64)),
+        FORMAT,
+    ),
+    "classify": command(
+        "classify",
+        source(("--tau1", real(-45, 3)), ("--tau2", real(-45, 3))),
+        flag("--tau-dyn", real(-45, 3), optional=False),
+        BOOLEAN,
+        flag("--threshold", real(0, 6)),
+        *THERMAL, FORMAT,
+    ),
+}
+
+
+def _reject_constant(name):
+    raise AssertionError(f"json output holds the non-finite constant {name}")
+
+
+@pytest.mark.parametrize("subcommand", list(ARGV))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_run_writes_finite_output_or_one_error_line(subcommand, data):
+    argv = data.draw(ARGV[subcommand], label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(cli.ENV_DATA_DIR, None)
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        return
+    assert err == ""
+    if "--format=json" in argv:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert not NON_FINITE.search(out), out

@@ -136,12 +136,16 @@ def test_context_rejects_a_temperature_whose_thermal_energy_underflows(temperatu
         make_ctx(temperature=temperature)
 
 
+BELOW_NORMAL = "the product under its square root is below the smallest normal double"
+
+
 @pytest.mark.parametrize("temperature, label", [
     (1e-300, "tau1"), (1e-100, "tau1"), (1e-80, "tau1"), (1e-300, "tau2"),
 ])
 def test_underflowing_decoherence_time_rejected(temperature, label):
+    # m (kT)^3 or m kT underflows to 0.0 before tau does
     ctx = make_ctx(temperature=temperature)
-    message = f"{label} underflows to 0.0 s at temperature {temperature!r} K"
+    message = f"temperature {temperature!r} K is too low for {label}: {BELOW_NORMAL}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         getattr(core, label)(ctx)
 
@@ -152,7 +156,7 @@ def test_underflowing_decoherence_time_rejected(temperature, label):
 def test_subnormal_product_under_the_square_root_rejected(temperature, label):
     # m (kT)^3 or m kT below the smallest normal double has lost bits: at
     # 1e-76 K tau1 would come out 0.8% off, at 1e-270 K tau2 4.4e-7 off
-    message = f"temperature {temperature!r} K is too low for {label}: the product under its square root is subnormal"
+    message = f"temperature {temperature!r} K is too low for {label}: {BELOW_NORMAL}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         getattr(core, label)(make_ctx(temperature=temperature))
 

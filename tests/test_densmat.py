@@ -125,7 +125,7 @@ def test_suppression_monotone_in_separation_ratio():
 def test_long_evolution_invariants():
     rho = two_packet_state()
     samples = densmat.evolve_series(
-        rho, RATE, WAVELENGTH, time_s(3e-17), steps=20, separation=SEPARATION
+        rho, RATE, WAVELENGTH, t_total=time_s(6e-16), steps=20, separation=SEPARATION
     )
     assert len(samples) == 21
     for sample in samples:
@@ -245,8 +245,9 @@ def test_each_sample_is_certified_by_one_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rho = two_packet_state(num_points=64)
-    dt, steps = time_s(3e-17), 4
-    samples = densmat.evolve_series(rho, RATE, WAVELENGTH, dt, steps, SEPARATION)
+    t_total, steps = time_s(1.2e-16), 4
+    dt = t_total / steps
+    samples = densmat.evolve_series(rho, RATE, WAVELENGTH, t_total=t_total, steps=steps, separation=SEPARATION)
     certified = list(calls)
     assert len(certified) == steps + 1
     assert certified[0] is rho.elements
