@@ -15,12 +15,10 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-import tempfile
 
 from . import core, densmat, regimes, vacuum
 from .errors import IonDecohError, SaltDataError, ValidationError
@@ -93,6 +91,8 @@ def _render_table(header, rows, fmt, json_payload):
         lines += [",".join(_cell(value) for value in row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps(json_payload, sort_keys=True, indent=2) + "\n"
     widths = [
         max(len(str(header[i])), *(len(_cell(row[i])) for row in rows)) if rows else len(str(header[i]))
@@ -114,6 +114,8 @@ def _deliver(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(output))
     # mkstemp creates the file with mode 0600; give it the mode open() would
     umask = os.umask(0)
@@ -347,10 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # built once per process: argparse keeps no state between parse_args calls
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         _deliver(args.handler(args), args.output)
         return 0
     except SystemExit as exc:

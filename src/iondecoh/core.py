@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ValidationError
 from .materials import SaltRecord, number_density
@@ -47,6 +45,7 @@ from .units import (
     TEMPERATURE,
     TIME,
     Quantity,
+    _Record,
     temperature_kelvin,
 )
 
@@ -60,38 +59,35 @@ _COUPLING = CODATA.coulomb_g * _Q_E_SQUARED  # g q_e^2
 _COUPLING_SQUARED = _COUPLING ** 2  # (g q_e^2)^2
 
 
-@dataclass(frozen=True)
-class DecoherenceContext:
+class DecoherenceContext(_Record):
     """Inputs for one evaluation: ion mass, temperature, bath, lattice edge a, ensemble size.
 
     Every field is checked once, here; the formulas below read them as they are.
+    ``thermal_energy``, k_B T, is derived here too, but is not a field.
     """
 
-    ion_mass: Quantity
-    temperature: Quantity
-    bath_density: Quantity
-    lattice_edge: Quantity
-    ion_count: float = DEFAULT_ION_COUNT
+    _fields = ("ion_mass", "temperature", "bath_density", "lattice_edge", "ion_count")
+    __slots__ = (*_fields, "thermal_energy")
 
-    def __post_init__(self) -> None:
-        self.ion_mass.require(MASS, "ion_mass")
-        self.temperature.require(TEMPERATURE, "temperature")
-        self.bath_density.require(NUMBER_DENSITY, "bath_density")
-        self.lattice_edge.require(LENGTH, "lattice_edge")
-        for label, q in (("ion_mass", self.ion_mass), ("temperature", self.temperature),
-                         ("bath_density", self.bath_density), ("lattice_edge", self.lattice_edge)):
+    def __init__(self, ion_mass: Quantity, temperature: Quantity, bath_density: Quantity,
+                 lattice_edge: Quantity, ion_count: float = DEFAULT_ION_COUNT) -> None:
+        ion_mass.require(MASS, "ion_mass")
+        temperature.require(TEMPERATURE, "temperature")
+        bath_density.require(NUMBER_DENSITY, "bath_density")
+        lattice_edge.require(LENGTH, "lattice_edge")
+        for label, q in (("ion_mass", ion_mass), ("temperature", temperature),
+                         ("bath_density", bath_density), ("lattice_edge", lattice_edge)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
-        if self.thermal_energy.si == 0.0:
+        thermal_energy = CODATA.k_B * temperature
+        if thermal_energy.si == 0.0:
             raise ValidationError(
-                f"temperature {self.temperature.si!r} K is too low: k_B T underflows to 0.0 J"
+                f"temperature {temperature.si!r} K is too low: k_B T underflows to 0.0 J"
             )
-        if self.ion_count < 1:
-            raise ValidationError(f"ion_count must be at least 1, got {self.ion_count!r}")
-
-    @cached_property
-    def thermal_energy(self) -> Quantity:
-        return CODATA.k_B * self.temperature
+        if ion_count < 1:
+            raise ValidationError(f"ion_count must be at least 1, got {ion_count!r}")
+        _Record.__init__(self, ion_mass, temperature, bath_density, lattice_edge, ion_count)
+        object.__setattr__(self, "thermal_energy", thermal_energy)
 
 
 def context_for_salt(

@@ -19,39 +19,35 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from ._numpy import np
 from .core import suppression_rate_time
 from .errors import ValidationError
-from .units import LENGTH, Quantity, length_m, time_s
+from .units import LENGTH, Quantity, _Record, length_m, time_s
 
 HERMITICITY_ATOL = 1e-12
 TRACE_RTOL = 1e-9
 EIGENVALUE_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class SuperpositionSpec:
+class SuperpositionSpec(_Record):
     """Two Gaussian packets, centres +-separation/2, common width, relative phase."""
 
-    separation: Quantity
-    width: Quantity
-    relative_phase: float = 0.0
+    __slots__ = _fields = ("separation", "width", "relative_phase")
 
-    def __post_init__(self) -> None:
-        self.separation.require(LENGTH, "separation")
-        self.width.require(LENGTH, "width")
-        if self.separation.si < 0:
+    def __init__(self, separation: Quantity, width: Quantity, relative_phase: float = 0.0) -> None:
+        separation.require(LENGTH, "separation")
+        width.require(LENGTH, "width")
+        if separation.si < 0:
             raise ValidationError("separation must be nonnegative")
-        if self.width.si <= 0:
+        if width.si <= 0:
             raise ValidationError("width must be positive")
-        if not math.isfinite(self.relative_phase):
-            raise ValidationError(f"relative_phase must be finite, got {self.relative_phase!r}")
+        if not math.isfinite(relative_phase):
+            raise ValidationError(f"relative_phase must be finite, got {relative_phase!r}")
+        _Record.__init__(self, separation, width, relative_phase)
 
 
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
+class ReducedDensityMatrix(_Record):
     """Grid-sampled density matrix plus its t=0 elements for coherence ratios.
 
     This package never modifies these arrays in place: each evolution step
@@ -59,11 +55,7 @@ class ReducedDensityMatrix:
     array as both ``elements`` and ``initial_elements``.
     """
 
-    positions: np.ndarray
-    spacing: Quantity
-    elements: np.ndarray
-    initial_elements: np.ndarray
-    time: Quantity
+    __slots__ = _fields = ("positions", "spacing", "elements", "initial_elements", "time")
 
     @property
     def size(self) -> int:
@@ -154,7 +146,7 @@ def apply_decoherence(
 ) -> ReducedDensityMatrix:
     """One evolution step; returns a new state, the input is unchanged."""
     kernel = suppression_kernel(rho.positions, rate, wavelength, dt)
-    return replace(rho, elements=rho.elements * kernel, time=rho.time + dt)
+    return ReducedDensityMatrix(rho.positions, rho.spacing, rho.elements * kernel, rho.initial_elements, rho.time + dt)
 
 
 def trace(rho: ReducedDensityMatrix) -> float:
@@ -230,15 +222,10 @@ def coherence_ratio(rho: ReducedDensityMatrix, separation: Quantity) -> float:
     return now / then
 
 
-@dataclass(frozen=True)
-class SimSample:
+class SimSample(_Record):
     """One row of an evolution time series."""
 
-    time: float
-    coherence: float
-    trace: float
-    purity: float
-    min_eigenvalue: float
+    __slots__ = _fields = ("time", "coherence", "trace", "purity", "min_eigenvalue")
 
 
 def evolve_series(

@@ -11,11 +11,9 @@ Records keep file order, which is also the fixed output order everywhere.
 
 from __future__ import annotations
 
-import io
+import math
+import os
 import re
-from dataclasses import dataclass
-from importlib import resources
-from typing import IO, Iterable
 
 from .errors import SaltDataError, ValidationError
 from .units import (
@@ -24,6 +22,7 @@ from .units import (
     MASS_DENSITY,
     NUMBER_DENSITY,
     Quantity,
+    _Record,
     length_angstrom,
     mass_amu,
     time_s,
@@ -45,20 +44,18 @@ _FIELD_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class IonSpecies:
+class IonSpecies(_Record):
     """A single ionic species: element symbol, mass, signed charge number."""
 
-    symbol: str
-    mass: Quantity
-    charge_number: int
+    __slots__ = _fields = ("symbol", "mass", "charge_number")
 
-    def __post_init__(self) -> None:
-        self.mass.require(MASS, f"{self.symbol} mass")
-        if self.mass.si <= 0:
-            raise ValidationError(f"{self.symbol}: mass must be positive")
-        if self.charge_number == 0:
-            raise ValidationError(f"{self.symbol}: charge number must be nonzero")
+    def __init__(self, symbol: str, mass: Quantity, charge_number: int) -> None:
+        mass.require(MASS, f"{symbol} mass")
+        if mass.si <= 0:
+            raise ValidationError(f"{symbol}: mass must be positive")
+        if charge_number == 0:
+            raise ValidationError(f"{symbol}: charge number must be nonzero")
+        _Record.__init__(self, symbol, mass, charge_number)
 
 
 def parse_ion(symbol: str, mass_in_amu: float) -> IonSpecies:
@@ -74,8 +71,7 @@ def parse_ion(symbol: str, mass_in_amu: float) -> IonSpecies:
     return IonSpecies(symbol, mass_amu(mass_in_amu), magnitude if sign == "+" else -magnitude)
 
 
-@dataclass(frozen=True)
-class SaltRecord:
+class SaltRecord(_Record):
     """One binary salt: ions, bulk density, lattice edge, optional metadata.
 
     ``ref_tau1`` and ``ref_tau2`` are published reference decoherence times
@@ -83,26 +79,23 @@ class SaltRecord:
     ``water_per_ion`` is the saturation ratio, informational only.
     """
 
-    name: str
-    cation: IonSpecies
-    anion: IonSpecies
-    mass_density: Quantity
-    lattice_edge: Quantity
-    water_per_ion: float | None = None
-    ref_tau1: Quantity | None = None
-    ref_tau2: Quantity | None = None
+    __slots__ = _fields = ("name", "cation", "anion", "mass_density", "lattice_edge",
+                           "water_per_ion", "ref_tau1", "ref_tau2")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, cation: IonSpecies, anion: IonSpecies, mass_density: Quantity,
+                 lattice_edge: Quantity, water_per_ion: float | None = None,
+                 ref_tau1: Quantity | None = None, ref_tau2: Quantity | None = None) -> None:
+        if not name:
             raise ValidationError("salt name must be nonempty")
-        self.mass_density.require(MASS_DENSITY, f"{self.name}: density_kg_m3")
-        self.lattice_edge.require(LENGTH, f"{self.name}: lattice_a_angstrom")
-        if self.mass_density.si <= 0:
-            raise ValidationError(f"{self.name}: density_kg_m3 must be positive")
-        if self.lattice_edge.si <= 0:
-            raise ValidationError(f"{self.name}: lattice_a_angstrom must be positive")
-        if self.water_per_ion is not None and self.water_per_ion <= 0:
-            raise ValidationError(f"{self.name}: water_per_ion must be positive")
+        mass_density.require(MASS_DENSITY, f"{name}: density_kg_m3")
+        lattice_edge.require(LENGTH, f"{name}: lattice_a_angstrom")
+        if mass_density.si <= 0:
+            raise ValidationError(f"{name}: density_kg_m3 must be positive")
+        if lattice_edge.si <= 0:
+            raise ValidationError(f"{name}: lattice_a_angstrom must be positive")
+        if water_per_ion is not None and water_per_ion <= 0:
+            raise ValidationError(f"{name}: water_per_ion must be positive")
+        _Record.__init__(self, name, cation, anion, mass_density, lattice_edge, water_per_ion, ref_tau1, ref_tau2)
 
     @property
     def formula_mass(self) -> Quantity:
@@ -119,9 +112,12 @@ def number_density(record: SaltRecord) -> Quantity:
 
 def _parse_float(field: str, name: str, line_number: int) -> float:
     try:
-        return float(field)
+        value = float(field)
     except ValueError:
         raise SaltDataError(f"field {name!r}: cannot parse {field!r} as a number", line_number) from None
+    if not math.isfinite(value):
+        raise SaltDataError(f"field {name!r}: {field!r} is not a finite number", line_number)
+    return value
 
 
 def _parse_optional(field: str, name: str, line_number: int) -> float | None:
@@ -130,7 +126,7 @@ def _parse_optional(field: str, name: str, line_number: int) -> float | None:
     return _parse_float(field, name, line_number)
 
 
-def load_salt_database(stream: IO[str] | Iterable[str]) -> list[SaltRecord]:
+def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
     """Parse salt records from a text stream in file order.
 
     Raises SaltDataError with a line number on malformed input and
@@ -178,15 +174,17 @@ def _scaled_time(value: float | None, scale: float) -> Quantity | None:
 
 
 def load_salts(path) -> list[SaltRecord]:
-    """Load salt records from a file path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_salt_database(handle)
+    """Load salt records from a file path; a file that is not UTF-8 raises SaltDataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return load_salt_database(handle)
+    except UnicodeDecodeError as exc:
+        raise SaltDataError(f"cannot read data file {path!r}: not UTF-8 text ({exc.reason})") from None
 
 
 def bundled_salt_database() -> list[SaltRecord]:
     """The 16 binary salts shipped with the package, in fixed order."""
-    text = resources.files("iondecoh").joinpath("data/salts.csv").read_text(encoding="utf-8")
-    return load_salt_database(io.StringIO(text))
+    return load_salts(os.path.join(os.path.dirname(__file__), "data", "salts.csv"))
 
 
 def salt_by_name(records: list[SaltRecord], name: str) -> SaltRecord:

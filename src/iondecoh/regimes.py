@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .core import DecoherenceContext, tau1 as _tau1
 from .errors import ValidationError
 from .materials import SaltRecord
-from .units import CODATA, LENGTH, MASS_DENSITY, TIME, Quantity
+from .units import CODATA, LENGTH, MASS_DENSITY, TIME, Quantity, _Record
 
 DEFAULT_THRESHOLD_RATIO = 1e3
 
@@ -42,16 +41,10 @@ class Verdict(enum.Enum):
     QFT_REGIME_INDICATED = "QftRegimeIndicated"
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(_Record):
     """Classification result with every input echoed for auditability."""
 
-    tau1: Quantity
-    tau2: Quantity
-    tau_dyn: Quantity
-    coherent_phase_observed: bool
-    threshold_ratio: float
-    verdict: Verdict
+    __slots__ = _fields = ("tau1", "tau2", "tau_dyn", "coherent_phase_observed", "threshold_ratio", "verdict")
 
     @property
     def tau_dec(self) -> Quantity:
@@ -106,18 +99,11 @@ def classify(
         verdict = Verdict.QFT_REGIME_INDICATED
     else:
         verdict = Verdict.CLASSICAL_LIMIT
-    return RegimeReport(
-        tau1=tau1,
-        tau2=tau2,
-        tau_dyn=tau_dyn,
-        coherent_phase_observed=coherent_phase_observed,
-        threshold_ratio=threshold_ratio,
-        verdict=verdict,
-    )
+    # positional: the records' keyword path costs about a microsecond more
+    return RegimeReport(tau1, tau2, tau_dyn, coherent_phase_observed, threshold_ratio, verdict)
 
 
-@dataclass(frozen=True)
-class XRayCheck:
+class XRayCheck(_Record):
     """Implied bulk properties if tau1 is rescaled to an X-ray interaction time.
 
     Scattering favours the X-ray probe by tau1 / tau_x, so a medium that
@@ -127,11 +113,7 @@ class XRayCheck:
     free-space length scale of the probe.
     """
 
-    tau1: Quantity
-    tau_x: Quantity
-    wavelength_x: Quantity
-    implied_density: Quantity
-    implied_spacing: Quantity
+    __slots__ = _fields = ("tau1", "tau_x", "wavelength_x", "implied_density", "implied_spacing")
 
     def to_dict(self) -> dict:
         return {

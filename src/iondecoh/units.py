@@ -12,8 +12,8 @@ an identity test. Each instance remembers the results of its ``*``, ``/``,
 ``**`` and ``root``, so a formula that has run once composes its dimensions
 by dictionary lookups and creates no new ``Dimension``. A ``Quantity`` is a
 slotted object whose constructor still coerces to float and rejects
-non-finite magnitudes. Both classes are immutable: assigning to a field
-raises ``dataclasses.FrozenInstanceError``.
+non-finite magnitudes. Both classes, and the package's records, are slotted
+and frozen: assigning to a field raises ``dataclasses.FrozenInstanceError``.
 
 Inputs arrive in the units people actually use (amu, angstrom) and are
 converted on construction; all internal math is SI.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DimensionError
 
@@ -45,11 +44,62 @@ _INTERNED: dict[tuple, "Dimension"] = {}
 
 
 def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Record:
+    """Base of the frozen records, whose subclasses name their fields in ``_fields``.
+
+    ``==`` (within one class), ``hash``, ``repr``, pickle and copy go over the fields in
+    order, as for a frozen dataclass. A subclass that checks its fields calls this ``__init__`` last.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the fields' own slot setters, which bypass the frozen __setattr__
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        # a missing field makes pop raise KeyError; an unknown or repeated one stays in kwargs
+        try:
+            if kwargs:
+                args += tuple(map(kwargs.pop, self._fields[len(args):]))
+            if kwargs or len(args) != len(self._fields):
+                raise KeyError
+        except KeyError:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}") from None
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
 
 class Dimension:
@@ -147,7 +197,7 @@ MASS_DENSITY = MASS / LENGTH ** 3
 
 
 @functools.total_ordering
-class Quantity:
+class Quantity(_Record):
     """A finite SI magnitude with dimension exponents.
 
     Attributes
@@ -158,7 +208,7 @@ class Quantity:
         Dimension exponents.
     """
 
-    __slots__ = ("si", "dim")
+    __slots__ = _fields = ("si", "dim")
 
     def __init__(self, si: float, dim: Dimension = DIMENSIONLESS) -> None:
         si = float(si)
@@ -166,23 +216,6 @@ class Quantity:
             raise ValueError(f"quantity magnitude must be finite, got {si!r}")
         _set_si(self, si)
         _set_dim(self, dim)
-
-    def __repr__(self) -> str:
-        return f"Quantity(si={self.si!r}, dim={self.dim!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.si == other.si and self.dim is other.dim
-
-    def __hash__(self) -> int:
-        return hash((self.si, self.dim))
-
-    def __reduce__(self):
-        return self.__class__, (self.si, self.dim)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -266,9 +299,7 @@ class Quantity:
         return f"{self.si:g} {self.dim}"
 
 
-# the slots' own setters, which bypass the frozen __setattr__
-_set_si = Quantity.si.__set__
-_set_dim = Quantity.dim.__set__
+_set_si, _set_dim = Quantity._setters
 
 
 def _quotient(a: float, b: float) -> float:
@@ -313,19 +344,17 @@ def rate_per_s(value: float) -> Quantity:
     return Quantity(value, RATE)
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     """CODATA constants as Quantities; g is the Coulomb constant 1/(4 pi eps0)."""
 
-    hbar: Quantity = Quantity(_HBAR, MASS * LENGTH ** 2 / TIME)
-    k_B: Quantity = Quantity(_K_B, ENERGY / TEMPERATURE)
-    q_e: Quantity = Quantity(_E, CHARGE)
-    coulomb_g: Quantity = Quantity(
-        1.0 / (4.0 * math.pi * _EPSILON_0),
-        MASS * LENGTH ** 3 / (TIME ** 2 * CHARGE ** 2),
-    )
-    amu: Quantity = Quantity(_ATOMIC_MASS, MASS)
-    c: Quantity = Quantity(_C, SPEED)
+    __slots__ = _fields = ("hbar", "k_B", "q_e", "coulomb_g", "amu", "c")
 
 
-CODATA = PhysicalConstants()
+CODATA = PhysicalConstants(
+    hbar=Quantity(_HBAR, MASS * LENGTH ** 2 / TIME),
+    k_B=Quantity(_K_B, ENERGY / TEMPERATURE),
+    q_e=Quantity(_E, CHARGE),
+    coulomb_g=Quantity(1.0 / (4.0 * math.pi * _EPSILON_0), MASS * LENGTH ** 3 / (TIME ** 2 * CHARGE ** 2)),
+    amu=Quantity(_ATOMIC_MASS, MASS),
+    c=Quantity(_C, SPEED),
+)

@@ -18,27 +18,25 @@ approaches that limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from ._numpy import np
 from .errors import ValidationError
+from .units import _Record
 
 
-@dataclass(frozen=True)
-class BogoliubovProfile:
+class BogoliubovProfile(_Record):
     """Per-mode coefficients U_k, each in (0, 1]; V_k = sqrt(1 - U_k^2) is implied."""
 
-    u: np.ndarray
+    __slots__ = _fields = ("u",)
 
-    def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
+    def __init__(self, u: np.ndarray) -> None:
+        u = np.asarray(u, dtype=float)
         if u.ndim != 1:
             raise ValidationError("u must be a 1-d array")
         # NaN fails both comparisons, so it is rejected too
         if u.size and not (np.min(u) > 0.0 and np.max(u) <= 1.0):
             raise ValidationError("every U_k must be in (0, 1]")
+        _Record.__init__(self, u)
 
     @property
     def mode_count(self) -> int:
@@ -79,6 +77,8 @@ def pairing_family(
         raise ValidationError(f"half_bandwidth must be positive, got {half_bandwidth!r}")
     if not math.isfinite(2.0 * half_bandwidth):
         raise ValidationError(f"2 * half_bandwidth must be finite, got {half_bandwidth!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
     def family(modes: int) -> BogoliubovProfile:
         if modes < 0:

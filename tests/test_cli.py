@@ -264,8 +264,15 @@ MISSING_SIM = ["sim", "--salt", "NaCl", "--separation", "3e-9", "--width", "3e-1
 MISSED = "grid cannot resolve the packets: the sampled state has norm 0.0; raise num_points or lower extent_widths"
 SUBNORMAL = "K is too low for tau1: the product under its square root is below the smallest normal double"
 
-# argv -> the one stderr line of a run that exits 1 with nothing on stdout;
-# in process, a numpy RuntimeWarning on the way fails the test
+# a data-file fault: the case writes its bytes to a file, puts that file's
+# path for DATA_FILE in argv and {path} in the message, and expects exit 2
+DATA_FILE = "{data-file}"
+NAN_DENSITY = GOOD_LINE.replace(",2163,", ",nan,")
+NAN_WATER = GOOD_LINE.replace(",10,", ",nan,")
+
+# argv -> the one stderr line of a run that exits 1 (or, with a third item
+# holding data-file bytes, 2) with nothing on stdout; in process, a numpy
+# RuntimeWarning on the way fails the test
 ONE_LINE_ERRORS = {
     "factor-overflow": (["factor", "--wavelength", "1e-10", "--rate", "1e300", "--time", "1e300", "--dx", "0"],
                         "rate * time must be finite, got 1e+300 * 1e+300"),
@@ -316,13 +323,28 @@ ONE_LINE_ERRORS = {
          "--extent-widths", "1.8e158", "--t-total", "1e-15", "--steps", "1", "--num-points", "8",
          "--format", "csv"],
         "extent_widths must be positive and give a finite grid span, got 1.8e+158"),
+    "bcs-negative-seed": (["bcs", "--modes", "10", "--seed=-1"], "seed must be a non-negative integer, got -1"),
+    "data-file-not-utf8": (["table", "--data-file", DATA_FILE],
+                           "cannot read data file '{path}': not UTF-8 text (invalid start byte)",
+                           b"\xff" + GOOD_LINE.encode()),
+    "data-file-nan-density": (["table", "--data-file", DATA_FILE, "--format", "csv"],
+                              "line 1: field 'density_kg_m3': 'nan' is not a finite number", NAN_DENSITY.encode()),
+    "data-file-nan-water": (["table", "--data-file", DATA_FILE],
+                            "line 2: field 'water_per_ion': 'nan' is not a finite number",
+                            ("# header\n" + NAN_WATER).encode()),
 }
 
 
 @pytest.mark.parametrize("case", list(ONE_LINE_ERRORS))
-def test_one_line_error(capsys, case):
-    argv, message = ONE_LINE_ERRORS[case]
-    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+def test_one_line_error(capsys, tmp_path, case):
+    argv, message, *data = ONE_LINE_ERRORS[case]
+    code = 1
+    if data:
+        path = tmp_path / "salts.csv"
+        path.write_bytes(data[0])
+        argv = [str(path) if arg == DATA_FILE else arg for arg in argv]
+        message, code = message.replace("{path}", str(path)), 2
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 def test_cold_table_keeps_representable_times(capsys):
@@ -496,8 +518,11 @@ def isolated_run(tmp_path_factory):
         if case not in results:
             argv, _ = IMPORT_RUNS[case]
             argv = [str(malformed) if arg == "{malformed}" else arg for arg in argv]
-            # a None entry in sys.modules makes every import of that name raise ImportError
-            blocked = ["scipy"] if case in ("sim", "bcs") else ["scipy", "numpy"]
+            # a None entry in sys.modules makes every import of that name raise ImportError:
+            # no run loads scipy or dataclasses, only sim and bcs numpy, and the csv table no json
+            blocked = ["scipy", "dataclasses"] if case in ("sim", "bcs") else ["scipy", "dataclasses", "numpy"]
+            if case == "table":
+                blocked.append("json")
             script = (
                 "import sys\n"
                 f"for name in {blocked!r}:\n"
@@ -532,6 +557,12 @@ def test_scalar_subcommands_run_without_numpy(isolated_run, case):
     else:
         (line,) = result.stderr.splitlines()
         assert line.startswith("error: ")
+
+
+def test_csv_table_runs_with_json_blocked(isolated_run):
+    assert IMPORT_RUNS["table"][0][-1] == "csv"
+    result = isolated_run("table")
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["sim", "bcs"])

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 
 import pytest
@@ -49,7 +48,8 @@ def test_number_density_nacl():
 
 def test_number_density_scales_linearly_with_density():
     nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
-    doubled = dataclasses.replace(nacl, mass_density=mass_density_kg_m3(2.0 * nacl.mass_density.si))
+    doubled = materials.SaltRecord(nacl.name, nacl.cation, nacl.anion,
+                                   mass_density_kg_m3(2.0 * nacl.mass_density.si), nacl.lattice_edge)
     assert materials.number_density(doubled).si == pytest.approx(
         2.0 * materials.number_density(nacl).si, rel=1e-15
     )
@@ -57,10 +57,12 @@ def test_number_density_scales_linearly_with_density():
 
 def test_number_density_inverse_in_formula_mass():
     nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
-    heavy = dataclasses.replace(
-        nacl,
+    heavy = materials.SaltRecord(
+        nacl.name,
         cation=materials.parse_ion("Na+", 2 * 22.990),
         anion=materials.parse_ion("Cl-", 2 * 35.453),
+        mass_density=nacl.mass_density,
+        lattice_edge=nacl.lattice_edge,
     )
     assert materials.number_density(heavy).si == pytest.approx(
         materials.number_density(nacl).si / 2.0, rel=1e-12
@@ -129,7 +131,7 @@ def test_unknown_salt_lookup_lists_valid_names():
 def test_record_validation_rejects_wrong_dimension():
     nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
     with pytest.raises(DimensionError):
-        dataclasses.replace(nacl, mass_density=time_s(1.0))
+        materials.SaltRecord(nacl.name, nacl.cation, nacl.anion, time_s(1.0), nacl.lattice_edge)
 
 
 def test_number_density_every_bundled_salt_positive():
