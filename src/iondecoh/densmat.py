@@ -13,6 +13,12 @@ stays Hermitian, trace-one, and positive semidefinite at every step.
 Grid convention: positions x_i, spacing h; trace = h * sum(diag), purity =
 h^2 * sum |rho_ij|^2 (discrete double integral), so a pure state has
 purity 1 on the grid.
+
+Memory: a state is N^2 complex doubles, 16 N^2 bytes. Every full-size
+intermediate is built in place or in blocks of ``_BLOCK_ROWS`` rows, so an
+N-point run peaks at about three state-size arrays (48 N^2 bytes: the
+prepared state, the current state and the eigensolver's copy of it) plus
+the interpreter and numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .units import LENGTH, Quantity, _Record, length_m, time_s
 HERMITICITY_ATOL = 1e-12
 TRACE_RTOL = 1e-9
 EIGENVALUE_FLOOR = 1e-9
+_BLOCK_ROWS = 64
 
 
 class SuperpositionSpec(_Record):
@@ -117,7 +124,8 @@ def prepare_superposition(
     # rounding in complex products can break rho = rho^dagger at the last
     # bit; symmetrise once, after which the real symmetric damping kernel
     # preserves Hermiticity exactly
-    rho = 0.5 * (rho + rho.conj().T)
+    np.add(rho, rho.conj().T, out=rho)
+    np.multiply(0.5, rho, out=rho)
     return ReducedDensityMatrix(
         positions=x,
         spacing=length_m(h),
@@ -127,26 +135,43 @@ def prepare_superposition(
     )
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most _BLOCK_ROWS rows that together cover n rows."""
+    return [slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)]
+
+
 def suppression_kernel(
-    positions: np.ndarray, rate: Quantity, wavelength: Quantity, dt: Quantity
+    positions: np.ndarray, rate: Quantity, wavelength: Quantity, dt: Quantity, *, rows: slice = slice(None)
 ) -> np.ndarray:
     """Elementwise damping factors exp(Lambda dt (exp(-dx^2/2 lambda^2) - 1)).
 
+    ``rows`` selects the rows of the kernel to build, all by default.
     An overflowing (dx / lambda)^2 gives the saturated factor exp(-Lambda dt).
     """
     rate_dt = suppression_rate_time(rate, dt, wavelength, "dt")
-    dx = positions[:, None] - positions[None, :]
+    k = positions[rows, None] - positions[None, :]
     with np.errstate(over="ignore"):
-        u = 0.5 * (dx / wavelength.si) ** 2
-    return np.exp(rate_dt * np.expm1(-u))
+        k /= wavelength.si
+        k **= 2
+    np.multiply(0.5, k, out=k)
+    np.negative(k, out=k)
+    np.expm1(k, out=k)
+    np.multiply(rate_dt, k, out=k)
+    return np.exp(k, out=k)
 
 
 def apply_decoherence(
     rho: ReducedDensityMatrix, rate: Quantity, wavelength: Quantity, dt: Quantity
 ) -> ReducedDensityMatrix:
-    """One evolution step; returns a new state, the input is unchanged."""
-    kernel = suppression_kernel(rho.positions, rate, wavelength, dt)
-    return ReducedDensityMatrix(rho.positions, rho.spacing, rho.elements * kernel, rho.initial_elements, rho.time + dt)
+    """One evolution step; returns a new state, the input is unchanged.
+
+    The kernel is built and applied one block of rows at a time.
+    """
+    elements = np.empty_like(rho.elements)
+    for rows in _row_blocks(rho.size):
+        kernel = suppression_kernel(rho.positions, rate, wavelength, dt, rows=rows)
+        np.multiply(rho.elements[rows], kernel, out=elements[rows])
+    return ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_elements, rho.time + dt)
 
 
 def trace(rho: ReducedDensityMatrix) -> float:
@@ -154,12 +179,25 @@ def trace(rho: ReducedDensityMatrix) -> float:
 
 
 def purity(rho: ReducedDensityMatrix) -> float:
-    return rho.spacing.si ** 2 * float(np.sum(np.abs(rho.elements) ** 2))
+    # one sum over the whole array: summing in blocks would change the rounding
+    magnitude = np.abs(rho.elements)
+    magnitude **= 2
+    return rho.spacing.si ** 2 * float(np.sum(magnitude))
+
+
+def _max_abs_over_row_blocks(rho: ReducedDensityMatrix, block) -> float:
+    """Largest |block(rows)| over the row blocks of the state.
+
+    The max is exact, so blocking does not change it, and np.max over the
+    block maxima keeps a NaN from any block.
+    """
+    return float(np.max([np.max(np.abs(block(rows))) for rows in _row_blocks(rho.size)]))
 
 
 def hermiticity_defect(rho: ReducedDensityMatrix) -> float:
     """Largest elementwise deviation from rho = rho^dagger."""
-    return float(np.max(np.abs(rho.elements - rho.elements.conj().T)))
+    a = rho.elements
+    return _max_abs_over_row_blocks(rho, lambda rows: a[rows] - a[:, rows].conj().T)
 
 
 def min_eigenvalue(rho: ReducedDensityMatrix) -> float:
@@ -180,7 +218,8 @@ def check_invariants(rho: ReducedDensityMatrix) -> tuple[float, float]:
     the Hermiticity defect NaN, so it is rejected before the eigensolve.
     """
     defect = hermiticity_defect(rho)
-    if not defect <= HERMITICITY_ATOL * max(1.0, float(np.max(np.abs(rho.elements)))):
+    largest = _max_abs_over_row_blocks(rho, lambda rows: rho.elements[rows])
+    if not defect <= HERMITICITY_ATOL * max(1.0, largest):
         raise ValidationError(f"state is not Hermitian: defect {defect:g}")
     tr = trace(rho)
     if not abs(tr - 1.0) <= TRACE_RTOL:

@@ -174,12 +174,18 @@ def _scaled_time(value: float | None, scale: float) -> Quantity | None:
 
 
 def load_salts(path) -> list[SaltRecord]:
-    """Load salt records from a file path; a file that is not UTF-8 raises SaltDataError."""
+    """Load salt records from a file path; a leading UTF-8 byte-order mark is ignored.
+
+    A file that is not UTF-8, or that holds no records, raises SaltDataError.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return load_salt_database(handle)
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            records = load_salt_database(handle)
     except UnicodeDecodeError as exc:
         raise SaltDataError(f"cannot read data file {path!r}: not UTF-8 text ({exc.reason})") from None
+    if not records:
+        raise SaltDataError(f"data file {path!r} holds no salt records")
+    return records
 
 
 def bundled_salt_database() -> list[SaltRecord]:

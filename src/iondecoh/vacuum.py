@@ -84,8 +84,13 @@ def pairing_family(
         if modes < 0:
             raise ValidationError(f"modes must be nonnegative, got {modes}")
         xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
-        v_sq = 0.5 * (1.0 - xi / np.hypot(xi, gap))
-        return BogoliubovProfile(np.sqrt(1.0 - v_sq))
+        # U_k = sqrt(1 - V_k^2), evaluated in place on one buffer
+        u = np.hypot(xi, gap)
+        np.divide(xi, u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.multiply(0.5, u, out=u)
+        np.subtract(1.0, u, out=u)
+        return BogoliubovProfile(np.sqrt(u, out=u))
 
     return family
 

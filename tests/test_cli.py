@@ -332,6 +332,9 @@ ONE_LINE_ERRORS = {
     "data-file-nan-water": (["table", "--data-file", DATA_FILE],
                             "line 2: field 'water_per_ion': 'nan' is not a finite number",
                             ("# header\n" + NAN_WATER).encode()),
+    "data-file-empty": (["table", "--data-file", DATA_FILE], "data file '{path}' holds no salt records", b""),
+    "data-file-comments-only": (["table", "--data-file", DATA_FILE, "--format", "csv"],
+                                "data file '{path}' holds no salt records", b"# only comments\n"),
 }
 
 
@@ -449,6 +452,23 @@ def test_env_var_data_dir(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "table", "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[1].startswith("Xx,")
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_byte_order_mark_is_ignored(capsys, tmp_path, monkeypatch, via):
+    path = tmp_path / "salts.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD_LINE.encode())
+    if via == "flag":
+        data = ["--data-file", str(path)]
+    else:
+        data = []
+        monkeypatch.setenv(cli.ENV_DATA_DIR, str(tmp_path))
+    code, out, err = run_cli(capsys, "table", "--format", "csv", *data)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("NaCl,4.6,4.4,")
+    code, out, err = run_cli(capsys, "factor", "--salt", "NaCl", "--dx", "3e-9", "--time", "1e-16", *data)
+    assert (code, err) == (0, "")
+    assert out.startswith("decoherence factor = ")
 
 
 def test_flag_overrides_env_var(capsys, tmp_path, monkeypatch):

@@ -262,3 +262,84 @@ def test_each_sample_is_certified_by_one_eigensolve(monkeypatch):
         assert sample.min_eigenvalue == densmat.min_eigenvalue(state)
         assert calls[-1] is state.elements
         state = densmat.apply_decoherence(state, RATE, WAVELENGTH, dt)
+
+
+# The unblocked, out-of-place expressions that prepared, stepped and checked
+# a state before they were rewritten in place and in row blocks. They stay
+# here as oracles: the rewrite must give the same bits, not close ones.
+def full_kernel(positions, rate, wavelength, dt):
+    rate_dt = core.suppression_rate_time(rate, dt, wavelength, "dt")
+    dx = positions[:, None] - positions[None, :]
+    with np.errstate(over="ignore"):
+        u = 0.5 * (dx / wavelength.si) ** 2
+    return np.exp(rate_dt * np.expm1(-u))
+
+
+BLOCKING_SIZES = [8, 63, 65, 200]  # fewer rows than one block, and not multiples of it
+PHASES = [0.0, 0.7]
+
+
+def phased_state(num_points, phase):
+    spec = densmat.SuperpositionSpec(separation=SEPARATION, width=WIDTH, relative_phase=phase)
+    return densmat.prepare_superposition(spec, num_points=num_points)
+
+
+def random_matrix(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("n", BLOCKING_SIZES)
+def test_prepared_state_is_the_symmetrised_outer_product_bit_for_bit(monkeypatch, n, phase):
+    outer_products = []
+    outer = np.outer
+
+    def recording_outer(a, b):
+        result = outer(a, b)
+        outer_products.append(result.copy())
+        return result
+
+    monkeypatch.setattr(np, "outer", recording_outer)
+    rho = phased_state(n, phase)
+    (product,) = outer_products
+    assert np.array_equal(rho.elements, 0.5 * (product + product.conj().T))
+
+
+@pytest.mark.parametrize("wavelength", [WAVELENGTH, length_m(1e-300)], ids=["finite", "saturated"])
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("n", BLOCKING_SIZES)
+def test_blocked_step_matches_the_full_kernel_bit_for_bit(n, phase, wavelength):
+    rho = phased_state(n, phase)
+    before = rho.elements.copy()
+    dt = time_s(3e-16)
+    kernel = full_kernel(rho.positions, RATE, wavelength, dt)
+    assert np.array_equal(densmat.suppression_kernel(rho.positions, RATE, wavelength, dt), kernel)
+    rows = slice(7, 7 + densmat._BLOCK_ROWS)
+    assert np.array_equal(densmat.suppression_kernel(rho.positions, RATE, wavelength, dt, rows=rows), kernel[rows])
+    evolved = densmat.apply_decoherence(rho, RATE, wavelength, dt)
+    assert np.array_equal(evolved.elements, before * kernel)
+    assert np.array_equal(rho.elements, before)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("n", BLOCKING_SIZES)
+def test_blocked_maxima_and_purity_match_the_full_array_bit_for_bit(n, phase):
+    rho = densmat.apply_decoherence(phased_state(n, phase), RATE, WAVELENGTH, time_s(3e-16))
+    skewed = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, random_matrix(n), rho.initial_elements, rho.time)
+    for state in (rho, skewed):
+        a = state.elements
+        assert densmat.hermiticity_defect(state) == float(np.max(np.abs(a - a.conj().T)))
+        assert densmat._max_abs_over_row_blocks(state, lambda rows: a[rows]) == float(np.max(np.abs(a)))
+        assert densmat.purity(state) == state.spacing.si ** 2 * float(np.sum(np.abs(a) ** 2))
+
+
+@pytest.mark.parametrize("row, column", [(0, 0), (3, 150), (199, 198)])
+def test_nan_in_any_row_block_makes_the_defect_nan_and_is_rejected(row, column):
+    rho = phased_state(200, 0.7)
+    elements = rho.elements.copy()
+    elements[row, column] = complex(np.nan, 0.0)
+    corrupted = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_elements, rho.time)
+    assert math.isnan(densmat.hermiticity_defect(corrupted))
+    with pytest.raises(ValidationError, match="not Hermitian: defect nan"):
+        densmat.check_invariants(corrupted)

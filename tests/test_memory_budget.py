@@ -1,0 +1,59 @@
+"""Traced peak memory of sim's and bcs's numpy work.
+
+numpy reports its data allocations to tracemalloc, so the traced peak
+counts every full-size temporary. LAPACK's eigensolver buffer is not
+traced, so the budgets below leave it out.
+"""
+
+import tracemalloc
+
+from iondecoh import densmat, vacuum
+from iondecoh.units import length_m, rate_per_s, time_s
+
+N = 256
+STATE_BYTES = 16 * N * N  # N^2 complex doubles
+SEPARATION = length_m(1e-8)
+SPEC = densmat.SuperpositionSpec(separation=SEPARATION, width=length_m(1e-9), relative_phase=0.7)
+
+
+def traced_peak(fn):
+    """Bytes traced at fn's peak above those traced when it starts.
+
+    fn runs once untraced first, so that imports and caches made on the
+    first call (numpy itself is imported on first use) are not counted.
+    """
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_prepare_stays_within_two_and_a_quarter_states():
+    # the outer product plus its conjugate transpose, symmetrised in place
+    peak = traced_peak(lambda: densmat.prepare_superposition(SPEC, num_points=N))
+    assert peak / STATE_BYTES <= 2.25
+
+
+def test_one_step_stays_within_1_8_states_above_the_prepared_one():
+    # the new state, the |rho|^2 buffer of purity (half a state) and row blocks
+    rho = densmat.prepare_superposition(SPEC, num_points=N)
+    peak = traced_peak(lambda: densmat.evolve_series(
+        rho, rate_per_s(1e15), length_m(1e-10), t_total=time_s(1e-15), steps=1, separation=SEPARATION
+    ))
+    assert peak / STATE_BYTES <= 1.8
+
+
+def test_pairing_profile_stays_within_two_and_a_quarter_mode_arrays():
+    # the band energies and the one buffer U_k is evaluated in
+    modes = 100_000
+    family = vacuum.pairing_family(seed=7)
+    peak = traced_peak(lambda: family(modes))
+    assert peak / (8 * modes) <= 2.25

@@ -123,3 +123,12 @@ def test_overlap_guards_against_mutated_coefficients():
     profile.u[0] = 0.0  # arrays are views; simulate downstream corruption
     with pytest.raises(ValidationError):
         vacuum.log_vacuum_overlap(profile)
+
+
+@pytest.mark.parametrize("gap, half_bandwidth, seed", [(0.2, 1.0, 0), (1e-3, 5.0, 17)])
+@pytest.mark.parametrize("modes", [0, 1, 63, 1000, 100_001])
+def test_pairing_profile_matches_the_out_of_place_formula_bit_for_bit(gap, half_bandwidth, seed, modes):
+    # the expression the in-place evaluation replaced, kept as its oracle
+    xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
+    u = np.sqrt(1.0 - 0.5 * (1.0 - xi / np.hypot(xi, gap)))
+    assert np.array_equal(vacuum.pairing_family(gap, half_bandwidth, seed)(modes).u, u)
