@@ -181,11 +181,10 @@ def _cmd_sim(args) -> str:
         width=length_m(args.width),
         relative_phase=args.phase,
     )
-    state = densmat.prepare_superposition(
-        spec, num_points=args.num_points, extent_widths=args.extent_widths
-    )
+    # passed inline: a local would keep the prepared state alive for the whole run
     samples = densmat.evolve_series(
-        state, rate, wavelength, t_total=time_s(args.t_total), steps=args.steps, separation=spec.separation
+        densmat.prepare_superposition(spec, num_points=args.num_points, extent_widths=args.extent_widths),
+        rate, wavelength, t_total=time_s(args.t_total), steps=args.steps, separation=spec.separation,
     )
     header = ["time_s", "coherence", "trace", "purity", "min_eigenvalue"]
     rows = [[s.time, s.coherence, s.trace, s.purity, s.min_eigenvalue] for s in samples]

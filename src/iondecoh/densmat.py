@@ -15,10 +15,11 @@ h^2 * sum |rho_ij|^2 (discrete double integral), so a pure state has
 purity 1 on the grid.
 
 Memory: a state is N^2 complex doubles, 16 N^2 bytes. Every full-size
-intermediate is built in place or in blocks of ``_BLOCK_ROWS`` rows, so an
-N-point run peaks at about three state-size arrays (48 N^2 bytes: the
-prepared state, the current state and the eigensolver's copy of it) plus
-the interpreter and numpy.
+intermediate is built in place or in blocks of ``_BLOCK_ROWS`` rows, and a
+state keeps only N doubles of its t=0 form (the peak magnitude of each
+diagonal band), so an N-point run peaks at about two state-size arrays
+(32 N^2 bytes: the current state and either the next one or the
+eigensolver's copy of it) plus the interpreter and numpy.
 """
 
 from __future__ import annotations
@@ -55,14 +56,15 @@ class SuperpositionSpec(_Record):
 
 
 class ReducedDensityMatrix(_Record):
-    """Grid-sampled density matrix plus its t=0 elements for coherence ratios.
+    """Grid-sampled density matrix plus the t=0 band peaks for coherence ratios.
 
-    This package never modifies these arrays in place: each evolution step
-    builds a new ``elements`` array, so a freshly prepared state holds one
-    array as both ``elements`` and ``initial_elements``.
+    ``initial_band_peaks[o]`` is max |rho_ij| over the band j - i = o of the
+    prepared state: N doubles, so an evolved state does not keep the N^2
+    prepared elements alive. This package never modifies these arrays in
+    place: each evolution step builds a new ``elements`` array.
     """
 
-    __slots__ = _fields = ("positions", "spacing", "elements", "initial_elements", "time")
+    __slots__ = _fields = ("positions", "spacing", "elements", "initial_band_peaks", "time")
 
     @property
     def size(self) -> int:
@@ -130,7 +132,7 @@ def prepare_superposition(
         positions=x,
         spacing=length_m(h),
         elements=rho,
-        initial_elements=rho,
+        initial_band_peaks=np.array([np.max(np.abs(np.diagonal(rho, o))) for o in range(num_points)]),
         time=time_s(0.0),
     )
 
@@ -171,7 +173,7 @@ def apply_decoherence(
     for rows in _row_blocks(rho.size):
         kernel = suppression_kernel(rho.positions, rate, wavelength, dt, rows=rows)
         np.multiply(rho.elements[rows], kernel, out=elements[rows])
-    return ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_elements, rho.time + dt)
+    return ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_band_peaks, rho.time + dt)
 
 
 def trace(rho: ReducedDensityMatrix) -> float:
@@ -255,7 +257,7 @@ def coherence_ratio(rho: ReducedDensityMatrix, separation: Quantity) -> float:
     """
     offset = _offset_for_separation(rho, separation)
     now = float(np.max(np.abs(np.diagonal(rho.elements, offset))))
-    then = float(np.max(np.abs(np.diagonal(rho.initial_elements, offset))))
+    then = float(rho.initial_band_peaks[offset])
     if then == 0.0:
         raise ValidationError("state had no coherence at that separation to begin with")
     return now / then
@@ -281,6 +283,8 @@ def evolve_series(
     Invariants (Hermiticity, unit trace, positivity) are checked at every
     sample and violations raise, so a returned series is also a certificate.
     Each sample reports the trace and min_eigenvalue that check measured.
+    ``rho`` is rebound at each step, so once the caller drops the prepared
+    state (as the CLI does by passing it inline) no step keeps it alive.
     """
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
@@ -297,8 +301,7 @@ def evolve_series(
         )
 
     samples = [sample(rho)]
-    current = rho
     for _ in range(steps):
-        current = apply_decoherence(current, rate, wavelength, dt)
-        samples.append(sample(current))
+        rho = apply_decoherence(rho, rate, wavelength, dt)
+        samples.append(sample(rho))
     return samples

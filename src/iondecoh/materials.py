@@ -6,6 +6,8 @@ The data file is CSV with ``#`` comment lines and ten columns::
     density_kg_m3, lattice_a_angstrom, water_per_ion, ref_tau1_1e-40s, ref_tau2_1e-38s
 
 ``water_per_ion`` and the two reference times may be ``-`` (missing).
+Every numeric field is a positive quantity whose SI value must be a
+normal double.
 Records keep file order, which is also the fixed output order everywhere.
 """
 
@@ -14,9 +16,11 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 
 from .errors import SaltDataError, ValidationError
 from .units import (
+    CODATA,
     LENGTH,
     MASS,
     MASS_DENSITY,
@@ -29,6 +33,8 @@ from .units import (
 )
 
 _ION_SYMBOL = re.compile(r"^([A-Z][a-z]?)(\d*)([+-])$")
+_AMU = CODATA.amu.si  # kg, the factor mass_amu applies
+_SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 _FIELD_NAMES = (
     "name",
@@ -110,27 +116,52 @@ def number_density(record: SaltRecord) -> Quantity:
     )
 
 
-def _parse_float(field: str, name: str, line_number: int) -> float:
+def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) -> float:
+    """The positive number in ``field``; its SI value, times ``scale`` (at most 1), must be a normal double.
+
+    Every numeric column holds a positive quantity. A value whose SI form
+    underflows, or falls below the smallest normal double and so loses
+    digits, is rejected here with its line and field.
+    """
     try:
         value = float(field)
     except ValueError:
         raise SaltDataError(f"field {name!r}: cannot parse {field!r} as a number", line_number) from None
-    if not math.isfinite(value):
-        raise SaltDataError(f"field {name!r}: {field!r} is not a finite number", line_number)
+    # one chained test passes every good value; NaN, inf, <= 0 and subnormal fail it
+    if not _SMALLEST_NORMAL <= value * scale <= _LARGEST:
+        if not math.isfinite(value):
+            raise SaltDataError(f"field {name!r}: {field!r} is not a finite number", line_number)
+        if not value > 0:
+            raise SaltDataError(f"field {name!r}: {field!r} must be positive", line_number)
+        raise SaltDataError(
+            f"field {name!r}: {field!r} is {value * scale!r} in SI units, below the smallest normal double",
+            line_number,
+        )
     return value
 
 
-def _parse_optional(field: str, name: str, line_number: int) -> float | None:
+def _parse_optional(field: str, name: str, line_number: int, scale: float = 1.0) -> float | None:
     if field == "-":
         return None
-    return _parse_float(field, name, line_number)
+    return _parse_float(field, name, line_number, scale)
+
+
+def _ion(symbol: str, mass_in_amu: float, field: str, line_number: int) -> IonSpecies:
+    """parse_ion, with a bad symbol reported as a fault of its field."""
+    try:
+        return parse_ion(symbol, mass_in_amu)
+    except ValidationError as exc:
+        raise SaltDataError(f"field {field!r}: {exc}", line_number) from None
 
 
 def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
     """Parse salt records from a text stream in file order.
 
-    Raises SaltDataError with a line number on malformed input and
-    ValidationError when a parsed value fails a physical constraint.
+    Raises SaltDataError with the line number, and the field where one is
+    at fault, on malformed input and on a value that fails a physical
+    constraint: a bad ion symbol, a field that is not positive or whose SI
+    value is not a normal double, a formula mass that overflows in amu, or
+    a number density that is not a positive normal double.
     """
     records: list[SaltRecord] = []
     seen: set[str] = set()
@@ -143,34 +174,42 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
             raise SaltDataError(
                 f"expected {len(_FIELD_NAMES)} fields, got {len(fields)}", line_number
             )
-        row = dict(zip(_FIELD_NAMES, fields))
-        name = row["name"]
+        (name, cation_symbol, cation_field, anion_symbol, anion_field,
+         density_field, lattice_field, water_field, tau1_field, tau2_field) = fields
+        if not name:
+            raise SaltDataError("field 'name': salt name must be nonempty", line_number)
         if name in seen:
             raise SaltDataError(f"duplicate salt name {name!r}", line_number)
         seen.add(name)
-        try:
-            record = SaltRecord(
-                name=name,
-                cation=parse_ion(row["cation_symbol"], _parse_float(row["cation_mass_amu"], "cation_mass_amu", line_number)),
-                anion=parse_ion(row["anion_symbol"], _parse_float(row["anion_mass_amu"], "anion_mass_amu", line_number)),
-                mass_density=Quantity(_parse_float(row["density_kg_m3"], "density_kg_m3", line_number), MASS_DENSITY),
-                lattice_edge=length_angstrom(_parse_float(row["lattice_a_angstrom"], "lattice_a_angstrom", line_number)),
-                water_per_ion=_parse_optional(row["water_per_ion"], "water_per_ion", line_number),
-                ref_tau1=_scaled_time(_parse_optional(row["ref_tau1_1e-40s"], "ref_tau1_1e-40s", line_number), 1e-40),
-                ref_tau2=_scaled_time(_parse_optional(row["ref_tau2_1e-38s"], "ref_tau2_1e-38s", line_number), 1e-38),
+        cation_amu = _parse_float(cation_field, "cation_mass_amu", line_number, _AMU)
+        cation = _ion(cation_symbol, cation_amu, "cation_symbol", line_number)
+        anion_amu = _parse_float(anion_field, "anion_mass_amu", line_number, _AMU)
+        anion = _ion(anion_symbol, anion_amu, "anion_symbol", line_number)
+        if cation_amu + anion_amu > _LARGEST:
+            raise SaltDataError(
+                f"field 'anion_mass_amu': formula mass {cation_amu!r} + {anion_amu!r} amu overflows", line_number
             )
-        except ValidationError as exc:
-            raise ValidationError(f"line {line_number}: {exc}") from None
-        records.append(record)
+        density = _parse_float(density_field, "density_kg_m3", line_number)
+        # number_density's quotient; the masses are normal, so it cannot divide by zero
+        per_m3 = density / (cation.mass.si + anion.mass.si)
+        if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:
+            raise SaltDataError(
+                f"field 'density_kg_m3': number density {per_m3!r} m^-3 is not a positive normal double",
+                line_number,
+            )
+        tau1 = _parse_optional(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
+        tau2 = _parse_optional(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
+        records.append(SaltRecord(
+            name=name,
+            cation=cation,
+            anion=anion,
+            mass_density=Quantity(density, MASS_DENSITY),
+            lattice_edge=length_angstrom(_parse_float(lattice_field, "lattice_a_angstrom", line_number, 1e-10)),
+            water_per_ion=_parse_optional(water_field, "water_per_ion", line_number),
+            ref_tau1=None if tau1 is None else time_s(tau1 * 1e-40),
+            ref_tau2=None if tau2 is None else time_s(tau2 * 1e-38),
+        ))
     return records
-
-
-def _scaled_time(value: float | None, scale: float) -> Quantity | None:
-    if value is None:
-        return None
-    if value <= 0:
-        raise ValidationError("reference time must be positive")
-    return time_s(value * scale)
 
 
 def load_salts(path) -> list[SaltRecord]:

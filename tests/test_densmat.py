@@ -74,15 +74,22 @@ def test_two_half_steps_equal_one_step():
     assert two.time.si == pytest.approx(one.time.si, rel=1e-15)
 
 
+def band_peaks(elements):
+    """max |rho_ij| over each band j - i = o, o = 0 .. N-1: coherence_ratio's expression for the current state."""
+    return [float(np.max(np.abs(np.diagonal(elements, o)))) for o in range(elements.shape[0])]
+
+
 def test_prepared_state_stores_t0_elements_once():
+    # N doubles, one per band, in place of a second reference to the N^2 elements
     rho = two_packet_state()
-    assert rho.initial_elements is rho.elements
+    assert rho.initial_band_peaks.shape == (rho.size,)
+    assert rho.initial_band_peaks.tolist() == band_peaks(rho.elements)
 
 
 def test_evolution_preserves_initial_reference():
     rho = two_packet_state()
     evolved = densmat.apply_decoherence(rho, RATE, WAVELENGTH, time_s(1e-15))
-    assert np.array_equal(evolved.initial_elements, rho.initial_elements)
+    assert evolved.initial_band_peaks is rho.initial_band_peaks
 
 
 def test_saturated_separation_reaches_exp_minus_three():
@@ -218,7 +225,7 @@ def test_check_invariants_rejects_nan_before_eigensolve(monkeypatch):
     rho = two_packet_state(num_points=64)
     elements = rho.elements.copy()
     elements[3, 5] = elements[5, 3] = complex(np.nan, 0.0)
-    corrupted = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_elements, rho.time)
+    corrupted = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_band_peaks, rho.time)
 
     def no_eigensolve(matrix):
         raise AssertionError("eigensolve reached with a non-finite state")
@@ -326,7 +333,7 @@ def test_blocked_step_matches_the_full_kernel_bit_for_bit(n, phase, wavelength):
 @pytest.mark.parametrize("n", BLOCKING_SIZES)
 def test_blocked_maxima_and_purity_match_the_full_array_bit_for_bit(n, phase):
     rho = densmat.apply_decoherence(phased_state(n, phase), RATE, WAVELENGTH, time_s(3e-16))
-    skewed = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, random_matrix(n), rho.initial_elements, rho.time)
+    skewed = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, random_matrix(n), rho.initial_band_peaks, rho.time)
     for state in (rho, skewed):
         a = state.elements
         assert densmat.hermiticity_defect(state) == float(np.max(np.abs(a - a.conj().T)))
@@ -339,7 +346,21 @@ def test_nan_in_any_row_block_makes_the_defect_nan_and_is_rejected(row, column):
     rho = phased_state(200, 0.7)
     elements = rho.elements.copy()
     elements[row, column] = complex(np.nan, 0.0)
-    corrupted = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_elements, rho.time)
+    corrupted = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_band_peaks, rho.time)
     assert math.isnan(densmat.hermiticity_defect(corrupted))
     with pytest.raises(ValidationError, match="not Hermitian: defect nan"):
         densmat.check_invariants(corrupted)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("n", BLOCKING_SIZES)
+def test_coherence_ratio_divides_by_the_t0_band_peak_bit_for_bit(n, phase):
+    # the ratio that read the t=0 elements themselves, for every band
+    rho = phased_state(n, phase)
+    initial = rho.elements.copy()
+    evolved = densmat.apply_decoherence(rho, RATE, WAVELENGTH, time_s(3e-16))
+    evolved = densmat.apply_decoherence(evolved, RATE, WAVELENGTH, time_s(2e-16))
+    for offset, (now, then) in enumerate(zip(band_peaks(evolved.elements), band_peaks(initial))):
+        separation = length_m(offset * rho.spacing.si)
+        assert densmat._offset_for_separation(evolved, separation) == offset
+        assert densmat.coherence_ratio(evolved, separation) == now / then

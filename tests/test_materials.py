@@ -110,10 +110,11 @@ def test_unparseable_number_reports_field_and_line():
         materials.load_salt_database(io.StringIO(text))
 
 
-def test_negative_density_names_field_and_salt():
+def test_negative_density_names_line_and_field():
     text = "NaCl,Na+,22.990,Cl-,35.453,-2163,5.64,10,4.6,4.4\n"
-    with pytest.raises(ValidationError, match="NaCl.*density_kg_m3"):
+    with pytest.raises(SaltDataError, match="line 1: field 'density_kg_m3'") as excinfo:
         materials.load_salt_database(io.StringIO(text))
+    assert excinfo.value.line_number == 1
 
 
 def test_duplicate_names_rejected():

@@ -57,3 +57,14 @@ def test_pairing_profile_stays_within_two_and_a_quarter_mode_arrays():
     family = vacuum.pairing_family(seed=7)
     peak = traced_peak(lambda: family(modes))
     assert peak / (8 * modes) <= 2.25
+
+
+def test_inline_prepared_series_stays_within_two_and_a_half_states():
+    # as the CLI runs it: prepare's outer product plus its conjugate
+    # transpose, then the current state with the next one or with purity's
+    # |rho|^2 buffer; no step keeps the prepared state next to them
+    peak = traced_peak(lambda: densmat.evolve_series(
+        densmat.prepare_superposition(SPEC, num_points=N), rate_per_s(1e15), length_m(1e-10),
+        t_total=time_s(1e-15), steps=2, separation=SEPARATION,
+    ))
+    assert peak / STATE_BYTES <= 2.5

@@ -44,10 +44,10 @@ RECORDS = {
         lambda: densmat.SuperpositionSpec(Quantity(1.0, LENGTH), Quantity(0.5, LENGTH)),
         f"SuperpositionSpec(separation={q(1.0, M)}, width={q(0.5, M)}, relative_phase=0.0)"),
     "ReducedDensityMatrix": (
-        lambda: densmat.ReducedDensityMatrix(np.zeros(2), Quantity(1.0, LENGTH), np.eye(2), np.eye(2),
+        lambda: densmat.ReducedDensityMatrix(np.zeros(2), Quantity(1.0, LENGTH), np.eye(2), np.array([1.0, 0.0]),
                                              Quantity(0.0, TIME)),
         f"ReducedDensityMatrix(positions=array([0., 0.]), spacing={q(1.0, M)}, elements={EYE}, "
-        f"initial_elements={EYE}, time={q(0.0, S)})"),
+        f"initial_band_peaks=array([1., 0.]), time={q(0.0, S)})"),
     "SimSample": (
         lambda: densmat.SimSample(0.5, 0.25, 1.0, 0.75, -0.0),
         "SimSample(time=0.5, coherence=0.25, trace=1.0, purity=0.75, min_eigenvalue=-0.0)"),
