@@ -2,10 +2,10 @@
 
 Usage::
 
-    python benchmarks/sim_rss.py [--src DIR] [--repeat K]
+    python benchmarks/sim_rss.py [--src DIR]
 
 Runs ``sim`` in a new interpreter for each grid size and step count below,
-K times each (default 3), with BLAS pinned to one thread, and prints the
+REPEAT times each, with BLAS pinned to one thread, and prints the
 median ``ru_maxrss`` of each in MB (KiB / 1024, as perfbench reports it).
 ``--src`` picks the source tree to import ``iondecoh`` from, by default
 the ``src`` directory next to this script, so two checkouts can be
@@ -22,6 +22,7 @@ import subprocess
 import sys
 
 RUNS = ((1024, 1), (1024, 4), (1024, 20), (2048, 1))  # (num_points, steps)
+REPEAT = 3  # fresh processes per run; the median is printed
 SIM_ARGS = ["--wavelength", "1e-10", "--rate", "1e15", "--separation", "1e-8", "--width", "1e-9",
             "--t-total", "3e-15", "--phase", "0.7", "--format", "csv"]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -44,13 +45,10 @@ def peak_rss_mb(src: str, num_points: int, steps: int) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     print("num_points,steps,peak_rss_mb")
     for num_points, steps in RUNS:
-        peaks = [peak_rss_mb(os.path.abspath(args.src), num_points, steps) for _ in range(args.repeat)]
+        peaks = [peak_rss_mb(os.path.abspath(args.src), num_points, steps) for _ in range(REPEAT)]
         print(f"{num_points},{steps},{statistics.median(peaks):.1f}")
 
 

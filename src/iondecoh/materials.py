@@ -117,11 +117,12 @@ def number_density(record: SaltRecord) -> Quantity:
 
 
 def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) -> float:
-    """The positive number in ``field``; its SI value, times ``scale`` (at most 1), must be a normal double.
+    """The number in ``field``; its SI value, times ``scale`` (at most 1), must be a positive normal double.
 
-    Every numeric column holds a positive quantity. A value whose SI form
-    underflows, or falls below the smallest normal double and so loses
-    digits, is rejected here with its line and field.
+    Every numeric column holds a positive quantity. A value that is not
+    positive, or whose SI form underflows or falls below the smallest
+    normal double and so loses digits, is rejected here with its line and
+    field.
     """
     try:
         value = float(field)
@@ -131,10 +132,8 @@ def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) ->
     if not _SMALLEST_NORMAL <= value * scale <= _LARGEST:
         if not math.isfinite(value):
             raise SaltDataError(f"field {name!r}: {field!r} is not a finite number", line_number)
-        if not value > 0:
-            raise SaltDataError(f"field {name!r}: {field!r} must be positive", line_number)
         raise SaltDataError(
-            f"field {name!r}: {field!r} is {value * scale!r} in SI units, below the smallest normal double",
+            f"field {name!r}: {field!r} is {value * scale!r} in SI units, not a positive normal double",
             line_number,
         )
     return value
@@ -146,22 +145,14 @@ def _parse_optional(field: str, name: str, line_number: int, scale: float = 1.0)
     return _parse_float(field, name, line_number, scale)
 
 
-def _ion(symbol: str, mass_in_amu: float, field: str, line_number: int) -> IonSpecies:
-    """parse_ion, with a bad symbol reported as a fault of its field."""
-    try:
-        return parse_ion(symbol, mass_in_amu)
-    except ValidationError as exc:
-        raise SaltDataError(f"field {field!r}: {exc}", line_number) from None
-
-
 def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
     """Parse salt records from a text stream in file order.
 
-    Raises SaltDataError with the line number, and the field where one is
-    at fault, on malformed input and on a value that fails a physical
-    constraint: a bad ion symbol, a field that is not positive or whose SI
-    value is not a normal double, a formula mass that overflows in amu, or
-    a number density that is not a positive normal double.
+    Raises SaltDataError with the line number, and the field for a
+    numeric one, on malformed input and on a value that fails a physical
+    constraint: a field that is not a positive normal double in SI units,
+    a number density that is not a positive normal double, a bad ion
+    symbol, a zero charge or an empty name.
     """
     records: list[SaltRecord] = []
     seen: set[str] = set()
@@ -176,39 +167,39 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
             )
         (name, cation_symbol, cation_field, anion_symbol, anion_field,
          density_field, lattice_field, water_field, tau1_field, tau2_field) = fields
-        if not name:
-            raise SaltDataError("field 'name': salt name must be nonempty", line_number)
         if name in seen:
             raise SaltDataError(f"duplicate salt name {name!r}", line_number)
         seen.add(name)
         cation_amu = _parse_float(cation_field, "cation_mass_amu", line_number, _AMU)
-        cation = _ion(cation_symbol, cation_amu, "cation_symbol", line_number)
         anion_amu = _parse_float(anion_field, "anion_mass_amu", line_number, _AMU)
-        anion = _ion(anion_symbol, anion_amu, "anion_symbol", line_number)
-        if cation_amu + anion_amu > _LARGEST:
-            raise SaltDataError(
-                f"field 'anion_mass_amu': formula mass {cation_amu!r} + {anion_amu!r} amu overflows", line_number
-            )
         density = _parse_float(density_field, "density_kg_m3", line_number)
+        lattice = _parse_float(lattice_field, "lattice_a_angstrom", line_number, 1e-10)
+        water = _parse_optional(water_field, "water_per_ion", line_number)
+        tau1 = _parse_optional(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
+        tau2 = _parse_optional(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
+        # the fields are positive normal doubles, so the records' own checks
+        # can only fail on the name, an ion symbol or a zero charge
+        try:
+            record = SaltRecord(
+                name=name,
+                cation=parse_ion(cation_symbol, cation_amu),
+                anion=parse_ion(anion_symbol, anion_amu),
+                mass_density=Quantity(density, MASS_DENSITY),
+                lattice_edge=length_angstrom(lattice),
+                water_per_ion=water,
+                ref_tau1=None if tau1 is None else time_s(tau1 * 1e-40),
+                ref_tau2=None if tau2 is None else time_s(tau2 * 1e-38),
+            )
+        except ValidationError as exc:
+            raise SaltDataError(str(exc), line_number) from None
         # number_density's quotient; the masses are normal, so it cannot divide by zero
-        per_m3 = density / (cation.mass.si + anion.mass.si)
+        per_m3 = density / (record.cation.mass.si + record.anion.mass.si)
         if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:
             raise SaltDataError(
                 f"field 'density_kg_m3': number density {per_m3!r} m^-3 is not a positive normal double",
                 line_number,
             )
-        tau1 = _parse_optional(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
-        tau2 = _parse_optional(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
-        records.append(SaltRecord(
-            name=name,
-            cation=cation,
-            anion=anion,
-            mass_density=Quantity(density, MASS_DENSITY),
-            lattice_edge=length_angstrom(_parse_float(lattice_field, "lattice_a_angstrom", line_number, 1e-10)),
-            water_per_ion=_parse_optional(water_field, "water_per_ion", line_number),
-            ref_tau1=None if tau1 is None else time_s(tau1 * 1e-40),
-            ref_tau2=None if tau2 is None else time_s(tau2 * 1e-38),
-        ))
+        records.append(record)
     return records
 
 

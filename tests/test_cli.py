@@ -11,6 +11,7 @@ from importlib import resources
 import pytest
 
 from iondecoh import cli
+from iondecoh.units import CODATA
 
 GOOD_LINE = "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
 
@@ -335,36 +336,44 @@ ONE_LINE_ERRORS = {
     "data-file-empty": (["table", "--data-file", DATA_FILE], "data file '{path}' holds no salt records", b""),
     "data-file-comments-only": (["table", "--data-file", DATA_FILE, "--format", "csv"],
                                 "data file '{path}' holds no salt records", b"# only comments\n"),
-    **{f"data-file-{case}": (["table", "--data-file", DATA_FILE], f"line 1: field {message}",
+    **{f"data-file-{case}": (["table", "--data-file", DATA_FILE], f"line 1: {message}",
                              GOOD_LINE.replace(*swap).encode())
        for case, swap, message in [
-           ("negative-density", (",2163,", ",-2163,"), "'density_kg_m3': '-2163' must be positive"),
-           ("zero-density", (",2163,", ",0,"), "'density_kg_m3': '0' must be positive"),
-           ("negative-lattice-edge", (",5.64,", ",-5.64,"), "'lattice_a_angstrom': '-5.64' must be positive"),
-           ("zero-lattice-edge", (",5.64,", ",0.0,"), "'lattice_a_angstrom': '0.0' must be positive"),
-           ("negative-cation-mass", (",22.990,", ",-22.990,"), "'cation_mass_amu': '-22.990' must be positive"),
-           ("zero-anion-mass", (",35.453,", ",0,"), "'anion_mass_amu': '0' must be positive"),
-           ("negative-water", (",10,", ",-10,"), "'water_per_ion': '-10' must be positive"),
-           ("negative-ref-tau1", (",4.6,", ",-4.6,"), "'ref_tau1_1e-40s': '-4.6' must be positive"),
-           ("zero-ref-tau2", (",4.4\n", ",0\n"), "'ref_tau2_1e-38s': '0' must be positive"),
+           ("negative-density", (",2163,", ",-2163,"),
+            "field 'density_kg_m3': '-2163' is -2163.0 in SI units, not a positive normal double"),
+           ("zero-density", (",2163,", ",0,"),
+            "field 'density_kg_m3': '0' is 0.0 in SI units, not a positive normal double"),
+           ("negative-lattice-edge", (",5.64,", ",-5.64,"),
+            "field 'lattice_a_angstrom': '-5.64' is -5.64e-10 in SI units, not a positive normal double"),
+           ("zero-lattice-edge", (",5.64,", ",0.0,"),
+            "field 'lattice_a_angstrom': '0.0' is 0.0 in SI units, not a positive normal double"),
+           ("negative-cation-mass", (",22.990,", ",-22.990,"),
+            f"field 'cation_mass_amu': '-22.990' is {-22.990 * CODATA.amu.si!r} in SI units, "
+            "not a positive normal double"),
+           ("zero-anion-mass", (",35.453,", ",0,"),
+            "field 'anion_mass_amu': '0' is 0.0 in SI units, not a positive normal double"),
+           ("negative-water", (",10,", ",-10,"),
+            "field 'water_per_ion': '-10' is -10.0 in SI units, not a positive normal double"),
+           ("negative-ref-tau1", (",4.6,", ",-4.6,"),
+            f"field 'ref_tau1_1e-40s': '-4.6' is {-4.6 * 1e-40!r} in SI units, not a positive normal double"),
+           ("zero-ref-tau2", (",4.4\n", ",0\n"),
+            "field 'ref_tau2_1e-38s': '0' is 0.0 in SI units, not a positive normal double"),
            # positive in the file, but zero or subnormal once in SI units
            ("ref-tau1-underflows", (",4.6,", ",1e-300,"),
-            "'ref_tau1_1e-40s': '1e-300' is 0.0 in SI units, below the smallest normal double"),
+            "field 'ref_tau1_1e-40s': '1e-300' is 0.0 in SI units, not a positive normal double"),
            ("mass-underflows", (",35.453,", ",1e-320,"),
-            "'anion_mass_amu': '1e-320' is 0.0 in SI units, below the smallest normal double"),
+            "field 'anion_mass_amu': '1e-320' is 0.0 in SI units, not a positive normal double"),
            ("subnormal-density", (",2163,", ",1e-320,"),
-            "'density_kg_m3': '1e-320' is 1e-320 in SI units, below the smallest normal double"),
-           ("formula-mass-overflows", (",22.990,Cl-,35.453,", ",1e308,Cl-,1e308,"),
-            "'anion_mass_amu': formula mass 1e+308 + 1e+308 amu overflows"),
+            "field 'density_kg_m3': '1e-320' is 1e-320 in SI units, not a positive normal double"),
            ("number-density-overflows", (",22.990,Cl-,35.453,2163,", ",1,Cl-,1,1e308,"),
-            "'density_kg_m3': number density inf m^-3 is not a positive normal double"),
+            "field 'density_kg_m3': number density inf m^-3 is not a positive normal double"),
            ("number-density-underflows", (",22.990,Cl-,35.453,2163,", ",1e300,Cl-,1,2.3e-308,"),
-            "'density_kg_m3': number density 0.0 m^-3 is not a positive normal double"),
+            "field 'density_kg_m3': number density 0.0 m^-3 is not a positive normal double"),
            ("bad-ion-symbol", (",Na+,", ",Na,"),
-            "'cation_symbol': ion symbol 'Na' must be an element followed by an optional multiplicity "
+            "ion symbol 'Na' must be an element followed by an optional multiplicity "
             "and a +/- sign, like Na+ or Zn2+"),
-           ("zero-charge", (",Cl-,", ",Cl0-,"), "'anion_symbol': Cl0-: charge number must be nonzero"),
-           ("empty-name", ("NaCl,", ","), "'name': salt name must be nonempty"),
+           ("zero-charge", (",Cl-,", ",Cl0-,"), "Cl0-: charge number must be nonzero"),
+           ("empty-name", ("NaCl,", ","), "salt name must be nonempty"),
        ]},
 }
 
