@@ -26,6 +26,7 @@ from .materials import SaltRecord, bundled_salt_database, load_salts, salt_by_na
 from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
+_JSON_BATCH = 4096  # json chunks joined at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,9 +92,16 @@ def _render_table(header, rows, fmt, json_payload):
         lines += [",".join(_cell(value) for value in row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import itertools
         import json
 
-        return json.dumps(json_payload, sort_keys=True, indent=2) + "\n"
+        # json.dumps lists every chunk of the pure-Python indent encoder (16 to
+        # 24 a table row) before its one join; joining a batch at a time keeps
+        # one batch of chunks alive next to the text. The encoder yields no
+        # empty chunk, so an empty batch means it is done.
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_payload)
+        batches = iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)), "")
+        return "".join([*batches, "\n"])
     widths = [
         max(len(str(header[i])), *(len(_cell(row[i])) for row in rows)) if rows else len(str(header[i]))
         for i in range(len(header))
@@ -140,24 +148,29 @@ def _deliver(text: str, output: str | None) -> None:
 def _cmd_table(args) -> str:
     records = _select_salts(_load_records(args), args.salts)
     header = ["name", "tau1_1e-40s", "tau2_1e-38s", "tau1_s", "tau2_s"]
-    rows = []
-    salts_json = []
-    for record in records:
-        ctx = _context_from_args(args, record)
-        t1 = core.tau1(ctx).si
-        t2 = core.tau2(ctx).si
-        rows.append([record.name, f"{t1 / 1e-40:.1f}", f"{t2 / 1e-38:.1f}", t1, t2])
-        entry = {"name": record.name, "tau1_s": t1, "tau2_s": t2}
-        if record.ref_tau1 is not None:
-            entry["ref_tau1_s"] = record.ref_tau1.si
-        if record.ref_tau2 is not None:
-            entry["ref_tau2_s"] = record.ref_tau2.si
-        salts_json.append(entry)
-    payload = {
-        "temperature_k": args.temperature,
-        "ion_count": args.ion_count,
-        "salts": salts_json,
-    }
+    as_json = args.format == "json"
+    rows = []  # csv and human rows, or json salt dicts: only what the format renders
+    for index, record in enumerate(records):
+        # records is this call's own list: dropping each record once its row
+        # is built means the records and the rows are never both whole
+        records[index] = None
+        try:
+            ctx = _context_from_args(args, record)
+            t1 = core.tau1(ctx).si
+            t2 = core.tau2(ctx).si
+        except (IonDecohError, ValueError) as exc:
+            # the fault depends on --temperature and --ion-count as well as the row
+            raise ValidationError(f"salt {record.name!r}: {exc}") from None
+        if as_json:
+            row = {"name": record.name, "tau1_s": t1, "tau2_s": t2}
+            if record.ref_tau1 is not None:
+                row["ref_tau1_s"] = record.ref_tau1.si
+            if record.ref_tau2 is not None:
+                row["ref_tau2_s"] = record.ref_tau2.si
+        else:
+            row = [record.name, f"{t1 / 1e-40:.1f}", f"{t2 / 1e-38:.1f}", t1, t2]
+        rows.append(row)
+    payload = {"temperature_k": args.temperature, "ion_count": args.ion_count, "salts": rows} if as_json else None
     return _render_table(header, rows, args.format, payload)
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 
 from .errors import SaltDataError, ValidationError
 from .units import (

@@ -18,6 +18,7 @@ approaches that limit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 
 from ._numpy import np
 from .errors import ValidationError

@@ -238,11 +238,12 @@ def test_bcs_rejects_non_finite_band(capsys, option, value):
 
 
 HOT = "error: quantity magnitude must be finite"
+SALT = "salt 'NaCl': "  # a table row's fault names its salt
 COLD = "error: temperature 1e-320 K is too low: k_B T underflows to 0.0 J\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["table", "--salts", "NaCl", "--temperature", "1e300"], HOT),
+    (["table", "--salts", "NaCl", "--temperature", "1e300"], f"error: {SALT}quantity magnitude must be finite"),
     (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--temperature", "1e150"], HOT),
     (["factor", "--salt", "NaCl", "--temperature", "1e-320", "--dx", "1e-9", "--time", "1"], COLD),
     (["sim", "--salt", "NaCl", "--temperature", "1e-320", "--separation", "3e-9",
@@ -272,8 +273,8 @@ NAN_DENSITY = GOOD_LINE.replace(",2163,", ",nan,")
 NAN_WATER = GOOD_LINE.replace(",10,", ",nan,")
 
 # argv -> the one stderr line of a run that exits 1 (or, with a third item
-# holding data-file bytes, 2) with nothing on stdout; in process, a numpy
-# RuntimeWarning on the way fails the test
+# holding data-file bytes, 2 unless a fourth item gives the code) with
+# nothing on stdout; in process, a numpy RuntimeWarning on the way fails the test
 ONE_LINE_ERRORS = {
     "factor-overflow": (["factor", "--wavelength", "1e-10", "--rate", "1e300", "--time", "1e300", "--dx", "0"],
                         "rate * time must be finite, got 1e+300 * 1e+300"),
@@ -290,24 +291,24 @@ ONE_LINE_ERRORS = {
          "--t-total", "1e-15", "--steps", "1", "--format", "csv"],
         "grid spacing 1.5686274509803937e-155 m is too small: 1 / spacing**2 overflows"),
     "table-1e-310": (["table", "--salts", "NaCl", "--temperature", "1e-310"],
-                     "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
+                     f"{SALT}temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
     "table-1e-300": (["table", "--salts", "NaCl", "--temperature", "1e-300"],
-                     f"temperature 1e-300 {SUBNORMAL}"),
+                     f"{SALT}temperature 1e-300 {SUBNORMAL}"),
     "table-1e-100": (["table", "--salts", "NaCl", "--temperature", "1e-100"],
-                     f"temperature 1e-100 {SUBNORMAL}"),
+                     f"{SALT}temperature 1e-100 {SUBNORMAL}"),
     "table-1e-78": (["table", "--salts", "NaCl", "--temperature", "1e-78", "--format", "csv"],
-                    f"temperature 1e-78 {SUBNORMAL}"),
+                    f"{SALT}temperature 1e-78 {SUBNORMAL}"),
     "table-1e-76": (["table", "--salts", "NaCl", "--temperature", "1e-76", "--format", "csv"],
-                    f"temperature 1e-76 {SUBNORMAL}"),
+                    f"{SALT}temperature 1e-76 {SUBNORMAL}"),
     "table-1e-72": (["table", "--salts", "NaCl", "--temperature", "1e-72", "--format", "csv"],
-                    f"temperature 1e-72 {SUBNORMAL}"),
+                    f"{SALT}temperature 1e-72 {SUBNORMAL}"),
     "factor-1e-310": (["factor", "--salt", "NaCl", "--temperature", "1e-310", "--dx", "1e-9", "--time", "1"],
                       "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
     "xray-1e-100": (["xray", "--salt", "NaCl", "--temperature", "1e-100", "--tau-x", "0.5e-18"],
                     f"temperature 1e-100 {SUBNORMAL}"),
     # m (k_B T)^3 is 1.0e-307, a normal double, but tau1 is about 3e-327 s
     "table-1e-71-N1e200": (["table", "--salts", "NaCl", "--temperature", "1e-71", "--ion-count", "1e200"],
-                           "tau1 underflows to 0.0 s at temperature 1e-71 K"),
+                           f"{SALT}tau1 underflows to 0.0 s at temperature 1e-71 K"),
     "classify-ratio-overflows": (
         ["classify", "--tau1", "1e-40", "--tau2", "1e-38", "--tau-dyn", "1e308", "--format", "json"],
         "quantity magnitude must be finite, got inf"),
@@ -333,6 +334,10 @@ ONE_LINE_ERRORS = {
     "data-file-nan-water": (["table", "--data-file", DATA_FILE],
                             "line 2: field 'water_per_ion': 'nan' is not a finite number",
                             ("# header\n" + NAN_WATER).encode()),
+    # the row loads (the formula mass is a finite 3.3e281 kg), but tau1's
+    # quotient overflows at the default temperature and ion count
+    "data-file-huge-ions": (["table", "--data-file", DATA_FILE], f"{SALT}quantity magnitude must be finite, got inf",
+                            GOOD_LINE.replace(",22.990,Cl-,35.453,", ",1e308,Cl-,1e308,").encode(), 1),
     "data-file-empty": (["table", "--data-file", DATA_FILE], "data file '{path}' holds no salt records", b""),
     "data-file-comments-only": (["table", "--data-file", DATA_FILE, "--format", "csv"],
                                 "data file '{path}' holds no salt records", b"# only comments\n"),
@@ -383,10 +388,11 @@ def test_one_line_error(capsys, tmp_path, case):
     argv, message, *data = ONE_LINE_ERRORS[case]
     code = 1
     if data:
+        data, code = data if len(data) == 2 else (data[0], 2)
         path = tmp_path / "salts.csv"
-        path.write_bytes(data[0])
+        path.write_bytes(data)
         argv = [str(path) if arg == DATA_FILE else arg for arg in argv]
-        message, code = message.replace("{path}", str(path)), 2
+        message = message.replace("{path}", str(path))
     assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
@@ -724,3 +730,25 @@ def test_bulk_table_bytes_are_pinned(capsys, tmp_path, case):
         assert (code, err) == (0, "")
         assert len(out.splitlines()) > 500
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def _salt_payload(count):
+    salts = [{"name": f"S{i}", "tau1_s": 4.6e-40 * (i + 1), "tau2_s": 4.4e-38 / (i + 1)} for i in range(count)]
+    for i, entry in enumerate(salts):
+        if i % 3 == 0:
+            entry["ref_tau1_s"] = 4.6e-40
+    return {"temperature_k": 310.0, "ion_count": 1e23, "salts": salts}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2000])
+def test_json_table_text_equals_json_dumps(count):
+    payload = _salt_payload(count)
+    assert cli._render_table([], None, "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunks", [cli._JSON_BATCH - 1, cli._JSON_BATCH, cli._JSON_BATCH + 1, 2 * cli._JSON_BATCH])
+def test_json_text_is_whole_either_side_of_a_batch(chunks):
+    # {"salts": k floats} encodes in k + 8 chunks
+    payload = {"salts": [0.5] * (chunks - 8)}
+    assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)) == chunks
+    assert cli._render_table([], None, "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,7 @@
-"""Property test over generated argv: every CLI run either writes finite
-output or prints one ``error:`` line, for all six subcommands.
+"""Property tests over generated argv and generated data files.
+
+Every CLI run either writes finite output or prints one ``error:`` line,
+for all six subcommands.
 
 Numeric flags mostly draw from the range a user would type, and otherwise
 from the edges of the float range (0, subnormals, 1e-300, 1e300, the
@@ -8,6 +10,14 @@ near either end of the range. Sizes stay small so each run is cheap:
 ``--num-points`` <= 32, ``--steps`` <= 3 and mode counts <= 2000.
 pytest's ``error::RuntimeWarning`` filter turns a numpy warning into an
 exception that escapes ``main``, which fails the example.
+
+Data files are built from bundled rows with a numeric field swapped for an
+edge, a wrong column count, a duplicate name or a bad ion symbol, with
+comment lines, CRLF line ends, a byte-order mark or an invalid UTF-8 byte,
+and with no rows at all. ``table`` reads each through ``--data-file`` or
+``IONDECOH_DATA_DIR``: it exits 0 with finite output, 2 naming the file
+or a line, or 1 naming a salt of the file whose times leave the double
+range.
 """
 
 import contextlib
@@ -16,6 +26,7 @@ import json
 import math
 import os
 import re
+import tempfile
 from unittest import mock
 
 import pytest
@@ -159,3 +170,84 @@ def test_run_writes_finite_output_or_one_error_line(subcommand, data):
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert not NON_FINITE.search(out), out
+
+
+with open(os.path.join(os.path.dirname(cli.__file__), "data", "salts.csv"), encoding="utf-8") as _handle:
+    BUNDLED_ROWS = [line.rstrip("\n") for line in _handle if not line.startswith("#")]
+NUMERIC_COLUMNS = (2, 4, 5, 6, 7, 8, 9)
+HUGE_EDGES = [edge for edge in EDGES if edge > 1]
+BAD_IONS = ["Na", "na+", "Cl0-", "Zn2", "+", ""]
+FAULTS = st.sampled_from([None, None, "edge", "edge", "huge-masses", "columns", "duplicate", "ion"])
+
+
+@st.composite
+def data_files(draw):
+    """The bytes of a data file with at most one faulty row, and the salt names of its rows."""
+    rows = [row.split(",") for row in draw(st.lists(st.sampled_from(BUNDLED_ROWS), max_size=4))]
+    for index, fields in enumerate(rows):
+        fields[0] += str(index)
+    fault = draw(FAULTS) if rows else None
+    if fault is not None:
+        index = draw(st.integers(0, len(rows) - 1))
+        fields = rows[index]
+        if fault == "edge":
+            fields[draw(st.sampled_from(NUMERIC_COLUMNS))] = repr(draw(st.sampled_from(EDGES)))
+        elif fault == "huge-masses":
+            # two ions of 1e300 amu or the largest double load, and tau1 then overflows; inf fails to load
+            fields[2] = fields[4] = repr(draw(st.sampled_from(HUGE_EDGES)))
+        elif fault == "columns":
+            rows[index] = draw(st.sampled_from([fields[:-1], [*fields, "-"]]))
+        elif fault == "duplicate":
+            fields[0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        else:
+            fields[draw(st.sampled_from((1, 3)))] = draw(st.sampled_from(BAD_IONS))
+    lines, names = [], []
+    for fields in rows:
+        if draw(st.booleans()):
+            lines.append("# a comment")
+        names.append(fields[0])
+        lines.append(",".join(fields))
+    if draw(st.booleans()):
+        lines.append("# a comment")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 5)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data, names
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(file=data_files(), via=st.sampled_from(["flag", "env"]), fmt=st.sampled_from(["human", "csv", "json"]))
+def test_data_file_run_writes_finite_output_or_names_its_fault(file, via, fmt):
+    data, names = file
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "salts.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        argv = ["table", "--format", fmt, *(["--data-file", path] if via == "flag" else [])]
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            os.environ.pop(cli.ENV_DATA_DIR, None)
+            if via == "env":
+                os.environ[cli.ENV_DATA_DIR] = directory
+            code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    if code == 0:
+        assert err == ""
+        if fmt == "json":
+            salts = json.loads(out, parse_constant=_reject_constant)["salts"]
+            assert [entry["name"] for entry in salts] == names
+            return
+        rows = [line.split("," if fmt == "csv" else None) for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == names
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:]), out
+        return
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    if code == 2:
+        assert f"'{path}'" in err or re.match(r"error: line \d+: ", err), err
+    else:
+        assert code == 1 and any(err.startswith(f"error: salt {name!r}: ") for name in names), err

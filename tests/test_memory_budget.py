@@ -1,19 +1,25 @@
-"""Traced peak memory of sim's and bcs's numpy work.
+"""Traced peak memory of sim's and bcs's numpy work, and of table.
 
 numpy reports its data allocations to tracemalloc, so the traced peak
 counts every full-size temporary. LAPACK's eigensolver buffer is not
 traced, so the budgets below leave it out.
 """
 
+import contextlib
+import os
 import tracemalloc
 
-from iondecoh import densmat, vacuum
+import pytest
+
+from iondecoh import cli, densmat, vacuum
+from iondecoh.materials import load_salts
 from iondecoh.units import length_m, rate_per_s, time_s
 
 N = 256
 STATE_BYTES = 16 * N * N  # N^2 complex doubles
 SEPARATION = length_m(1e-8)
 SPEC = densmat.SuperpositionSpec(separation=SEPARATION, width=length_m(1e-9), relative_phase=0.7)
+BUNDLED_CSV = os.path.join(os.path.dirname(cli.__file__), "data", "salts.csv")
 
 
 def traced_peak(fn):
@@ -31,6 +37,20 @@ def traced_peak(fn):
         start = tracemalloc.get_traced_memory()[0]
         fn()
         return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def traced_size(fn):
+    """Bytes traced that fn's result still holds once fn has returned."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()  # held while measured
+        return tracemalloc.get_traced_memory()[0] - start
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -68,3 +88,26 @@ def test_inline_prepared_series_stays_within_two_and_a_half_states():
         t_total=time_s(1e-15), steps=2, separation=SEPARATION,
     ))
     assert peak / STATE_BYTES <= 2.5
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+def test_table_stays_within_1_25_loaded_tables(tmp_path, fmt):
+    # the loaded records, each dropped once its row is built, and the
+    # chosen format's rows or dicts; the text is joined from them
+    path = tmp_path / "salts.csv"
+    with open(BUNDLED_CSV, encoding="utf-8") as handle:
+        bundled = [line for line in handle if not line.startswith("#")]
+    # 2000 bundled rows, each name made unique
+    path.write_text("".join(f"{i}{bundled[i % len(bundled)]}" for i in range(2000)))
+    loaded = traced_size(lambda: load_salts(path))
+
+    def run():
+        with contextlib.redirect_stdout(_Discard()):
+            assert cli.main(["table", "--data-file", str(path), "--format", fmt]) == 0
+
+    assert traced_peak(run) / loaded <= 1.25
