@@ -67,18 +67,23 @@ def _select_salts(records: list[SaltRecord], spec: str) -> list[SaltRecord]:
     return [r for r in records if r.name in wanted_set]
 
 
-def _context_from_args(args, record: SaltRecord) -> core.DecoherenceContext:
-    return core.context_for_salt(
-        record,
-        temperature=temperature_kelvin(args.temperature),
-        ion_count=args.ion_count,
-    )
+def _salt_values(args, record: SaltRecord, *formulas) -> list:
+    """Each formula of the salt's context at --temperature and --ion-count.
+
+    A fault of those two flags is every salt's, so it names none; a fault of
+    a formula names the salt. A loaded record's own fields cannot fail here.
+    """
+    ctx = core.context_for_salt(record, temperature_kelvin(args.temperature), args.ion_count)
+    try:
+        return [formula(ctx) for formula in formulas]
+    except (IonDecohError, ValueError) as exc:
+        raise ValidationError(f"salt {record.name!r}: {exc}") from None
 
 
 def _wavelength_and_rate(args):
     if args.salt is not None:
-        ctx = _context_from_args(args, salt_by_name(_load_records(args), args.salt))
-        return core.de_broglie_wavelength(ctx), core.scattering_rate(ctx)
+        record = salt_by_name(_load_records(args), args.salt)
+        return _salt_values(args, record, core.de_broglie_wavelength, core.scattering_rate)
     if args.wavelength is None or args.rate is None:
         raise ValidationError("give either --salt or both --wavelength and --rate")
     return length_m(args.wavelength), rate_per_s(args.rate)
@@ -154,13 +159,8 @@ def _cmd_table(args) -> str:
         # records is this call's own list: dropping each record once its row
         # is built means the records and the rows are never both whole
         records[index] = None
-        try:
-            ctx = _context_from_args(args, record)
-            t1 = core.tau1(ctx).si
-            t2 = core.tau2(ctx).si
-        except (IonDecohError, ValueError) as exc:
-            # the fault depends on --temperature and --ion-count as well as the row
-            raise ValidationError(f"salt {record.name!r}: {exc}") from None
+        tau1, tau2 = _salt_values(args, record, core.tau1, core.tau2)
+        t1, t2 = tau1.si, tau2.si
         if as_json:
             row = {"name": record.name, "tau1_s": t1, "tau2_s": t2}
             if record.ref_tau1 is not None:
@@ -213,8 +213,7 @@ def _cmd_sim(args) -> str:
 
 def _cmd_xray(args) -> str:
     record = salt_by_name(_load_records(args), args.salt)
-    ctx = _context_from_args(args, record)
-    check = regimes.xray_consistency(ctx, record, time_s(args.tau_x))
+    (check,) = _salt_values(args, record, lambda ctx: regimes.xray_consistency(ctx, record, time_s(args.tau_x)))
     payload = {"salt": record.name, **check.to_dict()}
     header = list(payload)
     return _render_table(header, [[payload[k] for k in header]], args.format, payload)
@@ -245,8 +244,7 @@ def _cmd_bcs(args) -> str:
 
 def _cmd_classify(args) -> str:
     if args.salt is not None:
-        ctx = _context_from_args(args, salt_by_name(_load_records(args), args.salt))
-        t1, t2 = core.tau1(ctx), core.tau2(ctx)
+        t1, t2 = _salt_values(args, salt_by_name(_load_records(args), args.salt), core.tau1, core.tau2)
     elif args.tau1 is not None and args.tau2 is not None:
         t1, t2 = time_s(args.tau1), time_s(args.tau2)
     else:

@@ -84,8 +84,8 @@ class DecoherenceContext(_Record):
             raise ValidationError(
                 f"temperature {temperature.si!r} K is too low: k_B T underflows to 0.0 J"
             )
-        if ion_count < 1:
-            raise ValidationError(f"ion_count must be at least 1, got {ion_count!r}")
+        if not 1 <= ion_count < math.inf:  # also rejects NaN
+            raise ValidationError(f"ion_count must be finite and at least 1, got {ion_count!r}")
         _Record.__init__(self, ion_mass, temperature, bath_density, lattice_edge, ion_count)
         object.__setattr__(self, "thermal_energy", thermal_energy)
 
@@ -183,28 +183,42 @@ def decoherence_factor(
 
 def tau1(ctx: DecoherenceContext) -> Quantity:
     """Ensemble decoherence time sqrt(m (kT)^3) / (N n g^2 q_e^4) = 1/(N Lambda)."""
-    product = ctx.ion_mass * ctx.thermal_energy ** 3
-    denominator = Quantity(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
-    return _decoherence_time(product, denominator, "tau1", ctx)
+    try:
+        product = ctx.ion_mass * ctx.thermal_energy ** 3
+        denominator = Quantity(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
+        return _decoherence_time(product, denominator, "tau1", ctx)
+    except ValidationError:
+        raise
+    except ValueError:
+        raise ValidationError(f"tau1 leaves the double range at temperature {ctx.temperature.si!r} K") from None
 
 
 def tau2(ctx: DecoherenceContext) -> Quantity:
     """Lattice-scale decoherence time sqrt(m kT) / (N n a g q_e^2)."""
-    product = ctx.ion_mass * ctx.thermal_energy
-    denominator = (
-        Quantity(ctx.ion_count)
-        * ctx.bath_density
-        * ctx.lattice_edge
-        # g and q_e^2 multiply in turn; _COUPLING here would reassociate the
-        # product and change the last bits of tau2
-        * CODATA.coulomb_g
-        * _Q_E_SQUARED
-    )
-    return _decoherence_time(product, denominator, "tau2", ctx)
+    try:
+        product = ctx.ion_mass * ctx.thermal_energy
+        denominator = (
+            Quantity(ctx.ion_count)
+            * ctx.bath_density
+            * ctx.lattice_edge
+            # g and q_e^2 multiply in turn; _COUPLING here would reassociate the
+            # product and change the last bits of tau2
+            * CODATA.coulomb_g
+            * _Q_E_SQUARED
+        )
+        return _decoherence_time(product, denominator, "tau2", ctx)
+    except ValidationError:
+        raise
+    except ValueError:
+        raise ValidationError(f"tau2 leaves the double range at temperature {ctx.temperature.si!r} K") from None
 
 
 def _decoherence_time(product: Quantity, denominator: Quantity, label: str, ctx: DecoherenceContext) -> Quantity:
-    """sqrt(product) / denominator, rejected if the product has lost bits or the result is 0.0."""
+    """sqrt(product) / denominator, rejected if the product has lost bits or the result is 0.0.
+
+    tau1 and tau2 turn an operand or quotient that is not a finite double into
+    a ValidationError that names the time.
+    """
     temperature = ctx.temperature.si
     if product.si < sys.float_info.min:
         raise ValidationError(

@@ -237,14 +237,15 @@ def test_bcs_rejects_non_finite_band(capsys, option, value):
     assert option.lstrip("-").replace("-", "_") in err
 
 
-HOT = "error: quantity magnitude must be finite"
-SALT = "salt 'NaCl': "  # a table row's fault names its salt
+SALT = "salt 'NaCl': "  # a fault of a salt's own formulas names the salt
 COLD = "error: temperature 1e-320 K is too low: k_B T underflows to 0.0 J\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["table", "--salts", "NaCl", "--temperature", "1e300"], f"error: {SALT}quantity magnitude must be finite"),
-    (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--temperature", "1e150"], HOT),
+    (["table", "--salts", "NaCl", "--temperature", "1e300"],
+     f"error: {SALT}tau1 leaves the double range at temperature 1e+300 K\n"),
+    (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--temperature", "1e150"],
+     f"error: {SALT}tau1 leaves the double range at temperature 1e+150 K\n"),
     (["factor", "--salt", "NaCl", "--temperature", "1e-320", "--dx", "1e-9", "--time", "1"], COLD),
     (["sim", "--salt", "NaCl", "--temperature", "1e-320", "--separation", "3e-9",
       "--width", "3e-10", "--t-total", "2e-16", "--steps", "2", "--num-points", "16"], COLD),
@@ -252,9 +253,7 @@ COLD = "error: temperature 1e-320 K is too low: k_B T underflows to 0.0 J\n"
 ], ids=["table-hot", "classify-hot", "factor-cold", "sim-cold", "xray-cold"])
 def test_temperature_out_of_float_range_exits_one(capsys, argv, message):
     # kT**3 overflows, or kT underflows to 0.0
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith(message) and err.count("\n") == 1
+    assert run_cli(capsys, *argv) == (1, "", message)
 
 
 OVERFLOW_SIM = ["sim", "--wavelength", "3e-11", "--rate", "1e300", "--separation", "3e-9",
@@ -271,6 +270,10 @@ SUBNORMAL = "K is too low for tau1: the product under its square root is below t
 DATA_FILE = "{data-file}"
 NAN_DENSITY = GOOD_LINE.replace(",2163,", ",nan,")
 NAN_WATER = GOOD_LINE.replace(",10,", ",nan,")
+# loads (the formula mass is a finite 3.3e281 kg), but tau1's quotient
+# overflows at the default temperature and ion count
+HUGE_IONS = GOOD_LINE.replace(",22.990,Cl-,35.453,", ",1e308,Cl-,1e308,")
+NOT_AN_ION_COUNT = "ion_count must be finite and at least 1, got "
 
 # argv -> the one stderr line of a run that exits 1 (or, with a third item
 # holding data-file bytes, 2 unless a fourth item gives the code) with
@@ -290,8 +293,21 @@ ONE_LINE_ERRORS = {
         ["sim", "--wavelength", "1e-10", "--rate", "1", "--separation", "0", "--width", "1e-154",
          "--t-total", "1e-15", "--steps", "1", "--format", "csv"],
         "grid spacing 1.5686274509803937e-155 m is too small: 1 / spacing**2 overflows"),
+    # a fault of --temperature or --ion-count alone names no salt
     "table-1e-310": (["table", "--salts", "NaCl", "--temperature", "1e-310"],
-                     f"{SALT}temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
+                     "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
+    "table-negative-temperature": (["table", "--temperature=-5"], "temperature must be positive, got -5.0"),
+    "table-ion-count-nan": (["table", "--ion-count", "nan"], f"{NOT_AN_ION_COUNT}nan"),
+    "factor-ion-count-nan": (["factor", "--salt", "NaCl", "--dx", "1e-9", "--time", "1e-16", "--ion-count", "nan"],
+                             f"{NOT_AN_ION_COUNT}nan"),
+    "factor-ion-count-inf": (["factor", "--salt", "NaCl", "--dx", "1e-9", "--time", "1e-16", "--ion-count", "inf"],
+                             f"{NOT_AN_ION_COUNT}inf"),
+    "sim-ion-count-nan": ([*MISSING_SIM, "--ion-count", "nan"], f"{NOT_AN_ION_COUNT}nan"),
+    "xray-ion-count-nan": (["xray", "--salt", "NaCl", "--tau-x", "0.5e-18", "--ion-count", "nan"],
+                           f"{NOT_AN_ION_COUNT}nan"),
+    "classify-ion-count-inf": (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--ion-count", "inf"],
+                               f"{NOT_AN_ION_COUNT}inf"),
+    "table-ion-count-below-1": (["table", "--ion-count", "0.5"], f"{NOT_AN_ION_COUNT}0.5"),
     "table-1e-300": (["table", "--salts", "NaCl", "--temperature", "1e-300"],
                      f"{SALT}temperature 1e-300 {SUBNORMAL}"),
     "table-1e-100": (["table", "--salts", "NaCl", "--temperature", "1e-100"],
@@ -305,7 +321,8 @@ ONE_LINE_ERRORS = {
     "factor-1e-310": (["factor", "--salt", "NaCl", "--temperature", "1e-310", "--dx", "1e-9", "--time", "1"],
                       "temperature 1e-310 K is too low: k_B T underflows to 0.0 J"),
     "xray-1e-100": (["xray", "--salt", "NaCl", "--temperature", "1e-100", "--tau-x", "0.5e-18"],
-                    f"temperature 1e-100 {SUBNORMAL}"),
+                    f"{SALT}temperature 1e-100 {SUBNORMAL}"),
+    "xray-negative-tau-x": (["xray", "--salt", "NaCl", "--tau-x=-1e-18"], f"{SALT}tau_x must be positive, got -1e-18"),
     # m (k_B T)^3 is 1.0e-307, a normal double, but tau1 is about 3e-327 s
     "table-1e-71-N1e200": (["table", "--salts", "NaCl", "--temperature", "1e-71", "--ion-count", "1e200"],
                            f"{SALT}tau1 underflows to 0.0 s at temperature 1e-71 K"),
@@ -334,10 +351,13 @@ ONE_LINE_ERRORS = {
     "data-file-nan-water": (["table", "--data-file", DATA_FILE],
                             "line 2: field 'water_per_ion': 'nan' is not a finite number",
                             ("# header\n" + NAN_WATER).encode()),
-    # the row loads (the formula mass is a finite 3.3e281 kg), but tau1's
-    # quotient overflows at the default temperature and ion count
-    "data-file-huge-ions": (["table", "--data-file", DATA_FILE], f"{SALT}quantity magnitude must be finite, got inf",
-                            GOOD_LINE.replace(",22.990,Cl-,35.453,", ",1e308,Cl-,1e308,").encode(), 1),
+    "data-file-huge-ions": (["table", "--data-file", DATA_FILE],
+                            f"{SALT}tau1 leaves the double range at temperature 310.0 K", HUGE_IONS.encode(), 1),
+    **{f"data-file-huge-ions-{argv[0]}": (
+        [*argv, "--salt", "Big", "--data-file", DATA_FILE],
+        "salt 'Big': tau1 leaves the double range at temperature 310.0 K",
+        HUGE_IONS.replace("NaCl,", "Big,").encode(), 1)
+       for argv in (["xray", "--tau-x", "0.5e-18"], ["classify", "--tau-dyn", "1"])},
     "data-file-empty": (["table", "--data-file", DATA_FILE], "data file '{path}' holds no salt records", b""),
     "data-file-comments-only": (["table", "--data-file", DATA_FILE, "--format", "csv"],
                                 "data file '{path}' holds no salt records", b"# only comments\n"),
@@ -674,6 +694,14 @@ PINNED_STDOUT_SHA256 = {
     "classify-json": (["classify", "--salt", "NaCl", "--tau-dyn", "1.0", "--observed-coherence",
                        "--format", "json"],
                       "179f7eabb945950a5adb4e93288c55d7f68e33c21aac6d95c1094498767570cc"),
+    "table-human": (["table", "--salts", "NaCl,KBr"],
+                    "b792a4009d74169b01530d6c2bfea8005fdda71472b62a2b2ffe60f308442b9b"),
+    "factor-human": (["factor", "--salt", "NaCl", "--dx", "3e-9", "--time", "1e-16"],
+                     "f92b971f873e8b37e3b5ec2295285a76cc73eba259706fdd7858d37d9102b0f8"),
+    "xray-human": (["xray", "--salt", "NaCl", "--tau-x", "0.5e-18"],
+                   "936afe2b2d68df21b0c71d3e065c9a679d1011f4426ef9ae1acac165c47a962d"),
+    "classify-human": (["classify", "--salt", "NaCl", "--tau-dyn", "1.0", "--observed-coherence"],
+                       "90e5864c59a70ef06f6f884e4184a0bba9ce675587b5672a3e3185c872e7e490"),
 }
 
 

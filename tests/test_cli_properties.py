@@ -14,10 +14,14 @@ exception that escapes ``main``, which fails the example.
 Data files are built from bundled rows with a numeric field swapped for an
 edge, a wrong column count, a duplicate name or a bad ion symbol, with
 comment lines, CRLF line ends, a byte-order mark or an invalid UTF-8 byte,
-and with no rows at all. ``table`` reads each through ``--data-file`` or
-``IONDECOH_DATA_DIR``: it exits 0 with finite output, 2 naming the file
-or a line, or 1 naming a salt of the file whose times leave the double
-range.
+and with no rows at all. ``table``, ``xray``, ``classify``, ``factor`` and
+``sim`` (the last four with ``--salt`` and a name of the file) read each
+through ``--data-file`` or ``IONDECOH_DATA_DIR``: a run exits 0 with
+finite output, 2 naming the file or a line, or 1 with one ``error:`` line.
+That line names a salt of the file for ``table`` and ``xray``, whose
+formulas all run inside the CLI's evaluation of the salt; classify's ratio
+and the factor and sim kernels combine the salt's values with other flags
+outside it.
 """
 
 import contextlib
@@ -178,15 +182,24 @@ NUMERIC_COLUMNS = (2, 4, 5, 6, 7, 8, 9)
 HUGE_EDGES = [edge for edge in EDGES if edge > 1]
 BAD_IONS = ["Na", "na+", "Cl0-", "Zn2", "+", ""]
 FAULTS = st.sampled_from([None, None, "edge", "edge", "huge-masses", "columns", "duplicate", "ion"])
+# each subcommand's argv after its name, apart from the data source and --salt
+DATA_FILE_RUNS = {
+    "table": [],
+    "xray": ["--tau-x", "0.5e-18"],
+    "classify": ["--tau-dyn", "1"],
+    "factor": ["--dx", "1e-9", "--time", "1e-16"],
+    "sim": ["--separation", "3e-9", "--width", "3e-10", "--t-total", "2e-16", "--steps", "2", "--num-points", "16"],
+}
 
 
 @st.composite
 def data_files(draw):
-    """The bytes of a data file with at most one faulty row, and the salt names of its rows."""
+    """The bytes of a data file with at most one faulty row, the salt names of its rows and the faulty row's name."""
     rows = [row.split(",") for row in draw(st.lists(st.sampled_from(BUNDLED_ROWS), max_size=4))]
     for index, fields in enumerate(rows):
         fields[0] += str(index)
     fault = draw(FAULTS) if rows else None
+    index = None
     if fault is not None:
         index = draw(st.integers(0, len(rows) - 1))
         fields = rows[index]
@@ -216,38 +229,54 @@ def data_files(draw):
     if draw(st.integers(0, 5)) == 0:
         cut = draw(st.integers(0, len(data)))
         data = data[:cut] + b"\xff" + data[cut:]
-    return data, names
+    return data, names, None if index is None else rows[index][0]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(file=data_files(), via=st.sampled_from(["flag", "env"]), fmt=st.sampled_from(["human", "csv", "json"]))
-def test_data_file_run_writes_finite_output_or_names_its_fault(file, via, fmt):
-    data, names = file
+@given(file=data_files(), subcommand=st.sampled_from(list(DATA_FILE_RUNS)),
+       via=st.sampled_from(["flag", "env"]), fmt=st.sampled_from(["human", "csv", "json"]), pick=st.data())
+def test_data_file_run_writes_finite_output_or_names_its_fault(file, subcommand, via, fmt, pick):
+    data, names, faulty = file
+    argv = [subcommand, *DATA_FILE_RUNS[subcommand], "--format", fmt]
+    if subcommand != "table":
+        # the faulty row's salt in about half the runs, when there is one; a
+        # file with no rows fails to load before the salt is looked up
+        salts = st.sampled_from(names) if names else st.just("NaCl")
+        if faulty is not None:
+            salts = st.one_of(st.just(faulty), salts)
+        argv += ["--salt", pick.draw(salts, label="salt")]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "salts.csv")
         with open(path, "wb") as handle:
             handle.write(data)
-        argv = ["table", "--format", fmt, *(["--data-file", path] if via == "flag" else [])]
+        if via == "flag":
+            argv += ["--data-file", path]
         with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             os.environ.pop(cli.ENV_DATA_DIR, None)
             if via == "env":
                 os.environ[cli.ENV_DATA_DIR] = directory
             code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
-    event(f"exit {code}")
+    event(f"{subcommand} exit {code}")
     if code == 0:
         assert err == ""
         if fmt == "json":
-            salts = json.loads(out, parse_constant=_reject_constant)["salts"]
-            assert [entry["name"] for entry in salts] == names
+            payload = json.loads(out, parse_constant=_reject_constant)
+            if subcommand == "table":
+                assert [entry["name"] for entry in payload["salts"]] == names
+            return
+        if subcommand != "table":
+            assert not NON_FINITE.search(out), out
             return
         rows = [line.split("," if fmt == "csv" else None) for line in out.splitlines()[1:]]
         assert [row[0] for row in rows] == names
         assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:]), out
         return
-    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     if code == 2:
         assert f"'{path}'" in err or re.match(r"error: line \d+: ", err), err
-    else:
-        assert code == 1 and any(err.startswith(f"error: salt {name!r}: ") for name in names), err
+        return
+    assert code == 1, err
+    if subcommand in ("table", "xray"):
+        assert any(err.startswith(f"error: salt {name!r}: ") for name in names), err

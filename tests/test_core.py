@@ -161,6 +161,27 @@ def test_subnormal_product_under_the_square_root_rejected(temperature, label):
         getattr(core, label)(make_ctx(temperature=temperature))
 
 
+@pytest.mark.parametrize("ion_count", [0.5, math.nan, math.inf, -math.inf])
+def test_context_rejects_an_ion_count_outside_one_to_infinity(ion_count):
+    nacl = salt_by_name(bundled_salt_database(), "NaCl")
+    message = f"ion_count must be finite and at least 1, got {ion_count!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        core.context_for_salt(nacl, ion_count=ion_count)
+
+
+@pytest.mark.parametrize("label, ctx_args", [
+    ("tau1", {"temperature": 1e150}),  # (kT)^3 overflows
+    ("tau1", {"mass_amu_value": 1e308, "density": 1e-200}),  # the quotient overflows
+    ("tau2", {"mass_amu_value": 1e308, "density": 1e-200}),
+    ("tau2", {"density": 1e-320}),  # the denominator underflows to 0.0
+])
+def test_decoherence_time_outside_the_double_range_is_named(label, ctx_args):
+    ctx = make_ctx(**ctx_args)
+    message = f"{label} leaves the double range at temperature {ctx.temperature.si!r} K"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        getattr(core, label)(ctx)
+
+
 def test_cold_but_representable_decoherence_times_are_kept():
     nacl = salt_by_name(bundled_salt_database(), "NaCl")
     ctx = core.context_for_salt(nacl, temperature=temperature_kelvin(1e-60))
