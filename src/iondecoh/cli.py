@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _finite(text: str) -> float:
+    """The argparse type of the float flags: a float, which must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _load_records(args) -> list[SaltRecord]:
     path = args.data_file
     if path is None:
@@ -289,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data-file", help="salt data CSV overriding the bundled table")
 
     def thermal(p):
-        p.add_argument("--temperature", type=float, default=core.DEFAULT_TEMPERATURE.si,
+        p.add_argument("--temperature", type=_finite, default=core.DEFAULT_TEMPERATURE.si,
                        help="temperature in K (default 310)")
-        p.add_argument("--ion-count", type=float, default=core.DEFAULT_ION_COUNT,
+        p.add_argument("--ion-count", type=_finite, default=core.DEFAULT_ION_COUNT,
                        help="ions decohering together, N (default 1e23)")
 
     p = sub.add_parser("table", help="decoherence times for the salt table")
@@ -302,42 +313,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="two-point suppression factor")
     p.add_argument("--salt", help="derive wavelength and rate from this salt")
-    p.add_argument("--wavelength", type=float, help="de Broglie wavelength in m")
-    p.add_argument("--rate", type=float, help="scattering rate in 1/s")
-    p.add_argument("--dx", type=float, required=True, help="separation in m")
-    p.add_argument("--time", type=float, required=True, help="elapsed time in s")
+    p.add_argument("--wavelength", type=_finite, help="de Broglie wavelength in m")
+    p.add_argument("--rate", type=_finite, help="scattering rate in 1/s")
+    p.add_argument("--dx", type=_finite, required=True, help="separation in m")
+    p.add_argument("--time", type=_finite, required=True, help="elapsed time in s")
     thermal(p)
     common(p)
     p.set_defaults(handler=_cmd_factor)
 
     p = sub.add_parser("sim", help="evolve a two-packet density matrix")
     p.add_argument("--salt", help="derive wavelength and rate from this salt")
-    p.add_argument("--wavelength", type=float, help="de Broglie wavelength in m")
-    p.add_argument("--rate", type=float, help="scattering rate in 1/s")
-    p.add_argument("--separation", type=float, required=True, help="packet separation in m")
-    p.add_argument("--width", type=float, required=True, help="packet width in m")
-    p.add_argument("--t-total", type=float, required=True, help="total evolved time in s")
+    p.add_argument("--wavelength", type=_finite, help="de Broglie wavelength in m")
+    p.add_argument("--rate", type=_finite, help="scattering rate in 1/s")
+    p.add_argument("--separation", type=_finite, required=True, help="packet separation in m")
+    p.add_argument("--width", type=_finite, required=True, help="packet width in m")
+    p.add_argument("--t-total", type=_finite, required=True, help="total evolved time in s")
     p.add_argument("--steps", type=int, default=50, help="number of equal steps (default 50)")
     p.add_argument("--num-points", type=int, default=256, help="grid points (default 256)")
-    p.add_argument("--extent-widths", type=float, default=40.0,
+    p.add_argument("--extent-widths", type=_finite, default=40.0,
                    help="grid span in packet widths (default 40)")
-    p.add_argument("--phase", type=float, default=0.0, help="relative phase in rad")
+    p.add_argument("--phase", type=_finite, default=0.0, help="relative phase in rad")
     thermal(p)
     common(p)
     p.set_defaults(handler=_cmd_sim)
 
     p = sub.add_parser("xray", help="implied density and spacing from an X-ray time")
     p.add_argument("--salt", required=True)
-    p.add_argument("--tau-x", type=float, required=True, help="X-ray interaction time in s")
+    p.add_argument("--tau-x", type=_finite, required=True, help="X-ray interaction time in s")
     thermal(p)
     common(p)
     p.set_defaults(handler=_cmd_xray)
 
     p = sub.add_parser("bcs", help="finite-mode vacuum overlap and its decay rate")
     p.add_argument("--modes", required=True, help="comma-separated mode counts")
-    p.add_argument("--uniform-u", type=float, help="uniform U_k (otherwise pairing model)")
+    p.add_argument("--uniform-u", type=_finite, help="uniform U_k (otherwise pairing model)")
+    # a bare float: an infinite gap is a finite limit, every U_k = 1/sqrt(2); pairing_family rejects NaN
     p.add_argument("--gap", type=float, default=0.2, help="pairing gap (default 0.2)")
-    p.add_argument("--half-bandwidth", type=float, default=1.0,
+    p.add_argument("--half-bandwidth", type=_finite, default=1.0,
                    help="band energy half-width (default 1.0)")
     p.add_argument("--seed", type=int, default=0, help="band energy sampling seed (default 0)")
     common(p, data=False)
@@ -345,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classical / QM / QFT regime verdict")
     p.add_argument("--salt", help="compute tau1 and tau2 from this salt")
-    p.add_argument("--tau1", type=float, help="decoherence time tau1 in s")
-    p.add_argument("--tau2", type=float, help="decoherence time tau2 in s")
-    p.add_argument("--tau-dyn", type=float, required=True, help="dynamical timescale in s")
+    p.add_argument("--tau1", type=_finite, help="decoherence time tau1 in s")
+    p.add_argument("--tau2", type=_finite, help="decoherence time tau2 in s")
+    p.add_argument("--tau-dyn", type=_finite, required=True, help="dynamical timescale in s")
     p.add_argument("--observed-coherence", action="store_true",
                    help="a macroscopically coherent phase is observed")
-    p.add_argument("--threshold", type=float, default=regimes.DEFAULT_THRESHOLD_RATIO,
+    p.add_argument("--threshold", type=_finite, default=regimes.DEFAULT_THRESHOLD_RATIO,
                    help="ratio above which QM is inadequate (default 1e3)")
     thermal(p)
     common(p)

@@ -25,6 +25,14 @@ The bath number density n counts formula units, density / (m_cation + m_anion).
 
 Charge convention: all ions scatter with unit charge q_e; the charge
 numbers carried by the species records are metadata only.
+
+Evaluation: each formula body below is written once, over a carrier, and
+its result's dimension is proved once, at import, by a run over Quantities.
+Every call runs the same body over SI floats, the same float operations in
+the same order, and wraps only its result in a Quantity; Quantity
+arithmetic, which checks every operation, is left to library callers.
+Where a value leaves the double range, the formula raises a
+ValidationError naming it.
 """
 
 from __future__ import annotations
@@ -33,17 +41,22 @@ import math
 import sys
 
 from .errors import ValidationError
-from .materials import SaltRecord, number_density
+from .materials import SaltRecord, _per_volume
 from .units import (
     AREA,
     CODATA,
+    DIMENSIONLESS,
+    ENERGY,
     LENGTH,
     MASS,
+    MASS_DENSITY,
     NUMBER_DENSITY,
     RATE,
     SPEED,
     TEMPERATURE,
     TIME,
+    Dimension,
+    PhysicalConstants,
     Quantity,
     _Record,
     temperature_kelvin,
@@ -52,22 +65,20 @@ from .units import (
 DEFAULT_TEMPERATURE = temperature_kelvin(310.0)
 DEFAULT_ION_COUNT = 1e23
 
-# Constant factors of the formulas below, each computed once by the
-# operations the formulas would otherwise repeat per call.
-_Q_E_SQUARED = CODATA.q_e ** 2
-_COUPLING = CODATA.coulomb_g * _Q_E_SQUARED  # g q_e^2
-_COUPLING_SQUARED = _COUPLING ** 2  # (g q_e^2)^2
+_SI = PhysicalConstants(*(q.si for q in CODATA._values()))  # the constants as SI floats
+_LARGEST = sys.float_info.max
 
 
 class DecoherenceContext(_Record):
     """Inputs for one evaluation: ion mass, temperature, bath, lattice edge a, ensemble size.
 
     Every field is checked once, here; the formulas below read them as they are.
-    ``thermal_energy``, k_B T, is derived here too, but is not a field.
+    The SI floats the formula bodies run over are kept too, with k_B T, but
+    are not fields.
     """
 
     _fields = ("ion_mass", "temperature", "bath_density", "lattice_edge", "ion_count")
-    __slots__ = (*_fields, "thermal_energy")
+    __slots__ = (*_fields, "_si")
 
     def __init__(self, ion_mass: Quantity, temperature: Quantity, bath_density: Quantity,
                  lattice_edge: Quantity, ion_count: float = DEFAULT_ION_COUNT) -> None:
@@ -79,15 +90,21 @@ class DecoherenceContext(_Record):
                          ("bath_density", bath_density), ("lattice_edge", lattice_edge)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
-        thermal_energy = CODATA.k_B * temperature
-        if thermal_energy.si == 0.0:
+        thermal_energy = _SI.k_B * temperature.si
+        if thermal_energy == 0.0:
             raise ValidationError(
                 f"temperature {temperature.si!r} K is too low: k_B T underflows to 0.0 J"
             )
         if not 1 <= ion_count < math.inf:  # also rejects NaN
             raise ValidationError(f"ion_count must be finite and at least 1, got {ion_count!r}")
         _Record.__init__(self, ion_mass, temperature, bath_density, lattice_edge, ion_count)
-        object.__setattr__(self, "thermal_energy", thermal_energy)
+        # m, kT, n, a and N, as the formula bodies take them
+        object.__setattr__(self, "_si", (ion_mass.si, thermal_energy, bath_density.si, lattice_edge.si, ion_count))
+
+    @property
+    def thermal_energy(self) -> Quantity:
+        """k_B T, derived from the temperature."""
+        return Quantity(self._si[1], ENERGY)
 
 
 def context_for_salt(
@@ -96,25 +113,142 @@ def context_for_salt(
     ion_count: float = DEFAULT_ION_COUNT,
 ) -> DecoherenceContext:
     """Build the evaluation context for a salt record (cation mass convention)."""
-    return DecoherenceContext(
-        ion_mass=record.cation.mass,
-        temperature=temperature,
-        bath_density=number_density(record),
-        lattice_edge=record.lattice_edge,
-        ion_count=ion_count,
-    )
+    cation, anion = record.cation.mass.si, record.anion.mass.si
+    per_m3 = _per_volume(record.mass_density.si, cation, anion)
+    # number_density's Quantity arithmetic rejects an overflowing quotient or
+    # formula mass; over floats the latter gives a quotient of 0.0
+    if per_m3 == math.inf or cation + anion == math.inf:
+        raise ValidationError(f"{record.name}: number density leaves the double range")
+    # positional: the keyword call costs about a third of a microsecond more
+    return DecoherenceContext(record.cation.mass, temperature, Quantity(per_m3, NUMBER_DENSITY),
+                              record.lattice_edge, ion_count)
+
+
+# -- formulas -------------------------------------------------------------------
+#
+# Each body is written once, over a carrier: c holds the constants and sqrt is
+# the carrier's square root; m, kT, n, a and N are the context's ion mass,
+# thermal energy, bath density, lattice edge and ion count. Over Quantities
+# (CODATA, Quantity.sqrt) every operation checks its dimensions; over SI
+# floats (_SI, math.sqrt) the same operations run in the same order, so the
+# bits agree.
+
+def _wavelength(c, sqrt, m, kT, n, a, N):
+    return 2.0 * math.pi * c.hbar / sqrt(3.0 * m * kT)
+
+
+def _speed(c, sqrt, m, kT, n, a, N):
+    return sqrt(kT / m)
+
+
+def _cross_section(c, sqrt, m, kT, n, a, N):
+    return (c.coulomb_g * c.q_e ** 2 / kT) ** 2
+
+
+def _rate(c, sqrt, m, kT, n, a, N):
+    return n * _cross_section(c, sqrt, m, kT, n, a, N) * _speed(c, sqrt, m, kT, n, a, N)
+
+
+def _tau1_product(c, sqrt, m, kT, n, a, N):
+    return m * kT ** 3
+
+
+def _tau1_denominator(c, sqrt, m, kT, n, a, N):
+    return N * n * (c.coulomb_g * c.q_e ** 2) ** 2
+
+
+def _tau2_product(c, sqrt, m, kT, n, a, N):
+    return m * kT
+
+
+def _tau2_denominator(c, sqrt, m, kT, n, a, N):
+    # g and q_e^2 multiply in turn; (g q_e^2) as one factor would reassociate
+    # the product and change the last bits of tau2
+    return N * n * a * c.coulomb_g * c.q_e ** 2
+
+
+# a carrier of Quantities, with one of each operand's dimension: a body's run over it is its proof
+_PROOF_ARGS = (CODATA, Quantity.sqrt, *(Quantity(1.0, d) for d in (MASS, ENERGY, NUMBER_DENSITY, LENGTH, DIMENSIONLESS)))
+_per_volume(*(Quantity(1.0, d) for d in (MASS_DENSITY, MASS, MASS))).require(NUMBER_DENSITY, "number density")
+
+
+def _value(body, ctx: DecoherenceContext, quantities: bool = False) -> float:
+    """body's SI value at ctx, over SI floats or, to check them, over Quantities; inf where it overflows."""
+    try:
+        if quantities:
+            return body(CODATA, Quantity.sqrt, ctx.ion_mass, ctx.thermal_energy, ctx.bath_density,
+                        ctx.lattice_edge, Quantity(ctx.ion_count)).si
+        return body(_SI, math.sqrt, *ctx._si)
+    except (ArithmeticError, ValueError):  # a float overflow or zero divisor; a non-finite Quantity
+        return math.inf
+
+
+class _Formula:
+    """A formula body, its label and its result's dimension; building one proves that dimension.
+
+    With a denominator body it is a decoherence time, sqrt(body) / denominator.
+    Otherwise ``si`` rejects a value that is not finite or is below
+    ``smallest``, the least value the body gives when no operation overflows.
+    """
+
+    __slots__ = ("label", "dim", "body", "denominator", "smallest")
+
+    def __init__(self, label: str, dim: Dimension, body, denominator=None, smallest: float = 0.0) -> None:
+        self.label, self.dim, self.body, self.denominator, self.smallest = label, dim, body, denominator, smallest
+        proof = body(*_PROOF_ARGS)
+        if denominator is not None:
+            proof = proof.sqrt() / denominator(*_PROOF_ARGS)
+        proof.require(dim, label)
+
+    def si(self, ctx: DecoherenceContext, quantities: bool = False) -> float:
+        """The SI value at ctx, or a ValidationError naming the formula where it leaves the double range."""
+        value = _value(self.body, ctx, quantities)
+        if self.denominator is not None:
+            return self._time(value, _value(self.denominator, ctx, quantities), ctx)
+        if not self.smallest <= value <= _LARGEST:  # also rejects NaN
+            raise self._out_of_range(ctx)
+        return value
+
+    def _time(self, product: float, denominator: float, ctx: DecoherenceContext) -> float:
+        """sqrt(product) / denominator, checked in the order the Quantity arithmetic would fail."""
+        label, temperature = self.label, ctx.temperature.si
+        if denominator == math.inf and product < math.inf:
+            raise ValidationError(f"{label} leaves the double range at ion_count {ctx.ion_count!r}: "
+                                  "its denominator overflows")
+        if product < sys.float_info.min:
+            raise ValidationError(f"temperature {temperature!r} K is too low for {label}: "
+                                  "the product under its square root is below the smallest normal double")
+        tau = math.sqrt(product) / denominator if denominator else math.inf
+        if not tau <= _LARGEST:  # also rejects NaN, from an overflowing product over an overflowing denominator
+            raise self._out_of_range(ctx)
+        if tau == 0.0:
+            raise ValidationError(f"{label} underflows to 0.0 s at temperature {temperature!r} K")
+        return tau
+
+    def _out_of_range(self, ctx: DecoherenceContext) -> ValidationError:
+        return ValidationError(f"{self.label} leaves the double range at temperature {ctx.temperature.si!r} K")
+
+    def quantity(self, ctx: DecoherenceContext) -> Quantity:
+        return Quantity(self.si(ctx), self.dim)
+
+
+# a finite divisor's square root is at most 1.4e154, so a wavelength of 0.0 means it overflowed
+_WAVELENGTH = _Formula("de Broglie wavelength", LENGTH, _wavelength, smallest=math.ulp(0.0))
+_SPEED = _Formula("thermal speed", SPEED, _speed)
+_CROSS_SECTION = _Formula("cross section", AREA, _cross_section)
+_RATE = _Formula("scattering rate", RATE, _rate)
+_TAU1 = _Formula("tau1", TIME, _tau1_product, _tau1_denominator)
+_TAU2 = _Formula("tau2", TIME, _tau2_product, _tau2_denominator)
 
 
 def de_broglie_wavelength(ctx: DecoherenceContext) -> Quantity:
     """Thermal de Broglie wavelength 2 pi hbar / sqrt(3 m k T)."""
-    return (2.0 * math.pi * CODATA.hbar / (3.0 * ctx.ion_mass * ctx.thermal_energy).sqrt()).require(
-        LENGTH, "de Broglie wavelength"
-    )
+    return _WAVELENGTH.quantity(ctx)
 
 
 def thermal_speed(ctx: DecoherenceContext) -> Quantity:
     """One-dimensional thermal speed sqrt(k T / m)."""
-    return (ctx.thermal_energy / ctx.ion_mass).sqrt().require(SPEED, "thermal speed")
+    return _SPEED.quantity(ctx)
 
 
 def coulomb_cross_section(ctx: DecoherenceContext) -> Quantity:
@@ -123,16 +257,12 @@ def coulomb_cross_section(ctx: DecoherenceContext) -> Quantity:
     Evaluating sigma(v) = (g q_e^2 / m v^2)^2 at v = sqrt(kT/m) cancels the
     mass, so equal-temperature ions share one cross section.
     """
-    return ((_COUPLING / ctx.thermal_energy) ** 2).require(
-        AREA, "cross section"
-    )
+    return _CROSS_SECTION.quantity(ctx)
 
 
 def scattering_rate(ctx: DecoherenceContext) -> Quantity:
     """Scattering rate Lambda = n sigma v, with sigma and v at the thermal speed sqrt(kT/m)."""
-    return (ctx.bath_density * coulomb_cross_section(ctx) * thermal_speed(ctx)).require(
-        RATE, "scattering rate"
-    )
+    return _RATE.quantity(ctx)
 
 
 def suppression_rate_time(rate: Quantity, time: Quantity, wavelength: Quantity, time_label: str = "time") -> float:
@@ -183,49 +313,9 @@ def decoherence_factor(
 
 def tau1(ctx: DecoherenceContext) -> Quantity:
     """Ensemble decoherence time sqrt(m (kT)^3) / (N n g^2 q_e^4) = 1/(N Lambda)."""
-    try:
-        product = ctx.ion_mass * ctx.thermal_energy ** 3
-        denominator = Quantity(ctx.ion_count) * ctx.bath_density * _COUPLING_SQUARED
-        return _decoherence_time(product, denominator, "tau1", ctx)
-    except ValidationError:
-        raise
-    except ValueError:
-        raise ValidationError(f"tau1 leaves the double range at temperature {ctx.temperature.si!r} K") from None
+    return _TAU1.quantity(ctx)
 
 
 def tau2(ctx: DecoherenceContext) -> Quantity:
     """Lattice-scale decoherence time sqrt(m kT) / (N n a g q_e^2)."""
-    try:
-        product = ctx.ion_mass * ctx.thermal_energy
-        denominator = (
-            Quantity(ctx.ion_count)
-            * ctx.bath_density
-            * ctx.lattice_edge
-            # g and q_e^2 multiply in turn; _COUPLING here would reassociate the
-            # product and change the last bits of tau2
-            * CODATA.coulomb_g
-            * _Q_E_SQUARED
-        )
-        return _decoherence_time(product, denominator, "tau2", ctx)
-    except ValidationError:
-        raise
-    except ValueError:
-        raise ValidationError(f"tau2 leaves the double range at temperature {ctx.temperature.si!r} K") from None
-
-
-def _decoherence_time(product: Quantity, denominator: Quantity, label: str, ctx: DecoherenceContext) -> Quantity:
-    """sqrt(product) / denominator, rejected if the product has lost bits or the result is 0.0.
-
-    tau1 and tau2 turn an operand or quotient that is not a finite double into
-    a ValidationError that names the time.
-    """
-    temperature = ctx.temperature.si
-    if product.si < sys.float_info.min:
-        raise ValidationError(
-            f"temperature {temperature!r} K is too low for {label}: "
-            "the product under its square root is below the smallest normal double"
-        )
-    tau = (product.sqrt() / denominator).require(TIME, label)
-    if tau.si == 0.0:
-        raise ValidationError(f"{label} underflows to 0.0 s at temperature {temperature!r} K")
-    return tau
+    return _TAU2.quantity(ctx)

@@ -110,9 +110,14 @@ class SaltRecord(_Record):
         return self.cation.mass + self.anion.mass
 
 
+def _per_volume(density, cation_mass, anion_mass):
+    """The number density body, density / (cation_mass + anion_mass), over Quantities or SI floats."""
+    return density / (cation_mass + anion_mass)
+
+
 def number_density(record: SaltRecord) -> Quantity:
     """Formula units per volume: bulk density over the formula-unit mass."""
-    return (record.mass_density / record.formula_mass).require(
+    return _per_volume(record.mass_density, record.cation.mass, record.anion.mass).require(
         NUMBER_DENSITY, f"{record.name}: number density"
     )
 
@@ -194,7 +199,7 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
         except ValidationError as exc:
             raise SaltDataError(str(exc), line_number) from None
         # number_density's quotient; the masses are normal, so it cannot divide by zero
-        per_m3 = density / (record.cation.mass.si + record.anion.mass.si)
+        per_m3 = _per_volume(density, record.cation.mass.si, record.anion.mass.si)
         if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:
             raise SaltDataError(
                 f"field 'density_kg_m3': number density {per_m3!r} m^-3 is not a positive normal double",

@@ -4,16 +4,17 @@ Every physical value in this package is a :class:`Quantity`: an SI magnitude
 paired with integer dimension exponents. Arithmetic composes dimensions and
 raises :class:`DimensionError` on mismatched addition, non-integer roots, and
 similar mistakes, so malformed formulas fail at evaluation time instead of
-producing silently wrong numbers.
+producing silently wrong numbers. Every ``Quantity`` operation checks its
+dimensions, and its constructor coerces to float and rejects non-finite
+magnitudes, so a library caller's own arithmetic is checked step by step.
 
-The checks are cheap enough to leave on everywhere. A :class:`Dimension` is
-interned, one instance per exponent tuple, so comparing two dimensions is
-an identity test. Each instance remembers the results of its ``*``, ``/``,
-``**`` and ``root``, so a formula that has run once composes its dimensions
-by dictionary lookups and creates no new ``Dimension``. A ``Quantity`` is a
-slotted object whose constructor still coerces to float and rejects
-non-finite magnitudes. Both classes, and the package's records, are slotted
-and frozen: assigning to a field raises ``dataclasses.FrozenInstanceError``.
+The package's own formulas do not pay that per operation: ``core`` runs
+each formula body once over Quantities at import, which proves its result's
+dimension, and every call runs the same body over SI floats and wraps only
+the result. A :class:`Dimension` is interned, one instance per exponent
+tuple, so comparing two dimensions is an identity test. Both classes, and
+the package's records, are slotted and frozen: assigning to a field raises
+``dataclasses.FrozenInstanceError``.
 
 Inputs arrive in the units people actually use (amu, angstrom) and are
 converted on construction; all internal math is SI.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add, sub
 
 from .errors import DimensionError
 
@@ -108,55 +110,31 @@ class Dimension:
     Interned: ``Dimension(e) is Dimension(e)``, so ``==`` is identity.
     """
 
-    __slots__ = ("exponents", "_products", "_quotients", "_powers", "_roots")
+    __slots__ = ("exponents",)
 
     def __new__(cls, exponents: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)) -> "Dimension":
         exponents = tuple(exponents)
         self = _INTERNED.get(exponents)
         if self is None:
-            self = object.__new__(cls)
+            self = _INTERNED[exponents] = object.__new__(cls)
             object.__setattr__(self, "exponents", exponents)
-            for cache in ("_products", "_quotients", "_powers", "_roots"):
-                object.__setattr__(self, cache, {})
-            _INTERNED[exponents] = self
         return self
 
     def __mul__(self, other: "Dimension") -> "Dimension":
-        try:
-            return self._products[other]
-        except KeyError:
-            result = self._products[other] = Dimension(
-                tuple(a + b for a, b in zip(self.exponents, other.exponents))
-            )
-            return result
+        return Dimension(tuple(map(add, self.exponents, other.exponents)))
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
-        try:
-            return self._quotients[other]
-        except KeyError:
-            result = self._quotients[other] = Dimension(
-                tuple(a - b for a, b in zip(self.exponents, other.exponents))
-            )
-            return result
+        return Dimension(tuple(map(sub, self.exponents, other.exponents)))
 
     def __pow__(self, k: int) -> "Dimension":
         if not isinstance(k, int):
             raise DimensionError(f"dimension exponent must be an integer, got {k!r}")
-        try:
-            return self._powers[k]
-        except KeyError:
-            result = self._powers[k] = Dimension(tuple(a * k for a in self.exponents))
-            return result
+        return Dimension(tuple(a * k for a in self.exponents))
 
     def root(self, k: int) -> "Dimension":
-        try:
-            return self._roots[k]
-        except KeyError:
-            pass
         if any(a % k for a in self.exponents):
             raise DimensionError(f"cannot take {k}th root of dimension {self}")
-        result = self._roots[k] = Dimension(tuple(a // k for a in self.exponents))
-        return result
+        return Dimension(tuple(a // k for a in self.exponents))
 
     @property
     def is_dimensionless(self) -> bool:

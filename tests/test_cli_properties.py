@@ -6,8 +6,10 @@ for all six subcommands.
 Numeric flags mostly draw from the range a user would type, and otherwise
 from the edges of the float range (0, subnormals, 1e-300, 1e300, the
 largest double, inf, -inf, nan), from any double or from a power of ten
-near either end of the range. Sizes stay small so each run is cheap:
-``--num-points`` <= 32, ``--steps`` <= 3 and mode counts <= 2000.
+near either end of the range. A float flag given a value that is not a
+finite double exits 1 with a line that names the flag. Sizes stay small
+so each run is cheap: ``--num-points`` <= 32, ``--steps`` <= 3 and mode
+counts <= 2000.
 pytest's ``error::RuntimeWarning`` filter turns a numpy warning into an
 exception that escapes ``main``, which fails the example.
 
@@ -147,6 +149,33 @@ ARGV = {
         *THERMAL, FORMAT,
     ),
 }
+
+
+SUBPARSERS = next(action for action in cli.build_parser()._actions if isinstance(action.choices, dict)).choices
+# each subcommand's float flags, as the parser declares them
+FLOAT_FLAGS = {
+    name: [action.option_strings[0] for action in parser._actions if action.type is cli._finite]
+    for name, parser in SUBPARSERS.items()
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_non_finite_float_flag_names_itself(data):
+    subcommand = data.draw(st.sampled_from([name for name in ARGV if FLOAT_FLAGS[name]]), label="subcommand")
+    option = data.draw(st.sampled_from(FLOAT_FLAGS[subcommand]), label="flag")
+    value = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e309", "-1e999"]), label="value")
+    # first, so that argparse converts it before any other flag of the drawn argv
+    argv = [subcommand, f"{option}={value}", *data.draw(ARGV[subcommand], label="argv")[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: argument {option}: {value!r} is not a finite number\n")
+
+
+def test_only_the_gap_takes_a_bare_float():
+    # bcs --gap inf writes the infinite-gap limit and exits 0
+    assert [action.dest for parser in SUBPARSERS.values() for action in parser._actions if action.type is float] == ["gap"]
 
 
 def _reject_constant(name):

@@ -1,14 +1,24 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from iondecoh import core
 from iondecoh.errors import DimensionError, ValidationError
-from iondecoh.materials import bundled_salt_database, salt_by_name
+from iondecoh.materials import IonSpecies, SaltRecord, bundled_salt_database, number_density, salt_by_name
 from iondecoh.units import (
+    CODATA,
+    MASS,
+    SPEED,
+    TIME,
+    Quantity,
+    length_angstrom,
     length_m,
+    mass_density_kg_m3,
     mass_amu,
     number_density_per_m3,
     rate_per_s,
@@ -180,6 +190,86 @@ def test_decoherence_time_outside_the_double_range_is_named(label, ctx_args):
     message = f"{label} leaves the double range at temperature {ctx.temperature.si!r} K"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         getattr(core, label)(ctx)
+
+
+@pytest.mark.parametrize("label", ["tau1", "tau2"])
+def test_an_overflowing_denominator_names_the_ion_count(label):
+    # N n overflows; the product under the root is a normal double
+    message = f"{label} leaves the double range at ion_count 1e+300: its denominator overflows"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        getattr(core, label)(make_ctx(ion_count=1e300))
+
+
+@pytest.mark.parametrize("cation_kg, density", [(1e308, 2163.0), (1e-300, 1e300)],
+                         ids=["formula-mass-overflows", "quotient-overflows"])
+def test_context_rejects_a_number_density_outside_the_double_range(cation_kg, density):
+    ion = IonSpecies("Na+", Quantity(cation_kg, MASS), 1)
+    record = SaltRecord("Big", ion, ion, mass_density_kg_m3(density), length_angstrom(5.64))
+    with pytest.raises(ValueError, match="quantity magnitude must be finite, got inf"):
+        number_density(record)
+    with pytest.raises(ValidationError, match="^Big: number density leaves the double range$"):
+        core.context_for_salt(record)
+
+
+def test_a_body_of_the_wrong_dimension_fails_its_proof():
+    with pytest.raises(DimensionError, match=re.escape("thermal speed must have dimension [m·s⁻¹], got [m²·s⁻²]")):
+        core._Formula("thermal speed", SPEED, lambda c, sqrt, m, kT, n, a, N: kT / m)
+    with pytest.raises(DimensionError, match=r"^tau1 must have dimension \[s\], got "):
+        core._Formula("tau1", TIME, lambda c, sqrt, m, kT, n, a, N: m * kT ** 3,
+                      lambda c, sqrt, m, kT, n, a, N: N * n)
+
+
+# each public formula and the formula record whose body it runs
+FORMULAS = {
+    core.de_broglie_wavelength: core._WAVELENGTH,
+    core.thermal_speed: core._SPEED,
+    core.coulomb_cross_section: core._CROSS_SECTION,
+    core.scattering_rate: core._RATE,
+    core.tau1: core._TAU1,
+    core.tau2: core._TAU2,
+}
+EDGES = [5e-324, sys.float_info.min, 1.0, sys.float_info.max]
+
+
+def wide(low, high):
+    """An edge of the double range, or 10**k for k in [low, high]."""
+    return st.one_of(st.sampled_from(EDGES), st.floats(low, high).map(lambda k: 10.0 ** k))
+
+
+def _outcome(call):
+    """The float a call returns, as its exact bits, or the class and message of what it raised."""
+    try:
+        return call().hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(m=wide(-308, 308), temperature=wide(-310, 308), n=wide(-323, 308), a=wide(-323, 308),
+       ion_count=st.one_of(st.sampled_from([1.0, sys.float_info.max]), st.floats(0, 308).map(lambda k: 10.0 ** k)))
+@example(m=3.8e-26, temperature=310.0, n=2.2e28, a=5.64e-10, ion_count=1e300)  # N n overflows
+@example(m=3.8e-26, temperature=1e150, n=2.2e28, a=5.64e-10, ion_count=1e23)  # (kT)^3 overflows
+@example(m=3.8e-26, temperature=310.0, n=1e-320, a=5.64e-10, ion_count=1e23)  # a denominator underflows to 0.0
+@example(m=3e-308, temperature=1e-300, n=2.2e28, a=5.64e-10, ion_count=1.0)  # 3 m kT underflows to 0.0
+@example(m=1e308, temperature=1e300, n=2.2e28, a=5.64e-10, ion_count=1.0)  # 3 m kT overflows
+@example(m=3e-308, temperature=1e300, n=2.2e28, a=5.64e-10, ion_count=1.0)  # kT / m overflows
+def test_float_path_equals_the_carrier_path_bit_for_bit(m, temperature, n, a, ion_count):
+    try:
+        ctx = core.DecoherenceContext(Quantity(m, MASS), temperature_kelvin(temperature),
+                                      number_density_per_m3(n), length_m(a), ion_count)
+    except ValidationError:
+        assume(False)
+    quantities = (ctx.ion_mass, ctx.thermal_energy, ctx.bath_density, ctx.lattice_edge, Quantity(ion_count))
+    for public, formula in FORMULAS.items():
+        floats = _outcome(lambda: public(ctx).si)
+        assert floats == _outcome(lambda: formula.si(ctx, quantities=True)), public.__name__
+        if formula.denominator is None:
+            # Quantity arithmetic alone rejects what the formula rejects, and gives the same bits
+            checked = _outcome(lambda: formula.body(CODATA, Quantity.sqrt, *quantities).si)
+            if isinstance(checked, str):
+                assert floats == checked, public.__name__
+            else:
+                assert isinstance(floats, tuple), public.__name__
 
 
 def test_cold_but_representable_decoherence_times_are_kept():

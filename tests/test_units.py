@@ -147,25 +147,43 @@ def test_dimension_error_messages(operation, message):
     assert str(info.value) == message
 
 
+FORMULAS = (core.de_broglie_wavelength, core.scattering_rate, core.tau1, core.tau2)
+
+
+def _counting(monkeypatch, cls, name):
+    """Count the calls of cls.name from here on; the list holds one item per call."""
+    calls, original = [], getattr(cls, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def test_warm_formulas_create_no_dimension(monkeypatch):
-    records = bundled_salt_database()
-
-    def evaluate(record):
-        ctx = core.context_for_salt(record)
-        return core.tau1(ctx), core.tau2(ctx)
-
-    evaluate(salt_by_name(records, "NaCl"))
-    created = []
-    original = units.Dimension.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        created.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(units.Dimension, "__new__", counting_new)
-    tau1, tau2 = evaluate(salt_by_name(records, "PbS"))
-    assert tau1.dim is tau2.dim is units.TIME
+    # the formulas' dimensions are proved at import; a call composes none
+    pbs = salt_by_name(bundled_salt_database(), "PbS")
+    created = _counting(monkeypatch, units.Dimension, "__new__")
+    ctx = core.context_for_salt(pbs, units.temperature_kelvin(300.0), 1e20)
+    results = [formula(ctx) for formula in FORMULAS]
+    assert [q.dim for q in results] == [units.LENGTH, units.RATE, units.TIME, units.TIME]
     assert created == []
+
+
+def test_each_formula_builds_one_quantity_its_result(monkeypatch):
+    records = bundled_salt_database()
+    ctx = core.context_for_salt(salt_by_name(records, "NaCl"))
+    built = _counting(monkeypatch, units.Quantity, "__init__")
+    for formula in (*FORMULAS, core.thermal_speed, core.coulomb_cross_section):
+        built.clear()
+        result = formula(ctx)
+        assert [args[0] for args in built] == [result], formula.__name__
+    # the context builds one, the bath density
+    built.clear()
+    ctx = core.context_for_salt(salt_by_name(records, "KBr"))
+    assert [args[0] for args in built] == [ctx.bath_density]
 
 
 def test_ratio_and_require():
