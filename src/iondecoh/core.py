@@ -21,7 +21,8 @@ g q_e^2 / (k T a) is independent of both mass and density.
 Mass convention: m is the cation mass. This is the only convention that
 reproduces the bundled reference times (NaCl: 4.6e-40 s and 4.4e-38 s);
 the anion, mean, reduced, and summed masses all miss by 10 to 60 percent.
-The bath number density n counts formula units, density / (m_cation + m_anion).
+The bath number density n counts formula units, density / (m_cation + m_anion),
+derived and range-checked once, in materials; context_for_salt only reads it.
 
 Charge convention: all ions scatter with unit charge q_e; the charge
 numbers carried by the species records are metadata only.
@@ -41,7 +42,7 @@ import math
 import sys
 
 from .errors import ValidationError
-from .materials import SaltRecord, _per_volume
+from .materials import SaltRecord, number_density
 from .units import (
     AREA,
     CODATA,
@@ -49,7 +50,6 @@ from .units import (
     ENERGY,
     LENGTH,
     MASS,
-    MASS_DENSITY,
     NUMBER_DENSITY,
     RATE,
     SPEED,
@@ -97,6 +97,8 @@ class DecoherenceContext(_Record):
             )
         if not 1 <= ion_count < math.inf:  # also rejects NaN
             raise ValidationError(f"ion_count must be finite and at least 1, got {ion_count!r}")
+        if ion_count > _LARGEST:  # an int no double holds; its digits could run to any length
+            raise ValidationError("ion_count must be at most the largest double, got a larger integer")
         _Record.__init__(self, ion_mass, temperature, bath_density, lattice_edge, ion_count)
         # m, kT, n, a and N, as the formula bodies take them
         object.__setattr__(self, "_si", (ion_mass.si, thermal_energy, bath_density.si, lattice_edge.si, ion_count))
@@ -113,15 +115,8 @@ def context_for_salt(
     ion_count: float = DEFAULT_ION_COUNT,
 ) -> DecoherenceContext:
     """Build the evaluation context for a salt record (cation mass convention)."""
-    cation, anion = record.cation.mass.si, record.anion.mass.si
-    per_m3 = _per_volume(record.mass_density.si, cation, anion)
-    # number_density's Quantity arithmetic rejects an overflowing quotient or
-    # formula mass; over floats the latter gives a quotient of 0.0
-    if per_m3 == math.inf or cation + anion == math.inf:
-        raise ValidationError(f"{record.name}: number density leaves the double range")
     # positional: the keyword call costs about a third of a microsecond more
-    return DecoherenceContext(record.cation.mass, temperature, Quantity(per_m3, NUMBER_DENSITY),
-                              record.lattice_edge, ion_count)
+    return DecoherenceContext(record.cation.mass, temperature, number_density(record), record.lattice_edge, ion_count)
 
 
 # -- formulas -------------------------------------------------------------------
@@ -169,7 +164,6 @@ def _tau2_denominator(c, sqrt, m, kT, n, a, N):
 
 # a carrier of Quantities, with one of each operand's dimension: a body's run over it is its proof
 _PROOF_ARGS = (CODATA, Quantity.sqrt, *(Quantity(1.0, d) for d in (MASS, ENERGY, NUMBER_DENSITY, LENGTH, DIMENSIONLESS)))
-_per_volume(*(Quantity(1.0, d) for d in (MASS_DENSITY, MASS, MASS))).require(NUMBER_DENSITY, "number density")
 
 
 def _value(body, ctx: DecoherenceContext, quantities: bool = False) -> float:

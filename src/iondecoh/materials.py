@@ -9,6 +9,7 @@ The data file is CSV with ``#`` comment lines and ten columns::
 Every numeric field is a positive quantity whose SI value must be a
 normal double.
 Records keep file order, which is also the fixed output order everywhere.
+Every SaltRecord's number density, density / (m_cation + m_anion), is a positive normal double.
 """
 
 from __future__ import annotations
@@ -37,18 +38,7 @@ _ION_SYMBOL = re.compile(r"^([A-Z][a-z]?)(\d*)([+-])$")
 _AMU = CODATA.amu.si  # kg, the factor mass_amu applies
 _SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
-_FIELD_NAMES = (
-    "name",
-    "cation_symbol",
-    "cation_mass_amu",
-    "anion_symbol",
-    "anion_mass_amu",
-    "density_kg_m3",
-    "lattice_a_angstrom",
-    "water_per_ion",
-    "ref_tau1_1e-40s",
-    "ref_tau2_1e-38s",
-)
+_FIELD_COUNT = 10  # the columns the module docstring lists, which the loader unpacks by name
 
 
 class IonSpecies(_Record):
@@ -102,6 +92,9 @@ class SaltRecord(_Record):
             raise ValidationError(f"{name}: lattice_a_angstrom must be positive")
         if water_per_ion is not None and water_per_ion <= 0:
             raise ValidationError(f"{name}: water_per_ion must be positive")
+        per_m3 = _per_volume(mass_density.si, cation.mass.si, anion.mass.si)  # positive masses: no zero divisor
+        if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:  # an overflowing formula mass gives 0.0
+            raise ValidationError(f"{name}: number density {per_m3!r} m^-3 is not a positive normal double")
         _Record.__init__(self, name, cation, anion, mass_density, lattice_edge, water_per_ion, ref_tau1, ref_tau2)
 
     @property
@@ -111,15 +104,16 @@ class SaltRecord(_Record):
 
 
 def _per_volume(density, cation_mass, anion_mass):
-    """The number density body, density / (cation_mass + anion_mass), over Quantities or SI floats."""
+    """The number density body, density / (cation_mass + anion_mass), over Quantities or floats; proved below."""
     return density / (cation_mass + anion_mass)
 
 
+_per_volume(*(Quantity(1.0, d) for d in (MASS_DENSITY, MASS, MASS))).require(NUMBER_DENSITY, "number density")
+
+
 def number_density(record: SaltRecord) -> Quantity:
-    """Formula units per volume: bulk density over the formula-unit mass."""
-    return _per_volume(record.mass_density, record.cation.mass, record.anion.mass).require(
-        NUMBER_DENSITY, f"{record.name}: number density"
-    )
+    """Formula units per volume: bulk density over the formula-unit mass; the record checked its range."""
+    return Quantity(_per_volume(record.mass_density.si, record.cation.mass.si, record.anion.mass.si), NUMBER_DENSITY)
 
 
 def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) -> float:
@@ -157,8 +151,8 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
     Raises SaltDataError with the line number, and the field for a
     numeric one, on malformed input and on a value that fails a physical
     constraint: a field that is not a positive normal double in SI units,
-    a number density that is not a positive normal double, a bad ion
-    symbol, a zero charge or an empty name.
+    a bad ion symbol, a zero charge, an empty name, or a number density
+    that is not a positive normal double, which SaltRecord rejects.
     """
     records: list[SaltRecord] = []
     seen: set[str] = set()
@@ -167,9 +161,9 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) != len(_FIELD_NAMES):
+        if len(fields) != _FIELD_COUNT:
             raise SaltDataError(
-                f"expected {len(_FIELD_NAMES)} fields, got {len(fields)}", line_number
+                f"expected {_FIELD_COUNT} fields, got {len(fields)}", line_number
             )
         (name, cation_symbol, cation_field, anion_symbol, anion_field,
          density_field, lattice_field, water_field, tau1_field, tau2_field) = fields
@@ -183,8 +177,8 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
         water = _parse_optional(water_field, "water_per_ion", line_number)
         tau1 = _parse_optional(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
         tau2 = _parse_optional(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
-        # the fields are positive normal doubles, so the records' own checks
-        # can only fail on the name, an ion symbol or a zero charge
+        # the fields are positive normal doubles, so the records' own checks can
+        # only fail on the name, an ion symbol, a zero charge or the number density
         try:
             record = SaltRecord(
                 name=name,
@@ -198,13 +192,6 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
             )
         except ValidationError as exc:
             raise SaltDataError(str(exc), line_number) from None
-        # number_density's quotient; the masses are normal, so it cannot divide by zero
-        per_m3 = _per_volume(density, record.cation.mass.si, record.anion.mass.si)
-        if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:
-            raise SaltDataError(
-                f"field 'density_kg_m3': number density {per_m3!r} m^-3 is not a positive normal double",
-                line_number,
-            )
         records.append(record)
     return records
 

@@ -125,20 +125,31 @@ class XRayCheck(_Record):
         }
 
 
+# label, dimension, body over a carrier and least value kept, in evaluation order: c is the speed
+# of light, cbrt a cube root, rho and m the salt's density and formula mass, t1 and tx tau1 and
+# tau_x. Calls run each body over SI floats in Quantity algebra's order, so the bits agree; the
+# tests prove its dimension by a run over Quantities. The spacing divides by the density, so a
+# density of 0.0 is rejected; a spacing of 0.0, from a volume that underflows, is kept.
+_XRAY_RESULTS = (
+    ("implied density", MASS_DENSITY, lambda c, cbrt, rho, m, t1, tx: rho * t1 / tx, math.ulp(0.0)),
+    ("implied spacing", LENGTH, lambda c, cbrt, rho, m, t1, tx: cbrt(m / (rho * t1 / tx)), 0.0),
+    ("wavelength_x", LENGTH, lambda c, cbrt, rho, m, t1, tx: c * tx, 0.0),
+)
+_FLOAT_CARRIER = (CODATA.c.si, lambda x: x ** (1.0 / 3.0))  # c and cbrt over SI floats
+
+
 def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantity) -> XRayCheck:
-    """Run the tau1 formula backwards against an X-ray interaction time."""
+    """Run the tau1 formula backwards against an X-ray interaction time; a result out of range is named."""
     tau_x.require(TIME, "tau_x")
     if tau_x.si <= 0:
         raise ValidationError(f"tau_x must be positive, got {tau_x.si!r}")
     tau1 = _tau1(ctx)
-    implied_density = (record.mass_density * tau1 / tau_x).require(MASS_DENSITY, "implied density")
-    # a positive formula mass over a positive density: a positive volume
-    volume = record.formula_mass / implied_density
-    implied_spacing = Quantity(volume.si ** (1.0 / 3.0), volume.dim.root(3))
-    return XRayCheck(
-        tau1=tau1,
-        tau_x=tau_x,
-        wavelength_x=(CODATA.c * tau_x).require(LENGTH, "wavelength_x"),
-        implied_density=implied_density,
-        implied_spacing=implied_spacing.require(LENGTH, "implied spacing"),
-    )
+    operands = (*_FLOAT_CARRIER, record.mass_density.si, record.formula_mass.si, tau1.si, tau_x.si)
+    results = []
+    for label, dim, body, smallest in _XRAY_RESULTS:
+        value = body(*operands)  # the divisors are positive and finite, so no float operation raises
+        if not smallest <= value < math.inf:
+            raise ValidationError(f"{label} leaves the double range at tau_x {tau_x.si!r} s")
+        results.append(Quantity(value, dim))
+    density, spacing, wavelength = results
+    return XRayCheck(tau1, tau_x, wavelength, density, spacing)

@@ -137,6 +137,19 @@ def test_xray_output(capsys):
     assert payload["wavelength_x_m"] == pytest.approx(1.49896229e-10, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, wavelength, spacing", [
+    (["--tau-x", "1e-320"], 2.997891204653e-312, 9.908760940490737e-104),
+    (["--tau-x", "5e-324"], 1.481171544e-315, 7.833379756443932e-105),
+    (["--tau-x", "5e-324", "--ion-count", "1e8"], 1.481171544e-315, 0.0),  # the volume underflows to 0.0
+], ids=["1e-320", "5e-324", "spacing-underflows"])
+def test_xray_keeps_a_subnormal_or_zero_result(capsys, argv, wavelength, spacing):
+    code, out, err = run_cli(capsys, "xray", "--salt", "NaCl", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["wavelength_x_m"], payload["implied_spacing_m"]) == (wavelength, spacing)
+    assert payload["wavelength_x_m"] < sys.float_info.min
+
+
 def test_bcs_uniform(capsys):
     code, out, _ = run_cli(
         capsys, "bcs", "--uniform-u", "0.9", "--modes", "100", "--format", "json"
@@ -319,6 +332,14 @@ ONE_LINE_ERRORS = {
     "xray-1e-100": (["xray", "--salt", "NaCl", "--temperature", "1e-100", "--tau-x", "0.5e-18"],
                     f"{SALT}temperature 1e-100 {SUBNORMAL}"),
     "xray-negative-tau-x": (["xray", "--salt", "NaCl", "--tau-x=-1e-18"], f"{SALT}tau_x must be positive, got -1e-18"),
+    # an xray result out of the double range names itself: the density underflows to 0.0 or
+    # overflows, or c * tau_x overflows
+    "xray-density-underflows": (["xray", "--salt", "NaCl", "--tau-x", "1e308"],
+                                f"{SALT}implied density leaves the double range at tau_x 1e+308 s"),
+    "xray-density-overflows": (["xray", "--salt", "NaCl", "--tau-x", "1e-320", "--temperature", "1e100"],
+                               f"{SALT}implied density leaves the double range at tau_x 1e-320 s"),
+    "xray-wavelength-overflows": (["xray", "--salt", "NaCl", "--tau-x", "1e300", "--temperature", "1e22"],
+                                  f"{SALT}wavelength_x leaves the double range at tau_x 1e+300 s"),
     # N n (g q_e^2)^2 overflows, though m (k_B T)^3 is a normal double
     "table-ion-count-1e300": (["table", "--ion-count", "1e300"],
                               "salt 'NaF': tau1 leaves the double range at ion_count 1e+300: its denominator overflows"),
@@ -392,9 +413,9 @@ ONE_LINE_ERRORS = {
            ("subnormal-density", (",2163,", ",1e-320,"),
             "field 'density_kg_m3': '1e-320' is 1e-320 in SI units, not a positive normal double"),
            ("number-density-overflows", (",22.990,Cl-,35.453,2163,", ",1,Cl-,1,1e308,"),
-            "field 'density_kg_m3': number density inf m^-3 is not a positive normal double"),
+            "NaCl: number density inf m^-3 is not a positive normal double"),
            ("number-density-underflows", (",22.990,Cl-,35.453,2163,", ",1e300,Cl-,1,2.3e-308,"),
-            "field 'density_kg_m3': number density 0.0 m^-3 is not a positive normal double"),
+            "NaCl: number density 0.0 m^-3 is not a positive normal double"),
            ("bad-ion-symbol", (",Na+,", ",Na,"),
             "ion symbol 'Na' must be an element followed by an optional multiplicity "
             "and a +/- sign, like Na+ or Zn2+"),

@@ -210,7 +210,10 @@ with open(os.path.join(os.path.dirname(cli.__file__), "data", "salts.csv"), enco
 NUMERIC_COLUMNS = (2, 4, 5, 6, 7, 8, 9)
 HUGE_EDGES = [edge for edge in EDGES if edge > 1]
 BAD_IONS = ["Na", "na+", "Cl0-", "Zn2", "+", ""]
-FAULTS = st.sampled_from([None, None, "edge", "edge", "huge-masses", "columns", "duplicate", "ion"])
+FAULTS = st.sampled_from([None, None, "edge", "edge", "huge-masses", "number-density", "columns", "duplicate", "ion"])
+# ion masses in amu and a density, each a positive normal double, whose number density is not:
+# it overflows, or underflows to 0.0 or to a subnormal
+NUMBER_DENSITY_FAULTS = [("1", "1e308"), ("1e300", "2.3e-308"), ("1e35", "1e-300")]
 # each subcommand's argv after its name, apart from the data source and --salt
 DATA_FILE_RUNS = {
     "table": [],
@@ -223,7 +226,8 @@ DATA_FILE_RUNS = {
 
 @st.composite
 def data_files(draw):
-    """The bytes of a data file with at most one faulty row, the salt names of its rows and the faulty row's name."""
+    """The bytes of a data file with at most one faulty row, the salt names of its rows, the faulty row's name
+    and its fault."""
     rows = [row.split(",") for row in draw(st.lists(st.sampled_from(BUNDLED_ROWS), max_size=4))]
     for index, fields in enumerate(rows):
         fields[0] += str(index)
@@ -237,6 +241,9 @@ def data_files(draw):
         elif fault == "huge-masses":
             # two ions of 1e300 amu or the largest double load, and tau1 then overflows; inf fails to load
             fields[2] = fields[4] = repr(draw(st.sampled_from(HUGE_EDGES)))
+        elif fault == "number-density":
+            mass, fields[5] = draw(st.sampled_from(NUMBER_DENSITY_FAULTS))
+            fields[2] = fields[4] = mass
         elif fault == "columns":
             rows[index] = draw(st.sampled_from([fields[:-1], [*fields, "-"]]))
         elif fault == "duplicate":
@@ -258,14 +265,14 @@ def data_files(draw):
     if draw(st.integers(0, 5)) == 0:
         cut = draw(st.integers(0, len(data)))
         data = data[:cut] + b"\xff" + data[cut:]
-    return data, names, None if index is None else rows[index][0]
+    return data, names, None if index is None else rows[index][0], fault
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(file=data_files(), subcommand=st.sampled_from(list(DATA_FILE_RUNS)),
        via=st.sampled_from(["flag", "env"]), fmt=st.sampled_from(["human", "csv", "json"]), pick=st.data())
 def test_data_file_run_writes_finite_output_or_names_its_fault(file, subcommand, via, fmt, pick):
-    data, names, faulty = file
+    data, names, faulty, fault = file
     argv = [subcommand, *DATA_FILE_RUNS[subcommand], "--format", fmt]
     if subcommand != "table":
         # the faulty row's salt in about half the runs, when there is one; a
@@ -288,6 +295,8 @@ def test_data_file_run_writes_finite_output_or_names_its_fault(file, subcommand,
             code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     event(f"{subcommand} exit {code}")
+    # a row whose number density is out of range never loads, whatever salt the run asks for
+    assert code == 2 or fault != "number-density", err
     if code == 0:
         assert err == ""
         if fmt == "json":

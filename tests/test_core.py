@@ -13,6 +13,7 @@ from iondecoh.materials import IonSpecies, SaltRecord, bundled_salt_database, nu
 from iondecoh.units import (
     CODATA,
     MASS,
+    NUMBER_DENSITY,
     SPEED,
     TIME,
     Quantity,
@@ -179,6 +180,14 @@ def test_context_rejects_an_ion_count_outside_one_to_infinity(ion_count):
         core.context_for_salt(nacl, ion_count=ion_count)
 
 
+@pytest.mark.parametrize("ion_count", [10 ** 400, 2 ** 1024], ids=["10**400", "2**1024"])
+def test_context_rejects_an_integer_ion_count_above_the_largest_double(ion_count):
+    nacl = salt_by_name(bundled_salt_database(), "NaCl")
+    message = "ion_count must be at most the largest double, got a larger integer"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        core.context_for_salt(nacl, ion_count=ion_count)
+
+
 @pytest.mark.parametrize("label, ctx_args", [
     ("tau1", {"temperature": 1e150}),  # (kT)^3 overflows
     ("tau1", {"mass_amu_value": 1e308, "density": 1e-200}),  # the quotient overflows
@@ -200,15 +209,14 @@ def test_an_overflowing_denominator_names_the_ion_count(label):
         getattr(core, label)(make_ctx(ion_count=1e300))
 
 
-@pytest.mark.parametrize("cation_kg, density", [(1e308, 2163.0), (1e-300, 1e300)],
+@pytest.mark.parametrize("cation_kg, density, per_m3", [(1e308, 2163.0, "0.0"), (1e-300, 1e300, "inf")],
                          ids=["formula-mass-overflows", "quotient-overflows"])
-def test_context_rejects_a_number_density_outside_the_double_range(cation_kg, density):
+def test_context_rejects_a_number_density_outside_the_double_range(cation_kg, density, per_m3):
+    # the record itself fails to build, so no context can be made from it
     ion = IonSpecies("Na+", Quantity(cation_kg, MASS), 1)
-    record = SaltRecord("Big", ion, ion, mass_density_kg_m3(density), length_angstrom(5.64))
-    with pytest.raises(ValueError, match="quantity magnitude must be finite, got inf"):
-        number_density(record)
-    with pytest.raises(ValidationError, match="^Big: number density leaves the double range$"):
-        core.context_for_salt(record)
+    message = f"Big: number density {per_m3} m^-3 is not a positive normal double"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SaltRecord("Big", ion, ion, mass_density_kg_m3(density), length_angstrom(5.64))
 
 
 def test_a_body_of_the_wrong_dimension_fails_its_proof():
@@ -234,6 +242,32 @@ EDGES = [5e-324, sys.float_info.min, 1.0, sys.float_info.max]
 def wide(low, high):
     """An edge of the double range, or 10**k for k in [low, high]."""
     return st.one_of(st.sampled_from(EDGES), st.floats(low, high).map(lambda k: 10.0 ** k))
+
+
+AMU = CODATA.amu.si
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(density=wide(-323, 308), cation_kg=wide(-323, 308), anion_kg=wide(-323, 308))
+@example(density=2.3e-308, cation_kg=1e300 * AMU, anion_kg=1e300 * AMU)  # n underflows to 0.0
+@example(density=1e308, cation_kg=AMU, anion_kg=AMU)  # n overflows
+@example(density=2163.0, cation_kg=sys.float_info.max, anion_kg=1.0)  # the formula mass overflows
+@example(density=1e-300, cation_kg=1e10, anion_kg=1e10)  # n is subnormal
+def test_a_record_builds_only_with_a_positive_normal_number_density(density, cation_kg, anion_kg):
+    per_m3 = density / (cation_kg + anion_kg)  # the number density body over SI floats
+    try:
+        record = SaltRecord("Salt", IonSpecies("Na+", Quantity(cation_kg, MASS), 1),
+                            IonSpecies("Cl-", Quantity(anion_kg, MASS), -1),
+                            mass_density_kg_m3(density), length_angstrom(5.64))
+    except ValidationError as exc:
+        assert str(exc) == f"Salt: number density {per_m3!r} m^-3 is not a positive normal double"
+        assert not sys.float_info.min <= per_m3 <= sys.float_info.max
+        return
+    n = number_density(record)
+    assert n.dim is NUMBER_DENSITY and n.si.hex() == per_m3.hex()
+    assert sys.float_info.min <= n.si <= sys.float_info.max
+    # the context reads n as the record holds it, and has no check of its own left to fail
+    assert core.context_for_salt(record).bath_density == n
 
 
 def _outcome(call):

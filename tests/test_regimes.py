@@ -6,7 +6,7 @@ import pytest
 from iondecoh import core, regimes
 from iondecoh.errors import ValidationError
 from iondecoh.materials import bundled_salt_database, salt_by_name
-from iondecoh.units import time_s
+from iondecoh.units import CODATA, Quantity, time_s
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,25 @@ def test_xray_scaling(nacl, nacl_ctx):
     slower = regimes.xray_consistency(nacl_ctx, nacl, time_s(4e-18))
     assert slower.implied_density.si == pytest.approx(base.implied_density.si / 8.0, rel=1e-12)
     assert slower.implied_spacing.si == pytest.approx(base.implied_spacing.si * 2.0, rel=1e-12)
+
+
+def _quantity_cbrt(q):
+    return Quantity(q.si ** (1.0 / 3.0), q.dim.root(3))
+
+
+@pytest.mark.parametrize("record", bundled_salt_database(), ids=lambda record: record.name)
+def test_xray_results_match_their_run_over_quantities(record):
+    # the proof of each result's dimension: its body over Quantities gives the
+    # dimension the result carries and, over SI floats, the same bits
+    ctx = core.context_for_salt(record)
+    for tau_x in (time_s(0.5e-18), time_s(1.0), time_s(1e-320), time_s(5e-324)):
+        check = regimes.xray_consistency(ctx, record, tau_x)
+        carrier = (CODATA.c, _quantity_cbrt, record.mass_density, record.formula_mass, check.tau1, tau_x)
+        results = (check.implied_density, check.implied_spacing, check.wavelength_x)
+        for (label, dim, body, _), result in zip(regimes._XRAY_RESULTS, results):
+            proof = body(*carrier)
+            assert proof.dim is dim is result.dim, label
+            assert proof.si.hex() == result.si.hex(), label
 
 
 def test_xray_validation(nacl, nacl_ctx):
