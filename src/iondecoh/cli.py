@@ -165,19 +165,22 @@ def _cmd_table(args) -> str:
     records = _select_salts(_load_records(args), args.salts)
     header = ["name", "tau1_1e-40s", "tau2_1e-38s", "tau1_s", "tau2_s"]
     as_json = args.format == "json"
+    temperature, ion_count = args.temperature, args.ion_count
+    thermal_energy = core._thermal_energy(temperature, ion_count)  # a flag fault is every salt's: it names none
     rows = []  # csv and human rows, or json salt dicts: only what the format renders
     for index, record in enumerate(records):
         # records is this call's own list: dropping each record once its row
         # is built means the records and the rows are never both whole
         records[index] = None
-        tau1, tau2 = _salt_values(args, record, core.tau1, core.tau2)
-        t1, t2 = tau1.si, tau2.si
+        try:
+            t1, t2 = core._salt_times(record, thermal_energy, temperature, ion_count)
+        except ValidationError as exc:
+            raise ValidationError(f"salt {record.name!r}: {exc}") from None
         if as_json:
             row = {"name": record.name, "tau1_s": t1, "tau2_s": t2}
-            if record.ref_tau1 is not None:
-                row["ref_tau1_s"] = record.ref_tau1.si
-            if record.ref_tau2 is not None:
-                row["ref_tau2_s"] = record.ref_tau2.si
+            for key, ref in (("ref_tau1_s", record._si.ref_tau1), ("ref_tau2_s", record._si.ref_tau2)):
+                if ref is not None:
+                    row[key] = ref
         else:
             row = [record.name, f"{t1 / 1e-40:.1f}", f"{t2 / 1e-38:.1f}", t1, t2]
         rows.append(row)

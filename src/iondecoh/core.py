@@ -86,19 +86,10 @@ class DecoherenceContext(_Record):
         temperature.require(TEMPERATURE, "temperature")
         bath_density.require(NUMBER_DENSITY, "bath_density")
         lattice_edge.require(LENGTH, "lattice_edge")
-        for label, q in (("ion_mass", ion_mass), ("temperature", temperature),
-                         ("bath_density", bath_density), ("lattice_edge", lattice_edge)):
+        for label, q in (("ion_mass", ion_mass), ("bath_density", bath_density), ("lattice_edge", lattice_edge)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
-        thermal_energy = _SI.k_B * temperature.si
-        if thermal_energy == 0.0:
-            raise ValidationError(
-                f"temperature {temperature.si!r} K is too low: k_B T underflows to 0.0 J"
-            )
-        if not 1 <= ion_count < math.inf:  # also rejects NaN
-            raise ValidationError(f"ion_count must be finite and at least 1, got {ion_count!r}")
-        if ion_count > _LARGEST:  # an int no double holds; its digits could run to any length
-            raise ValidationError("ion_count must be at most the largest double, got a larger integer")
+        thermal_energy = _thermal_energy(temperature.si, ion_count)
         _Record.__init__(self, ion_mass, temperature, bath_density, lattice_edge, ion_count)
         # m, kT, n, a and N, as the formula bodies take them
         object.__setattr__(self, "_si", (ion_mass.si, thermal_energy, bath_density.si, lattice_edge.si, ion_count))
@@ -109,6 +100,20 @@ class DecoherenceContext(_Record):
         return Quantity(self._si[1], ENERGY)
 
 
+def _thermal_energy(temperature: float, ion_count: float) -> float:
+    """k_B T, once the temperature in K and the ion count are checked: every salt's checks of them."""
+    if temperature <= 0:
+        raise ValidationError(f"temperature must be positive, got {temperature!r}")
+    thermal_energy = _SI.k_B * temperature
+    if thermal_energy == 0.0:
+        raise ValidationError(f"temperature {temperature!r} K is too low: k_B T underflows to 0.0 J")
+    if not 1 <= ion_count < math.inf:  # also rejects NaN
+        raise ValidationError(f"ion_count must be finite and at least 1, got {ion_count!r}")
+    if ion_count > _LARGEST:  # an int no double holds; its digits could run to any length
+        raise ValidationError("ion_count must be at most the largest double, got a larger integer")
+    return thermal_energy
+
+
 def context_for_salt(
     record: SaltRecord,
     temperature: Quantity = DEFAULT_TEMPERATURE,
@@ -116,7 +121,8 @@ def context_for_salt(
 ) -> DecoherenceContext:
     """Build the evaluation context for a salt record (cation mass convention)."""
     # positional: the keyword call costs about a third of a microsecond more
-    return DecoherenceContext(record.cation.mass, temperature, number_density(record), record.lattice_edge, ion_count)
+    return DecoherenceContext(Quantity(record._si.cation_kg, MASS), temperature, number_density(record),
+                              record.lattice_edge, ion_count)
 
 
 # -- formulas -------------------------------------------------------------------
@@ -162,17 +168,17 @@ def _tau2_denominator(c, sqrt, m, kT, n, a, N):
     return N * n * a * c.coulomb_g * c.q_e ** 2
 
 
+_OPERAND_DIMS = (MASS, ENERGY, NUMBER_DENSITY, LENGTH, DIMENSIONLESS)  # of m, kT, n, a and N
 # a carrier of Quantities, with one of each operand's dimension: a body's run over it is its proof
-_PROOF_ARGS = (CODATA, Quantity.sqrt, *(Quantity(1.0, d) for d in (MASS, ENERGY, NUMBER_DENSITY, LENGTH, DIMENSIONLESS)))
+_PROOF_ARGS = (CODATA, Quantity.sqrt, *(Quantity(1.0, d) for d in _OPERAND_DIMS))
 
 
-def _value(body, ctx: DecoherenceContext, quantities: bool = False) -> float:
-    """body's SI value at ctx, over SI floats or, to check them, over Quantities; inf where it overflows."""
+def _value(body, operands: tuple, quantities: bool = False) -> float:
+    """body's SI value at the SI operands, over floats or, to check them, over Quantities; inf where it overflows."""
     try:
         if quantities:
-            return body(CODATA, Quantity.sqrt, ctx.ion_mass, ctx.thermal_energy, ctx.bath_density,
-                        ctx.lattice_edge, Quantity(ctx.ion_count)).si
-        return body(_SI, math.sqrt, *ctx._si)
+            return body(CODATA, Quantity.sqrt, *map(Quantity, operands, _OPERAND_DIMS)).si
+        return body(_SI, math.sqrt, *operands)
     except (ArithmeticError, ValueError):  # a float overflow or zero divisor; a non-finite Quantity
         return math.inf
 
@@ -194,36 +200,37 @@ class _Formula:
             proof = proof.sqrt() / denominator(*_PROOF_ARGS)
         proof.require(dim, label)
 
-    def si(self, ctx: DecoherenceContext, quantities: bool = False) -> float:
-        """The SI value at ctx, or a ValidationError naming the formula where it leaves the double range."""
-        value = _value(self.body, ctx, quantities)
+    def si(self, operands: tuple, temperature: float, quantities: bool = False) -> float:
+        """The SI value at (m, kT, n, a, N), or a ValidationError naming the formula, and T in K, out of range."""
+        value = _value(self.body, operands, quantities)
         if self.denominator is not None:
-            return self._time(value, _value(self.denominator, ctx, quantities), ctx)
+            return self._time(value, _value(self.denominator, operands, quantities), temperature, operands[4])
         if not self.smallest <= value <= _LARGEST:  # also rejects NaN
-            raise self._out_of_range(ctx)
+            raise self._out_of_range(temperature)
         return value
 
-    def _time(self, product: float, denominator: float, ctx: DecoherenceContext) -> float:
+    def _time(self, product: float, denominator: float, temperature: float, ion_count: float) -> float:
         """sqrt(product) / denominator, checked in the order the Quantity arithmetic would fail."""
-        label, temperature = self.label, ctx.temperature.si
+        label = self.label
         if denominator == math.inf and product < math.inf:
-            raise ValidationError(f"{label} leaves the double range at ion_count {ctx.ion_count!r}: "
+            # as a float: an int ion count would print every digit
+            raise ValidationError(f"{label} leaves the double range at ion_count {float(ion_count)!r}: "
                                   "its denominator overflows")
         if product < sys.float_info.min:
             raise ValidationError(f"temperature {temperature!r} K is too low for {label}: "
                                   "the product under its square root is below the smallest normal double")
         tau = math.sqrt(product) / denominator if denominator else math.inf
         if not tau <= _LARGEST:  # also rejects NaN, from an overflowing product over an overflowing denominator
-            raise self._out_of_range(ctx)
+            raise self._out_of_range(temperature)
         if tau == 0.0:
             raise ValidationError(f"{label} underflows to 0.0 s at temperature {temperature!r} K")
         return tau
 
-    def _out_of_range(self, ctx: DecoherenceContext) -> ValidationError:
-        return ValidationError(f"{self.label} leaves the double range at temperature {ctx.temperature.si!r} K")
+    def _out_of_range(self, temperature: float) -> ValidationError:
+        return ValidationError(f"{self.label} leaves the double range at temperature {temperature!r} K")
 
     def quantity(self, ctx: DecoherenceContext) -> Quantity:
-        return Quantity(self.si(ctx), self.dim)
+        return Quantity(self.si(ctx._si, ctx.temperature.si), self.dim)
 
 
 # a finite divisor's square root is at most 1.4e154, so a wavelength of 0.0 means it overflowed
@@ -313,3 +320,9 @@ def tau1(ctx: DecoherenceContext) -> Quantity:
 def tau2(ctx: DecoherenceContext) -> Quantity:
     """Lattice-scale decoherence time sqrt(m kT) / (N n a g q_e^2)."""
     return _TAU2.quantity(ctx)
+
+
+def _salt_times(record: SaltRecord, thermal_energy: float, temperature: float, ion_count: float) -> tuple:
+    """tau1 and tau2 in s from a record's SI floats, m its cation's mass: as tau1(context_for_salt(...)) runs."""
+    operands = (record._si.cation_kg, thermal_energy, record._si.per_m3, record._si.edge, ion_count)
+    return _TAU1.si(operands, temperature), _TAU2.si(operands, temperature)

@@ -10,6 +10,8 @@ Every numeric field is a positive quantity whose SI value must be a
 normal double.
 Records keep file order, which is also the fixed output order everywhere.
 Every SaltRecord's number density, density / (m_cation + m_anion), is a positive normal double.
+A record keeps SI floats, each ion as its symbol, charge number and kg, and its fields
+give IonSpecies and Quantities on access; the loader builds no Quantity.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Iterable
 
 from .errors import SaltDataError, ValidationError
@@ -27,11 +30,10 @@ from .units import (
     MASS,
     MASS_DENSITY,
     NUMBER_DENSITY,
+    TIME,
     Quantity,
     _Record,
-    length_angstrom,
     mass_amu,
-    time_s,
 )
 
 _ION_SYMBOL = re.compile(r"^([A-Z][a-z]?)(\d*)([+-])$")
@@ -39,6 +41,8 @@ _AMU = CODATA.amu.si  # kg, the factor mass_amu applies
 _SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 _FIELD_COUNT = 10  # the columns the module docstring lists, which the loader unpacks by name
+# a SaltRecord's SI floats, each ion as its (symbol, charge number) and its mass in kg; per_m3 is n
+_SaltFloats = namedtuple("_SaltFloats", "cation cation_kg anion anion_kg density edge water ref_tau1 ref_tau2 per_m3")
 
 
 class IonSpecies(_Record):
@@ -76,31 +80,45 @@ class SaltRecord(_Record):
     ``water_per_ion`` is the saturation ratio, informational only.
     """
 
-    __slots__ = _fields = ("name", "cation", "anion", "mass_density", "lattice_edge",
-                           "water_per_ion", "ref_tau1", "ref_tau2")
+    _fields = ("name", "cation", "anion", "mass_density", "lattice_edge", "water_per_ion", "ref_tau1", "ref_tau2")
+    __slots__ = ("name", "_si")  # _si: the _SaltFloats the fields are built from
 
     def __init__(self, name: str, cation: IonSpecies, anion: IonSpecies, mass_density: Quantity,
                  lattice_edge: Quantity, water_per_ion: float | None = None,
                  ref_tau1: Quantity | None = None, ref_tau2: Quantity | None = None) -> None:
-        if not name:
-            raise ValidationError("salt name must be nonempty")
         mass_density.require(MASS_DENSITY, f"{name}: density_kg_m3")
         lattice_edge.require(LENGTH, f"{name}: lattice_a_angstrom")
-        if mass_density.si <= 0:
+        refs = [None if ref is None else ref.require(TIME, f"{name}: {label}").si
+                for label, ref in (("ref_tau1", ref_tau1), ("ref_tau2", ref_tau2))]
+        self._set_si(name, (cation.symbol, cation.charge_number), cation.mass.si, (anion.symbol, anion.charge_number),
+                     anion.mass.si, mass_density.si, lattice_edge.si, water_per_ion, *refs)
+
+    def _set_si(self, name, cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2) -> None:
+        """Check the record's SI floats and keep them: the one initialiser, of the constructor and the loader."""
+        if not name:
+            raise ValidationError("salt name must be nonempty")
+        if density <= 0:
             raise ValidationError(f"{name}: density_kg_m3 must be positive")
-        if lattice_edge.si <= 0:
+        if edge <= 0:
             raise ValidationError(f"{name}: lattice_a_angstrom must be positive")
-        if water_per_ion is not None and water_per_ion <= 0:
+        if water is not None and water <= 0:
             raise ValidationError(f"{name}: water_per_ion must be positive")
-        per_m3 = _per_volume(mass_density.si, cation.mass.si, anion.mass.si)  # positive masses: no zero divisor
+        per_m3 = _per_volume(density, cation_kg, anion_kg)  # positive masses: no zero divisor
         if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:  # an overflowing formula mass gives 0.0
             raise ValidationError(f"{name}: number density {per_m3!r} m^-3 is not a positive normal double")
-        _Record.__init__(self, name, cation, anion, mass_density, lattice_edge, water_per_ion, ref_tau1, ref_tau2)
+        set_name, set_si = self._setters
+        set_name(self, name)
+        set_si(self, _SaltFloats(cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2, per_m3))
 
-    @property
-    def formula_mass(self) -> Quantity:
-        """Mass of one formula unit (cation plus anion)."""
-        return self.cation.mass + self.anion.mass
+    cation = property(lambda self: IonSpecies(self._si.cation[0], Quantity(self._si.cation_kg, MASS),
+                                              self._si.cation[1]))
+    anion = property(lambda self: IonSpecies(self._si.anion[0], Quantity(self._si.anion_kg, MASS), self._si.anion[1]))
+    mass_density = property(lambda self: Quantity(self._si.density, MASS_DENSITY))
+    lattice_edge = property(lambda self: Quantity(self._si.edge, LENGTH))
+    water_per_ion = property(lambda self: self._si.water)
+    ref_tau1 = property(lambda self: None if self._si.ref_tau1 is None else Quantity(self._si.ref_tau1, TIME))
+    ref_tau2 = property(lambda self: None if self._si.ref_tau2 is None else Quantity(self._si.ref_tau2, TIME))
+    formula_mass = property(lambda self: Quantity(self._si.cation_kg + self._si.anion_kg, MASS))  # of a formula unit
 
 
 def _per_volume(density, cation_mass, anion_mass):
@@ -113,11 +131,11 @@ _per_volume(*(Quantity(1.0, d) for d in (MASS_DENSITY, MASS, MASS))).require(NUM
 
 def number_density(record: SaltRecord) -> Quantity:
     """Formula units per volume: bulk density over the formula-unit mass; the record checked its range."""
-    return Quantity(_per_volume(record.mass_density.si, record.cation.mass.si, record.anion.mass.si), NUMBER_DENSITY)
+    return Quantity(record._si.per_m3, NUMBER_DENSITY)
 
 
 def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) -> float:
-    """The number in ``field``; its SI value, times ``scale`` (at most 1), must be a positive normal double.
+    """The number in ``field`` times ``scale`` (at most 1): its SI value, which must be a positive normal double.
 
     Every numeric column holds a positive quantity. A value that is not
     positive, or whose SI form underflows or falls below the smallest
@@ -136,13 +154,7 @@ def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) ->
             f"field {name!r}: {field!r} is {value * scale!r} in SI units, not a positive normal double",
             line_number,
         )
-    return value
-
-
-def _parse_optional(field: str, name: str, line_number: int, scale: float = 1.0) -> float | None:
-    if field == "-":
-        return None
-    return _parse_float(field, name, line_number, scale)
+    return value * scale
 
 
 def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
@@ -156,6 +168,7 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
     """
     records: list[SaltRecord] = []
     seen: set[str] = set()
+    ions: dict[str, tuple[str, int]] = {}  # symbol -> (symbol, charge number), parsed once a load
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -170,26 +183,20 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
         if name in seen:
             raise SaltDataError(f"duplicate salt name {name!r}", line_number)
         seen.add(name)
-        cation_amu = _parse_float(cation_field, "cation_mass_amu", line_number, _AMU)
-        anion_amu = _parse_float(anion_field, "anion_mass_amu", line_number, _AMU)
+        cation_kg = _parse_float(cation_field, "cation_mass_amu", line_number, _AMU)
+        anion_kg = _parse_float(anion_field, "anion_mass_amu", line_number, _AMU)
         density = _parse_float(density_field, "density_kg_m3", line_number)
         lattice = _parse_float(lattice_field, "lattice_a_angstrom", line_number, 1e-10)
-        water = _parse_optional(water_field, "water_per_ion", line_number)
-        tau1 = _parse_optional(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
-        tau2 = _parse_optional(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
-        # the fields are positive normal doubles, so the records' own checks can
-        # only fail on the name, an ion symbol, a zero charge or the number density
+        water = None if water_field == "-" else _parse_float(water_field, "water_per_ion", line_number)
+        tau1 = None if tau1_field == "-" else _parse_float(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
+        tau2 = None if tau2_field == "-" else _parse_float(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
+        # the fields are positive normal doubles, so only an ion symbol, a zero
+        # charge, the name or the number density can fail from here on
         try:
-            record = SaltRecord(
-                name=name,
-                cation=parse_ion(cation_symbol, cation_amu),
-                anion=parse_ion(anion_symbol, anion_amu),
-                mass_density=Quantity(density, MASS_DENSITY),
-                lattice_edge=length_angstrom(lattice),
-                water_per_ion=water,
-                ref_tau1=None if tau1 is None else time_s(tau1 * 1e-40),
-                ref_tau2=None if tau2 is None else time_s(tau2 * 1e-38),
-            )
+            cation, anion = [ions.get(s) or ions.setdefault(s, (s, parse_ion(s, 1.0).charge_number))
+                             for s in (cation_symbol, anion_symbol)]
+            record = SaltRecord.__new__(SaltRecord)
+            record._set_si(name, cation, cation_kg, anion, anion_kg, density, lattice, water, tau1, tau2)
         except ValidationError as exc:
             raise SaltDataError(str(exc), line_number) from None
         records.append(record)

@@ -42,17 +42,18 @@ class Verdict(enum.Enum):
 
 
 class RegimeReport(_Record):
-    """Classification result with every input echoed for auditability."""
+    """Classification result with every input echoed for auditability; timescale_ratio is kept, not a field."""
 
-    __slots__ = _fields = ("tau1", "tau2", "tau_dyn", "coherent_phase_observed", "threshold_ratio", "verdict")
+    _fields = ("tau1", "tau2", "tau_dyn", "coherent_phase_observed", "threshold_ratio", "verdict")
+    __slots__ = (*_fields, "timescale_ratio")  # tau_dyn / tau_dec
+
+    def __init__(self, *fields, **by_name) -> None:
+        _Record.__init__(self, *fields, **by_name)
+        self._setters[-1](self, self.tau_dyn.ratio(self.tau_dec))
 
     @property
     def tau_dec(self) -> Quantity:
         return min(self.tau1, self.tau2)
-
-    @property
-    def timescale_ratio(self) -> float:
-        return self.tau_dyn.ratio(self.tau_dec)
 
     def to_dict(self) -> dict:
         return {
@@ -99,8 +100,11 @@ def classify(
         verdict = Verdict.QFT_REGIME_INDICATED
     else:
         verdict = Verdict.CLASSICAL_LIMIT
-    # positional: the records' keyword path costs about a microsecond more
-    return RegimeReport(tau1, tau2, tau_dyn, coherent_phase_observed, threshold_ratio, verdict)
+    # the constructor would compute the ratio again; positional: the keyword path costs about a microsecond more
+    report = object.__new__(RegimeReport)
+    _Record.__init__(report, tau1, tau2, tau_dyn, coherent_phase_observed, threshold_ratio, verdict)
+    report._setters[-1](report, ratio)
+    return report
 
 
 class XRayCheck(_Record):

@@ -67,8 +67,8 @@ class _Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # the fields' own slot setters, which bypass the frozen __setattr__
-        cls._setters = tuple(vars(cls)[name].__set__ for name in cls._fields)
+        # the slots' own setters, which bypass the frozen __setattr__; __init__ fills the first, the fields
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs) -> None:
         # a missing field makes pop raise KeyError; an unknown or repeated one stays in kwargs

@@ -10,8 +10,9 @@ from importlib import resources
 
 import pytest
 
-from iondecoh import cli
-from iondecoh.units import CODATA
+from iondecoh import cli, core
+from iondecoh.materials import SaltRecord, load_salts
+from iondecoh.units import CODATA, temperature_kelvin
 
 GOOD_LINE = "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
 
@@ -780,6 +781,38 @@ def test_bulk_table_bytes_are_pinned(capsys, tmp_path, case):
         assert (code, err) == (0, "")
         assert len(out.splitlines()) > 500
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("case", list(PINNED_BULK_TABLE_SHA256))
+def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
+    # table runs tau1 and tau2 over each record's SI floats, with no context:
+    # every row equals tau1/tau2 of the record's context at the same flags
+    extra = PINNED_BULK_TABLE_SHA256[case][0]
+    data = tmp_path / "salts.csv"
+    _write_perturbed_salts(data)
+    code, out, err = run_cli(capsys, "table", "--data-file", str(data), "--format", "csv", *extra)
+    assert (code, err) == (0, "")
+    args = cli.build_parser().parse_args(["table", *extra])
+    temperature = temperature_kelvin(args.temperature)
+    records = load_salts(data)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == len(records) == 500
+    for record, (name, _, _, tau1_s, tau2_s) in zip(records, rows):
+        ctx = core.context_for_salt(record, temperature, args.ion_count)
+        assert name == record.name
+        assert float(tau1_s).hex() == core.tau1(ctx).si.hex(), name
+        assert float(tau2_s).hex() == core.tau2(ctx).si.hex(), name
+
+
+def test_the_constructor_and_the_loader_build_the_same_record(tmp_path):
+    data = tmp_path / "salts.csv"
+    _write_perturbed_salts(data)
+    records = load_salts(data)
+    assert any(r.ref_tau1 is None for r in records) and any(r.ref_tau2 is not None for r in records)
+    for loaded in records:
+        built = SaltRecord(*loaded._values())
+        assert built == loaded and repr(built) == repr(loaded) and hash(built) == hash(loaded)
+        assert built._si == loaded._si
 
 
 def _salt_payload(count):

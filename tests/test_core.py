@@ -209,6 +209,14 @@ def test_an_overflowing_denominator_names_the_ion_count(label):
         getattr(core, label)(make_ctx(ion_count=1e300))
 
 
+@pytest.mark.parametrize("label", ["tau1", "tau2"])
+def test_an_integer_ion_count_is_quoted_as_a_float(label):
+    nacl = salt_by_name(bundled_salt_database(), "NaCl")
+    message = f"{label} leaves the double range at ion_count 8.98846567431158e+307: its denominator overflows"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        getattr(core, label)(core.context_for_salt(nacl, ion_count=2 ** 1023))
+
+
 @pytest.mark.parametrize("cation_kg, density, per_m3", [(1e308, 2163.0, "0.0"), (1e-300, 1e300, "inf")],
                          ids=["formula-mass-overflows", "quotient-overflows"])
 def test_context_rejects_a_number_density_outside_the_double_range(cation_kg, density, per_m3):
@@ -296,7 +304,7 @@ def test_float_path_equals_the_carrier_path_bit_for_bit(m, temperature, n, a, io
     quantities = (ctx.ion_mass, ctx.thermal_energy, ctx.bath_density, ctx.lattice_edge, Quantity(ion_count))
     for public, formula in FORMULAS.items():
         floats = _outcome(lambda: public(ctx).si)
-        assert floats == _outcome(lambda: formula.si(ctx, quantities=True)), public.__name__
+        assert floats == _outcome(lambda: formula.si(ctx._si, temperature, quantities=True)), public.__name__
         if formula.denominator is None:
             # Quantity arithmetic alone rejects what the formula rejects, and gives the same bits
             checked = _outcome(lambda: formula.body(CODATA, Quantity.sqrt, *quantities).si)

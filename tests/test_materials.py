@@ -138,3 +138,22 @@ def test_record_validation_rejects_wrong_dimension():
 def test_number_density_every_bundled_salt_positive():
     for record in materials.bundled_salt_database():
         assert materials.number_density(record).si > 0
+
+
+def test_record_rejects_a_reference_time_of_another_dimension():
+    nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
+    with pytest.raises(DimensionError, match=r"^NaCl: ref_tau2 must have dimension \[s\]"):
+        materials.SaltRecord(nacl.name, nacl.cation, nacl.anion, nacl.mass_density, nacl.lattice_edge,
+                             ref_tau1=time_s(1.0), ref_tau2=nacl.lattice_edge)
+
+
+def test_the_loader_parses_each_ion_symbol_once_a_load(monkeypatch):
+    text = "".join(f"S{i},Na+,22.990,{'Cl-' if i % 2 else 'S2-'},35.453,2163,5.64,10,4.6,4.4\n" for i in range(50))
+    parsed = []
+    parse_ion = materials.parse_ion
+    monkeypatch.setattr(materials, "parse_ion", lambda symbol, amu: parsed.append(symbol) or parse_ion(symbol, amu))
+    for _ in range(2):  # no cache outlives a load
+        parsed.clear()
+        records = materials.load_salt_database(io.StringIO(text))
+        assert parsed == ["Na+", "S2-", "Cl-"]
+        assert [r.anion.charge_number for r in records[:2]] == [-2, -1]

@@ -49,6 +49,28 @@ def test_threshold_boundary_is_inclusive():
     assert above.verdict is regimes.Verdict.CLASSICAL_LIMIT
 
 
+def test_the_ratio_classify_computed_is_kept_once_but_is_not_a_field(monkeypatch):
+    import copy
+    import dataclasses
+    import pickle
+
+    calls = []
+    ratio = Quantity.ratio
+    monkeypatch.setattr(Quantity, "ratio", lambda a, b: calls.append(b) or ratio(a, b))
+    report = regimes.classify(time_s(3.0), time_s(2.0), time_s(1e4), False)
+    assert report.timescale_ratio == report.to_dict()["timescale_ratio"] == 5e3
+    assert len(calls) == 1  # classify's own, read back by the report
+    assert "5000.0" not in repr(report) and "timescale_ratio" not in report._fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.timescale_ratio = 1.0
+    for clone in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+        assert clone == report and repr(clone) == repr(report)
+        assert clone.timescale_ratio == 5e3 and clone.to_dict() == report.to_dict()
+    # the public constructor computes it from its fields
+    built = regimes.RegimeReport(*report._values())
+    assert built.timescale_ratio == 5e3
+
+
 def test_tau_dec_is_the_smaller_timescale():
     report = regimes.classify(time_s(5.0), time_s(2.0), time_s(1.0), False)
     assert report.tau_dec.si == 2.0

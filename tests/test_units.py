@@ -180,10 +180,10 @@ def test_each_formula_builds_one_quantity_its_result(monkeypatch):
         built.clear()
         result = formula(ctx)
         assert [args[0] for args in built] == [result], formula.__name__
-    # the context builds one, the bath density
+    # the context builds its three from the record's SI floats: ion mass, bath density, lattice edge
     built.clear()
     ctx = core.context_for_salt(salt_by_name(records, "KBr"))
-    assert [args[0] for args in built] == [ctx.bath_density]
+    assert [args[0] for args in built] == [ctx.ion_mass, ctx.bath_density, ctx.lattice_edge]
 
 
 def test_ratio_and_require():
