@@ -22,11 +22,12 @@ import sys
 
 from . import core, densmat, regimes, vacuum
 from .errors import IonDecohError, SaltDataError, ValidationError
-from .materials import SaltRecord, bundled_salt_database, load_salts, salt_by_name
+from .materials import SaltRecord, _unknown_salt, bundled_salt_database, load_salts, salt_by_name
 from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
 _JSON_BATCH = 4096  # json chunks joined at a time
+_CHUNK_ROWS = 1000  # table rows joined into one chunk of its text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,31 +52,19 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_records(args) -> list[SaltRecord]:
+def _load_records(args, consume=list):
+    """consume(the records of the data file in use, in file order): by default their list."""
     path = args.data_file
     if path is None:
         data_dir = os.environ.get(ENV_DATA_DIR)
         if data_dir:
             path = os.path.join(data_dir, "salts.csv")
     if path is None:
-        return bundled_salt_database()
+        return consume(bundled_salt_database())
     try:
-        return load_salts(path)
+        return load_salts(path, consume)
     except OSError as exc:
         raise SaltDataError(f"cannot read data file {path!r}: {exc}") from None
-
-
-def _select_salts(records: list[SaltRecord], spec: str) -> list[SaltRecord]:
-    if spec == "all":
-        return list(records)
-    wanted = [name.strip() for name in spec.split(",") if name.strip()]
-    if not wanted:
-        raise ValidationError("--salts must name at least one salt")
-    for name in wanted:
-        salt_by_name(records, name)
-    # keep data-file order no matter how the request was ordered
-    wanted_set = set(wanted)
-    return [r for r in records if r.name in wanted_set]
 
 
 def _salt_values(args, record: SaltRecord, *formulas) -> list:
@@ -103,10 +92,6 @@ def _wavelength_and_rate(args):
 # -- output rendering ---------------------------------------------------------
 
 def _render_table(header, rows, fmt, json_payload):
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_cell(value) for value in row) for row in rows]
-        return "\n".join(lines) + "\n"
     if fmt == "json":
         import itertools
         import json
@@ -118,14 +103,31 @@ def _render_table(header, rows, fmt, json_payload):
         chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_payload)
         batches = iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)), "")
         return "".join([*batches, "\n"])
-    widths = [
-        max(len(str(header[i])), *(len(_cell(row[i])) for row in rows)) if rows else len(str(header[i]))
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    return text if fmt == "csv" else "".join(_aligned([text]))
+
+
+def _csv_row(record, t1: float, t2: float) -> str:
+    """A table row's csv line: the name, tau1 and tau2 in the paper's units to one decimal, and in s."""
+    return f"{record.name},{t1 / 1e-40:.1f},{t2 / 1e-38:.1f},{t1!r},{t2!r}\n"
+
+
+def _aligned(chunks):
+    """The human text of csv text given in chunks of whole lines: each cell padded to its column's width.
+
+    No cell holds a comma or a newline (a salt name cannot), so each line
+    splits back into its cells; each chunk is aligned only as it is written.
+    """
+    lines = (line for chunk in chunks for line in chunk.split("\n")[:-1])
+    widths = list(map(len, next(lines).split(",")))
+    for line in lines:
+        widths = list(map(max, widths, map(len, line.split(","))))
+
+    def aligned(line):
+        return "  ".join(map(str.ljust, line.split(","), widths)).rstrip() + "\n"
+
+    for chunk in chunks:
+        yield "".join(map(aligned, chunk.split("\n")[:-1]))
 
 
 def _cell(value) -> str:
@@ -134,9 +136,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _deliver(text: str, output: str | None) -> None:
+def _deliver(text, output: str | None) -> None:
+    """Write the text, one str or its chunks in turn, to stdout or atomically to output."""
+    chunks = [text] if isinstance(text, str) else text
     if output is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     import tempfile
 
@@ -149,7 +154,8 @@ def _deliver(text: str, output: str | None) -> None:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".iondecoh-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, output)
     except BaseException as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
@@ -161,31 +167,75 @@ def _deliver(text: str, output: str | None) -> None:
 
 # -- subcommand handlers ------------------------------------------------------
 
-def _cmd_table(args) -> str:
-    records = _select_salts(_load_records(args), args.salts)
-    header = ["name", "tau1_1e-40s", "tau2_1e-38s", "tau1_s", "tau2_s"]
-    as_json = args.format == "json"
+def _cmd_table(args):
+    """The table's text in chunks of rows, each row rendered as its record is read.
+
+    Faults keep the order of a run that loads the whole file first, with no
+    second pass: a data-file fault (exit 2) anywhere in the file, then an
+    unknown or empty --salts, then a --temperature or --ion-count fault, then
+    the first formula fault in file order. The first exit-1 fault is held, no
+    later row is evaluated, and the rest of the file is still read.
+    """
+    requested = None if args.salts == "all" else [name.strip() for name in args.salts.split(",") if name.strip()]
+    wanted = set(requested or ())
     temperature, ion_count = args.temperature, args.ion_count
-    thermal_energy = core._thermal_energy(temperature, ion_count)  # a flag fault is every salt's: it names none
-    rows = []  # csv and human rows, or json salt dicts: only what the format renders
-    for index, record in enumerate(records):
-        # records is this call's own list: dropping each record once its row
-        # is built means the records and the rows are never both whole
-        records[index] = None
-        try:
-            t1, t2 = core._salt_times(record, thermal_energy, temperature, ion_count)
-        except ValidationError as exc:
-            raise ValidationError(f"salt {record.name!r}: {exc}") from None
+    try:
+        thermal_energy, flag_fault = core._thermal_energy(temperature, ion_count), None
+    except ValidationError as exc:  # a flag fault is every salt's: it names none
+        thermal_energy, flag_fault = None, exc
+    as_json = args.format == "json"
+    if as_json:
+        import json
+
+        def row_text(record, t1, t2):
+            """The salt's object as the whole payload's sort_keys, indent=2 text gives it, and a comma."""
+            r1, r2 = record._si.ref_tau1, record._si.ref_tau2
+            return (f'    {{\n      "name": {json.dumps(record.name)},\n'
+                    + ("" if r1 is None else f'      "ref_tau1_s": {r1!r},\n')
+                    + ("" if r2 is None else f'      "ref_tau2_s": {r2!r},\n')
+                    + f'      "tau1_s": {t1!r},\n      "tau2_s": {t2!r}\n    }},\n')
+    else:
+        row_text = _csv_row
+
+    def render_rows(records):
+        fault = flag_fault  # the first exit-1 fault, held until the whole file is read
+        chunks, batch, names = [], [], []  # names: every name in file order, for an unknown --salts name
+        for record in records:
+            if requested is not None:
+                names.append(record.name)
+                if record.name not in wanted:
+                    continue
+            if fault is not None:
+                continue
+            try:
+                t1, t2 = core._salt_times(record, thermal_energy, temperature, ion_count)
+            except ValidationError as exc:
+                fault = ValidationError(f"salt {record.name!r}: {exc}")
+                continue
+            if len(batch) == _CHUNK_ROWS:  # joined before the next row, so the last row stays in batch
+                chunks.append("".join(batch))
+                batch.clear()
+            batch.append(row_text(record, t1, t2))
+        if requested is not None:
+            if not requested:
+                raise ValidationError("--salts must name at least one salt")
+            seen = set(names)
+            for name in requested:
+                if name not in seen:
+                    raise _unknown_salt(name, names)
+        if fault is not None:
+            raise fault
         if as_json:
-            row = {"name": record.name, "tau1_s": t1, "tau2_s": t2}
-            for key, ref in (("ref_tau1_s", record._si.ref_tau1), ("ref_tau2_s", record._si.ref_tau2)):
-                if ref is not None:
-                    row[key] = ref
-        else:
-            row = [record.name, f"{t1 / 1e-40:.1f}", f"{t2 / 1e-38:.1f}", t1, t2]
-        rows.append(row)
-    payload = {"temperature_k": args.temperature, "ion_count": args.ion_count, "salts": rows} if as_json else None
-    return _render_table(header, rows, args.format, payload)
+            batch[-1] = batch[-1][:-2] + "\n"  # the last salt takes no comma
+        chunks.append("".join(batch))
+        return chunks
+
+    chunks = _load_records(args, render_rows)
+    if as_json:
+        return [f'{{\n  "ion_count": {json.dumps(ion_count)},\n  "salts": [\n', *chunks,
+                f'  ],\n  "temperature_k": {json.dumps(temperature)}\n}}\n']
+    chunks.insert(0, "name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n")
+    return chunks if args.format == "csv" else _aligned(chunks)
 
 
 def _cmd_factor(args) -> str:

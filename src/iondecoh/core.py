@@ -42,7 +42,7 @@ import math
 import sys
 
 from .errors import ValidationError
-from .materials import SaltRecord, number_density
+from .materials import SaltRecord
 from .units import (
     AREA,
     CODATA,
@@ -72,13 +72,14 @@ _LARGEST = sys.float_info.max
 class DecoherenceContext(_Record):
     """Inputs for one evaluation: ion mass, temperature, bath, lattice edge a, ensemble size.
 
-    Every field is checked once, here; the formulas below read them as they are.
-    The SI floats the formula bodies run over are kept too, with k_B T, but
-    are not fields.
+    Every field is checked once, on construction; the formulas below read the
+    checked SI floats, m, k_B T, n, a and N, which the context keeps as they
+    take them. The ion mass, bath density and lattice edge are built as
+    Quantities from those floats when read.
     """
 
     _fields = ("ion_mass", "temperature", "bath_density", "lattice_edge", "ion_count")
-    __slots__ = (*_fields, "_si")
+    __slots__ = ("temperature", "ion_count", "_si")  # _si: (m, kT, n, a, N), as the formula bodies take them
 
     def __init__(self, ion_mass: Quantity, temperature: Quantity, bath_density: Quantity,
                  lattice_edge: Quantity, ion_count: float = DEFAULT_ION_COUNT) -> None:
@@ -89,15 +90,20 @@ class DecoherenceContext(_Record):
         for label, q in (("ion_mass", ion_mass), ("bath_density", bath_density), ("lattice_edge", lattice_edge)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
-        thermal_energy = _thermal_energy(temperature.si, ion_count)
-        _Record.__init__(self, ion_mass, temperature, bath_density, lattice_edge, ion_count)
-        # m, kT, n, a and N, as the formula bodies take them
-        object.__setattr__(self, "_si", (ion_mass.si, thermal_energy, bath_density.si, lattice_edge.si, ion_count))
+        self._set_si(ion_mass.si, temperature, bath_density.si, lattice_edge.si, ion_count)
 
-    @property
-    def thermal_energy(self) -> Quantity:
-        """k_B T, derived from the temperature."""
-        return Quantity(self._si[1], ENERGY)
+    def _set_si(self, m: float, temperature: Quantity, n: float, a: float, ion_count: float) -> None:
+        """Check T and N and keep the SI floats: the one initialiser, of the constructor and context_for_salt."""
+        thermal_energy = _thermal_energy(temperature.si, ion_count)
+        set_temperature, set_ion_count, set_si = self._setters
+        set_temperature(self, temperature)
+        set_ion_count(self, ion_count)
+        set_si(self, (m, thermal_energy, n, a, ion_count))
+
+    ion_mass = property(lambda self: Quantity(self._si[0], MASS))
+    bath_density = property(lambda self: Quantity(self._si[2], NUMBER_DENSITY))
+    lattice_edge = property(lambda self: Quantity(self._si[3], LENGTH))
+    thermal_energy = property(lambda self: Quantity(self._si[1], ENERGY), doc="k_B T, derived from the temperature.")
 
 
 def _thermal_energy(temperature: float, ion_count: float) -> float:
@@ -119,10 +125,15 @@ def context_for_salt(
     temperature: Quantity = DEFAULT_TEMPERATURE,
     ion_count: float = DEFAULT_ION_COUNT,
 ) -> DecoherenceContext:
-    """Build the evaluation context for a salt record (cation mass convention)."""
-    # positional: the keyword call costs about a third of a microsecond more
-    return DecoherenceContext(Quantity(record._si.cation_kg, MASS), temperature, number_density(record),
-                              record.lattice_edge, ion_count)
+    """Build the evaluation context for a salt record (cation mass convention).
+
+    The record checked its own floats, so only the temperature and the ion
+    count are checked here, and no Quantity is built.
+    """
+    temperature.require(TEMPERATURE, "temperature")
+    ctx = DecoherenceContext.__new__(DecoherenceContext)
+    ctx._set_si(record._si.cation_kg, temperature, record._si.per_m3, record._si.edge, ion_count)
+    return ctx
 
 
 # -- formulas -------------------------------------------------------------------

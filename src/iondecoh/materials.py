@@ -12,6 +12,8 @@ Records keep file order, which is also the fixed output order everywhere.
 Every SaltRecord's number density, density / (m_cation + m_anion), is a positive normal double.
 A record keeps SI floats, each ion as its symbol, charge number and kg, and its fields
 give IonSpecies and Quantities on access; the loader builds no Quantity.
+The loader yields each record as its line is read; load_salts lists them, or
+hands them to a consumer that can keep less than the records.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .errors import SaltDataError, ValidationError
 from .units import (
@@ -157,16 +159,17 @@ def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) ->
     return value * scale
 
 
-def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
-    """Parse salt records from a text stream in file order.
+def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
+    """Parse salt records from a text stream, yielding each in file order as its line is read.
 
     Raises SaltDataError with the line number, and the field for a
     numeric one, on malformed input and on a value that fails a physical
     constraint: a field that is not a positive normal double in SI units,
     a bad ion symbol, a zero charge, an empty name, or a number density
-    that is not a positive normal double, which SaltRecord rejects.
+    that is not a positive normal double, which SaltRecord rejects. The
+    error comes when iteration reaches the faulty line, after the records
+    before it.
     """
-    records: list[SaltRecord] = []
     seen: set[str] = set()
     ions: dict[str, tuple[str, int]] = {}  # symbol -> (symbol, charge number), parsed once a load
     for line_number, raw in enumerate(stream, start=1):
@@ -199,23 +202,31 @@ def load_salt_database(stream: Iterable[str]) -> list[SaltRecord]:
             record._set_si(name, cation, cation_kg, anion, anion_kg, density, lattice, water, tau1, tau2)
         except ValidationError as exc:
             raise SaltDataError(str(exc), line_number) from None
-        records.append(record)
-    return records
+        yield record
 
 
-def load_salts(path) -> list[SaltRecord]:
-    """Load salt records from a file path; a leading UTF-8 byte-order mark is ignored.
+def load_salts(path, consume=list):
+    """Load the salt records of a file path: their list, or what consume makes of them.
 
-    A file that is not UTF-8, or that holds no records, raises SaltDataError.
+    consume gets an iterator that reads each record's line only when it is
+    reached, so one that renders each record as it comes keeps none of them.
+    A leading UTF-8 byte-order mark is ignored. A file that is not UTF-8, or
+    that holds no records, raises SaltDataError where the iteration reaches
+    the fault, as each fault that load_salt_database raises does.
     """
+    def records(handle):
+        empty = True
+        for record in load_salt_database(handle):
+            empty = False
+            yield record
+        if empty:
+            raise SaltDataError(f"data file {path!r} holds no salt records")
+
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            records = load_salt_database(handle)
+            return consume(records(handle))
     except UnicodeDecodeError as exc:
         raise SaltDataError(f"cannot read data file {path!r}: not UTF-8 text ({exc.reason})") from None
-    if not records:
-        raise SaltDataError(f"data file {path!r} holds no salt records")
-    return records
 
 
 def bundled_salt_database() -> list[SaltRecord]:
@@ -228,5 +239,9 @@ def salt_by_name(records: list[SaltRecord], name: str) -> SaltRecord:
     for record in records:
         if record.name == name:
             return record
-    valid = ", ".join(r.name for r in records)
-    raise ValidationError(f"unknown salt {name!r}; valid names: {valid}")
+    raise _unknown_salt(name, [r.name for r in records])
+
+
+def _unknown_salt(name: str, names: list[str]) -> ValidationError:
+    """The error for a salt the data does not hold; it lists the names the data holds, in file order."""
+    return ValidationError(f"unknown salt {name!r}; valid names: {', '.join(names)}")

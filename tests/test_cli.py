@@ -284,6 +284,16 @@ NAN_WATER = GOOD_LINE.replace(",10,", ",nan,")
 HUGE_IONS = GOOD_LINE.replace(",22.990,Cl-,35.453,", ",1e308,Cl-,1e308,")
 NOT_AN_ION_COUNT = "ion_count must be finite and at least 1, got "
 NOT_FINITE_ION_COUNT = "argument --ion-count: '{}' is not a finite number"
+KBR_LINE = "KBr,K+,39.098,Br-,79.904,2750,6.60,-,9.6,7.9\n"
+# table's fault order: a data-file fault (exit 2) anywhere in the file, then an
+# unknown or empty --salts, then a --temperature/--ion-count fault, then the
+# first formula fault in file order
+NINE_FIELDS_ON_LINE_3 = ("# header\n" + GOOD_LINE + KBR_LINE.rsplit(",", 1)[0] + "\n").encode()
+BIG_THEN_GOOD = (HUGE_IONS.replace("NaCl,", "Big,") + GOOD_LINE + KBR_LINE).encode()
+# past the text decoder's first 8 KiB read, so the byte is met after the faulting row is evaluated
+BIG_THEN_NOT_UTF8 = (HUGE_IONS.replace("NaCl,", "Big,") + "".join(
+    KBR_LINE.replace("KBr,", f"KBr{i},") for i in range(300))).encode() + b"\xff\n"
+NOT_UTF8 = "cannot read data file '{path}': not UTF-8 text (invalid start byte)"
 
 # argv -> the one stderr line of a run that exits 1 (or, with a third item
 # holding data-file bytes, 2 unless a fourth item gives the code) with
@@ -382,6 +392,38 @@ ONE_LINE_ERRORS = {
         HUGE_IONS.replace("NaCl,", "Big,").encode(), 1)
        for argv in (["xray", "--tau-x", "0.5e-18"], ["classify", "--tau-dyn", "1"])},
     "data-file-empty": (["table", "--data-file", DATA_FILE], "data file '{path}' holds no salt records", b""),
+    "table-order-data-fault-beats-formula-fault": (
+        ["table", "--data-file", DATA_FILE, "--ion-count", "1e300"], "line 3: expected 10 fields, got 9",
+        NINE_FIELDS_ON_LINE_3),
+    "table-order-data-fault-beats-unknown-salt": (
+        ["table", "--data-file", DATA_FILE, "--salts", "Nope", "--format", "json"],
+        "line 3: expected 10 fields, got 9", NINE_FIELDS_ON_LINE_3),
+    "table-order-data-fault-beats-empty-salts": (
+        ["table", "--data-file", DATA_FILE, "--salts", ",", "--temperature=-1"], "line 3: expected 10 fields, got 9",
+        NINE_FIELDS_ON_LINE_3),
+    "table-order-empty-file-beats-every-flag": (
+        ["table", "--data-file", DATA_FILE, "--salts", "Nope", "--temperature=-1", "--format", "csv"],
+        "data file '{path}' holds no salt records", b""),
+    "table-order-unknown-salt-beats-flag-fault": (
+        ["table", "--data-file", DATA_FILE, "--salts", "Nope", "--temperature=-1"],
+        "unknown salt 'Nope'; valid names: Big, NaCl, KBr", BIG_THEN_GOOD, 1),
+    "table-order-unknown-salt-beats-formula-fault": (
+        ["table", "--data-file", DATA_FILE, "--salts", "KBr,Nope,Big", "--format", "json"],
+        "unknown salt 'Nope'; valid names: Big, NaCl, KBr", BIG_THEN_GOOD, 1),
+    "table-order-empty-salts-beats-flag-fault": (
+        ["table", "--data-file", DATA_FILE, "--salts", ",", "--ion-count", "0"],
+        "--salts must name at least one salt", BIG_THEN_GOOD, 1),
+    "table-order-flag-fault-beats-formula-fault": (
+        ["table", "--data-file", DATA_FILE, "--temperature=-1", "--format", "csv"],
+        "temperature must be positive, got -1.0", BIG_THEN_GOOD, 1),
+    "table-order-first-formula-fault-in-file-order": (
+        ["table", "--data-file", DATA_FILE, "--salts", "Big2,NaCl,Big1", "--format", "json"],
+        "salt 'Big1': tau1 leaves the double range at temperature 310.0 K",
+        (GOOD_LINE + HUGE_IONS.replace("NaCl,", "Big1,") + HUGE_IONS.replace("NaCl,", "Big2,")).encode(), 1),
+    "table-order-not-utf8-after-formula-fault": (["table", "--data-file", DATA_FILE], NOT_UTF8, BIG_THEN_NOT_UTF8),
+    "table-order-not-utf8-after-flag-fault": (
+        ["table", "--data-file", DATA_FILE, "--salts", "Nope", "--ion-count", "0.5", "--format", "json"],
+        NOT_UTF8, BIG_THEN_NOT_UTF8),
     "data-file-comments-only": (["table", "--data-file", DATA_FILE, "--format", "csv"],
                                 "data file '{path}' holds no salt records", b"# only comments\n"),
     **{f"data-file-{case}": (["table", "--data-file", DATA_FILE], f"line 1: {message}",

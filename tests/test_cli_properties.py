@@ -24,6 +24,11 @@ That line names a salt of the file for ``table`` and ``xray``, whose
 formulas all run inside the CLI's evaluation of the salt; classify's ratio
 and the factor and sim kernels combine the salt's values with other flags
 outside it.
+
+Valid data files with generated salt names (non-ASCII, quotes, backslashes,
+punctuation), reference times present or missing, and ``--salts`` subsets
+in any order give ``table`` text, streamed a few rows a chunk, equal to the
+text of a run that renders every row at once, in all three formats.
 """
 
 import contextlib
@@ -39,8 +44,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from iondecoh import cli
-from iondecoh.materials import bundled_salt_database
+from iondecoh import cli, core
+from iondecoh.materials import bundled_salt_database, load_salts
+from iondecoh.units import temperature_kelvin
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
          1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
@@ -318,3 +324,86 @@ def test_data_file_run_writes_finite_output_or_names_its_fault(file, subcommand,
     assert code == 1, err
     if subcommand in ("table", "xray"):
         assert any(err.startswith(f"error: salt {name!r}: ") for name in names), err
+
+
+# salt names as a data file can hold them: non-ASCII letters, quotes, backslashes and other
+# punctuation, but no comma, control character or surrogate, no whitespace at either end
+# (the loader strips it), no leading # (a comment) and not "all" (every salt, to --salts)
+SALT_NAMES = st.text(
+    st.one_of(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=",\ufeff"),
+              st.sampled_from("\"'\\!$%&()*+-./:;<=>?@[]^_`{|}~"),
+              st.sampled_from("\u00e9\u03a9\u6f22\U0001f600\u00a0\u2028")),  # a line separator splits no line
+    min_size=1, max_size=10,
+).filter(lambda name: name == name.strip() and not name.startswith("#") and name != "all")
+REFERENCE = st.one_of(st.just("-"), st.floats(0.01, 100.0).map(repr))
+
+
+@st.composite
+def table_files(draw):
+    """The text of a valid data file of generated salt names and its names, in file order."""
+    names = draw(st.lists(SALT_NAMES, min_size=1, max_size=8, unique=True))
+    lines = []
+    for name in names:
+        fields = draw(st.sampled_from(BUNDLED_ROWS)).split(",")
+        fields[0] = name
+        fields[2], fields[4] = (repr(draw(st.floats(1.0, 300.0))) for _ in range(2))
+        fields[5], fields[6] = repr(draw(st.floats(500.0, 20000.0))), repr(draw(st.floats(1.0, 10.0)))
+        fields[8], fields[9] = draw(REFERENCE), draw(REFERENCE)
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n", names
+
+
+def _table_text_as_rendered_whole(path, selection, fmt, temperature, ion_count):
+    """table's text as a run that loads every record, then renders all its rows at once, gives it."""
+    records = load_salts(path)
+    if selection is not None:
+        records = [record for record in records if record.name in selection]
+    times = []
+    for record in records:
+        ctx = core.context_for_salt(record, temperature_kelvin(temperature), ion_count)
+        times.append((core.tau1(ctx).si, core.tau2(ctx).si))
+    if fmt == "json":
+        salts = []
+        for record, (t1, t2) in zip(records, times):
+            entry = {"name": record.name, "tau1_s": t1, "tau2_s": t2}
+            for key, ref in (("ref_tau1_s", record.ref_tau1), ("ref_tau2_s", record.ref_tau2)):
+                if ref is not None:
+                    entry[key] = ref.si
+            salts.append(entry)
+        payload = {"temperature_k": temperature, "ion_count": ion_count, "salts": salts}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    cells = [["name", "tau1_1e-40s", "tau2_1e-38s", "tau1_s", "tau2_s"]] + [
+        [record.name, f"{t1 / 1e-40:.1f}", f"{t2 / 1e-38:.1f}", repr(t1), repr(t2)]
+        for record, (t1, t2) in zip(records, times)]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in cells)
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n" for row in cells)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(file=table_files(), fmt=st.sampled_from(["human", "csv", "json"]), pick=st.data(),
+       temperature=st.floats(10.0, 1000.0), ion_count=st.floats(1.0, 1e25),
+       chunk_rows=st.integers(1, 3), to_file=st.booleans())
+def test_streamed_table_text_equals_the_text_rendered_whole(file, fmt, pick, temperature, ion_count,
+                                                            chunk_rows, to_file):
+    text, names = file
+    # a subset of the names in any order, or every salt
+    selection = pick.draw(st.one_of(st.none(), st.lists(st.sampled_from(names), min_size=1, unique=True)))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "salts.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        output = os.path.join(directory, "table.txt")
+        argv = ["table", "--data-file", path, "--format", fmt, f"--temperature={temperature!r}",
+                f"--ion-count={ion_count!r}", f"--salts={'all' if selection is None else ','.join(selection)}",
+                *(["--output", output] if to_file else [])]
+        out = io.StringIO()
+        # rows are joined a few at a time, so that chunk boundaries fall inside these small tables
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows), contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        if to_file:
+            with open(output, encoding="utf-8") as handle:
+                out = io.StringIO(handle.read())
+        expected = _table_text_as_rendered_whole(path, selection and set(selection), fmt, temperature, ion_count)
+    assert out.getvalue() == expected

@@ -87,19 +87,19 @@ def test_parse_ion_symbols():
 
 
 def test_empty_stream_gives_empty_database():
-    assert materials.load_salt_database(io.StringIO("# only comments\n\n")) == []
+    assert list(materials.load_salt_database(io.StringIO("# only comments\n\n"))) == []
 
 
 def test_comments_and_blank_lines_skipped():
     text = "# header\n\nNaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
-    records = materials.load_salt_database(io.StringIO(text))
+    records = list(materials.load_salt_database(io.StringIO(text)))
     assert len(records) == 1 and records[0].name == "NaCl"
 
 
 def test_wrong_field_count_reports_line_number():
     text = "# comment\nNaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6\n"
     with pytest.raises(SaltDataError, match="line 2") as excinfo:
-        materials.load_salt_database(io.StringIO(text))
+        list(materials.load_salt_database(io.StringIO(text)))
     assert excinfo.value.line_number == 2
     assert "9" in str(excinfo.value)
 
@@ -107,20 +107,20 @@ def test_wrong_field_count_reports_line_number():
 def test_unparseable_number_reports_field_and_line():
     text = "NaCl,Na+,alot,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
     with pytest.raises(SaltDataError, match="cation_mass_amu"):
-        materials.load_salt_database(io.StringIO(text))
+        list(materials.load_salt_database(io.StringIO(text)))
 
 
 def test_negative_density_names_line_and_field():
     text = "NaCl,Na+,22.990,Cl-,35.453,-2163,5.64,10,4.6,4.4\n"
     with pytest.raises(SaltDataError, match="line 1: field 'density_kg_m3'") as excinfo:
-        materials.load_salt_database(io.StringIO(text))
+        list(materials.load_salt_database(io.StringIO(text)))
     assert excinfo.value.line_number == 1
 
 
 def test_duplicate_names_rejected():
     line = "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
     with pytest.raises(SaltDataError, match="duplicate"):
-        materials.load_salt_database(io.StringIO(line + line))
+        list(materials.load_salt_database(io.StringIO(line + line)))
 
 
 def test_unknown_salt_lookup_lists_valid_names():
@@ -154,6 +154,26 @@ def test_the_loader_parses_each_ion_symbol_once_a_load(monkeypatch):
     monkeypatch.setattr(materials, "parse_ion", lambda symbol, amu: parsed.append(symbol) or parse_ion(symbol, amu))
     for _ in range(2):  # no cache outlives a load
         parsed.clear()
-        records = materials.load_salt_database(io.StringIO(text))
+        records = list(materials.load_salt_database(io.StringIO(text)))
         assert parsed == ["Na+", "S2-", "Cl-"]
         assert [r.anion.charge_number for r in records[:2]] == [-2, -1]
+
+
+def test_the_loader_yields_each_record_before_it_reads_the_next_line():
+    good = "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
+    lines = iter([good, good.replace("NaCl", "KCl"), "KBr,K+\n"])
+    records = materials.load_salt_database(lines)
+    assert next(records).name == "NaCl"
+    assert next(lines).startswith("KCl")  # the loader has not read past NaCl's line
+    with pytest.raises(SaltDataError, match="^line 2: expected 10 fields, got 2$"):
+        next(records)
+
+
+def test_load_salts_hands_the_records_to_consume_as_they_are_read(tmp_path):
+    path = tmp_path / "salts.csv"
+    path.write_text("NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\nKBr,K+\n")
+    seen = []
+    with pytest.raises(SaltDataError, match="^line 2: expected 10 fields, got 2$"):
+        materials.load_salts(path, lambda records: [seen.append(r.name) for r in records])
+    assert seen == ["NaCl"]
+    assert materials.load_salts(path, next).name == "NaCl"  # reads no further than the first record

@@ -97,11 +97,13 @@ class _Discard:
 
 
 TABLE_ROWS = 2000
-# traced peak of table per byte of the text it renders: the loaded records,
-# each dropped once its row is built, and the chosen format's rows or dicts,
-# which the text is joined from. Measured over 2,000 rows: 9.15 (csv), 3.86
-# (json) and 7.56 (human) times 122,183, 372,708 and 164,692 bytes of text.
-TABLE_PEAK_PER_TEXT_BYTE = {"csv": 10.0, "json": 4.25, "human": 8.25}
+# traced peak of table per byte of the text it renders: table renders each
+# record's row as the record is read and keeps only the text, in chunks of
+# rows, plus the loader's set of names seen; human keeps the csv text and
+# aligns one chunk at a time as it writes. Measured over 2,000 rows: 3.61
+# (csv), 1.86 (json) and 2.83 (human) times 122,183, 372,708 and 164,692
+# bytes of text; each bound is the measured value plus about 15%.
+TABLE_PEAK_PER_TEXT_BYTE = {"csv": 4.15, "json": 2.15, "human": 3.25}
 
 
 def _bundled_rows_file(tmp_path):

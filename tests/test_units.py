@@ -10,7 +10,7 @@ from scipy import constants as codata
 
 from iondecoh import core, units
 from iondecoh.errors import DimensionError
-from iondecoh.materials import bundled_salt_database, salt_by_name
+from iondecoh.materials import bundled_salt_database, number_density, salt_by_name
 
 
 def test_amu_to_kg_matches_codata():
@@ -180,10 +180,12 @@ def test_each_formula_builds_one_quantity_its_result(monkeypatch):
         built.clear()
         result = formula(ctx)
         assert [args[0] for args in built] == [result], formula.__name__
-    # the context builds its three from the record's SI floats: ion mass, bath density, lattice edge
+    # the context keeps the record's SI floats and builds no Quantity; its fields build theirs when read
+    kbr = salt_by_name(records, "KBr")
     built.clear()
-    ctx = core.context_for_salt(salt_by_name(records, "KBr"))
-    assert [args[0] for args in built] == [ctx.ion_mass, ctx.bath_density, ctx.lattice_edge]
+    ctx = core.context_for_salt(kbr)
+    assert built == []
+    assert (ctx.ion_mass, ctx.bath_density, ctx.lattice_edge) == (kbr.cation.mass, number_density(kbr), kbr.lattice_edge)
 
 
 def test_ratio_and_require():
