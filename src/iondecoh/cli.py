@@ -4,8 +4,8 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
 
 * --format human|csv|json (default human); csv and json carry full float
   precision and are byte-for-byte deterministic for identical inputs.
-* --output PATH writes atomically (temp file, then rename) so a failed run
-  never leaves a partial file; default is stdout.
+* --output PATH replaces a regular or new file whole, so a failed run never
+  leaves a partial file, and writes a device or FIFO in place; default stdout.
 * salt data comes from --data-file, else the IONDECOH_DATA_DIR environment
   variable (a directory containing salts.csv), else the bundled table.
 * exit codes: 0 success, 1 bad arguments or values, 2 unreadable or
@@ -15,6 +15,7 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -103,7 +104,7 @@ def _render_table(header, rows, fmt, json_payload):
         chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_payload)
         batches = iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)), "")
         return "".join([*batches, "\n"])
-    text = "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    text = "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
     return text if fmt == "csv" else "".join(_aligned([text]))
 
 
@@ -130,36 +131,27 @@ def _aligned(chunks):
         yield "".join(map(aligned, chunk.split("\n")[:-1]))
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _deliver(text, output: str | None) -> None:
-    """Write the text, one str or its chunks in turn, to stdout or atomically to output."""
+    """Write the text, one str or its chunks, to stdout or output: a device or FIFO in place, a file by rename."""
     chunks = [text] if isinstance(text, str) else text
     if output is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         return
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(output))
-    # mkstemp creates the file with mode 0600; give it the mode open() would
-    umask = os.umask(0)
-    os.umask(umask)
-    tmp_path = None
+    tmp = None  # the new file, once this run has created it
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".iondecoh-")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp_path, output)
+        if os.path.exists(output) and not os.path.isfile(output):
+            handle = open(output, "w", encoding="utf-8")
+        else:
+            name = os.path.join(os.path.dirname(output), ".iondecoh-" + os.urandom(8).hex())
+            handle, tmp = open(name, "x", encoding="utf-8"), name
+        with handle:
+            handle.writelines(chunks)
+        if tmp is not None:
+            os.replace(tmp, output)
     except BaseException as exc:
-        if tmp_path is not None and os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        if tmp is not None:
+            os.unlink(tmp)
         if isinstance(exc, OSError):
             raise ValidationError(f"cannot write {output!r}: {exc.strerror or exc}") from None
         raise
@@ -435,6 +427,7 @@ def main(argv=None) -> int:
     try:
         args = _parser.parse_args(argv)
         _deliver(args.handler(args), args.output)
+        sys.stdout.flush()  # now, not at exit, so a reader that has gone gets one error line
         return 0
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
@@ -447,6 +440,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # numpy's allocation failure says how much it asked for
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader has gone: point its descriptor, if any, at devnull for the exit flush
+        with contextlib.suppress(AttributeError, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to stdout: Broken pipe", file=sys.stderr)
         return 1
 
 

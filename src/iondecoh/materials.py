@@ -105,6 +105,10 @@ class SaltRecord(_Record):
             raise ValidationError(f"{name}: lattice_a_angstrom must be positive")
         if water is not None and water <= 0:
             raise ValidationError(f"{name}: water_per_ion must be positive")
+        if ref_tau1 is not None and ref_tau1 <= 0:
+            raise ValidationError(f"{name}: ref_tau1 must be positive")
+        if ref_tau2 is not None and ref_tau2 <= 0:
+            raise ValidationError(f"{name}: ref_tau2 must be positive")
         per_m3 = _per_volume(density, cation_kg, anion_kg)  # positive masses: no zero divisor
         if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:  # an overflowing formula mass gives 0.0
             raise ValidationError(f"{name}: number density {per_m3!r} m^-3 is not a positive normal double")

@@ -101,8 +101,6 @@ def log_vacuum_overlap(profile: BogoliubovProfile) -> float:
     u = profile.u
     if u.size and np.min(u) <= 0.0:
         raise ValidationError("every U_k must be positive")
-    if u.size == 0:
-        return 0.0
     return float(np.sum(np.log(u)))
 
 

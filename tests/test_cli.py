@@ -540,6 +540,73 @@ def test_output_file_mode_follows_umask(capsys, tmp_path, umask, mode):
     assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
+def test_fifo_output_is_written_in_place(capsys, tmp_path):
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    argv = ["table", "--salts", "NaCl", "--format", "csv"]
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opened first, so the writer's open does not wait
+    try:
+        result = run_cli(capsys, *argv, "--output", str(fifo))
+        written = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert result == (0, "", "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert written.decode() == run_cli(capsys, *argv)[1]
+
+
+def test_output_never_takes_a_file_that_holds_its_new_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "urandom", bytes)  # every new name is ".iondecoh-" and zeros
+    taken = tmp_path / (".iondecoh-" + bytes(8).hex())
+    taken.write_text("kept\n")
+    target = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "table", "--salts", "NaCl", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name]
+
+
+MAIN_SCRIPT = "import sys\nfrom iondecoh.cli import main\nsys.exit(main())\n"
+BROKEN_PIPE = "error: cannot write to stdout: Broken pipe\n"
+
+
+def buffered_env():
+    """The environment with stdout block-buffered, as it is by default for a pipe."""
+    return {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
+def test_stdout_pipe_closed_mid_text_is_one_error_line(capsys, tmp_path):
+    data = tmp_path / "salts.csv"
+    data.write_text("".join(f"S{i}{GOOD_LINE[len('NaCl'):]}" for i in range(6000)))
+    argv = ["table", "--data-file", str(data), "--format", "csv"]
+    # four times the 64 KiB a pipe holds, so the writer meets the closed end
+    assert len(run_cli(capsys, *argv)[1]) >= 4 * 65536
+    with open(tmp_path / "stderr", "w") as stderr:
+        child = subprocess.Popen([sys.executable, "-c", MAIN_SCRIPT, *argv], stdout=subprocess.PIPE, stderr=stderr,
+                                 env=buffered_env())
+        assert child.stdout.readline() == b"name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+    assert (tmp_path / "stderr").read_text() == BROKEN_PIPE
+
+
+def test_stdout_pipe_closed_before_the_text_is_one_error_line(tmp_path):
+    # the text stays in stdout's buffer until main flushes it, so the interpreter's exit flush would meet the
+    # closed pipe again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open(tmp_path / "stderr", "w") as stderr:
+            argv = ["table", "--salts", "NaCl", "--format", "csv"]
+            child = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, *argv], stdout=write_end, stderr=stderr,
+                                   env=buffered_env())
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert (tmp_path / "stderr").read_text() == BROKEN_PIPE
+
+
 def test_negative_phase_in_scientific_notation(capsys):
     code, out, err = run_cli(
         capsys, "sim", "--wavelength", "1e-10", "--rate", "1e15",
@@ -656,6 +723,7 @@ IMPORT_RUNS = {
     "malformed-data-file": (["table", "--data-file", "{malformed}"], 2),
 }
 NUMPY_FREE_CASES = [case for case in IMPORT_RUNS if case not in ("sim", "bcs")]
+OUTPUT_RUN = ["table", "--format", "csv", "--output", "{output}"]  # run with tempfile blocked too
 
 
 @pytest.fixture(scope="module")
@@ -663,17 +731,21 @@ def isolated_run(tmp_path_factory):
     """Run an IMPORT_RUNS case in a fresh interpreter, once per case for the module."""
     malformed = tmp_path_factory.mktemp("data") / "salts.csv"
     malformed.write_text("# header\nNaCl,Na+,22.990\n")
+    paths = {"{malformed}": str(malformed), "{output}": str(malformed.with_name("table.csv"))}
     results = {}
 
     def run(case):
         if case not in results:
-            argv, _ = IMPORT_RUNS[case]
-            argv = [str(malformed) if arg == "{malformed}" else arg for arg in argv]
+            argv = OUTPUT_RUN if case == "output" else IMPORT_RUNS[case][0]
+            argv = [paths.get(arg, arg) for arg in argv]
             # a None entry in sys.modules makes every import of that name raise ImportError:
-            # no run loads scipy or dataclasses, only sim and bcs numpy, and the csv table no json
+            # no run loads scipy or dataclasses, only sim and bcs numpy, the csv table no json,
+            # and --output no tempfile
             blocked = ["scipy", "dataclasses"] if case in ("sim", "bcs") else ["scipy", "dataclasses", "numpy"]
             if case == "table":
                 blocked.append("json")
+            if case == "output":
+                blocked.append("tempfile")
             script = (
                 "import sys\n"
                 f"for name in {blocked!r}:\n"
@@ -714,6 +786,12 @@ def test_csv_table_runs_with_json_blocked(isolated_run):
     assert IMPORT_RUNS["table"][0][-1] == "csv"
     result = isolated_run("table")
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_output_runs_with_tempfile_blocked(isolated_run):
+    result = isolated_run("output")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(result.stdout.splitlines()) == 1  # the text went to --output
 
 
 @pytest.mark.parametrize("command", ["sim", "bcs"])

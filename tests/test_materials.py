@@ -147,6 +147,15 @@ def test_record_rejects_a_reference_time_of_another_dimension():
                              ref_tau1=time_s(1.0), ref_tau2=nacl.lattice_edge)
 
 
+@pytest.mark.parametrize("seconds", [-1.0, 0.0])
+@pytest.mark.parametrize("field", ["ref_tau1", "ref_tau2"])
+def test_record_rejects_a_reference_time_that_is_not_positive(field, seconds):
+    nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
+    with pytest.raises(ValidationError, match=rf"^NaCl: {field} must be positive$"):
+        materials.SaltRecord(nacl.name, nacl.cation, nacl.anion, nacl.mass_density, nacl.lattice_edge,
+                             **{field: time_s(seconds)})
+
+
 def test_the_loader_parses_each_ion_symbol_once_a_load(monkeypatch):
     text = "".join(f"S{i},Na+,22.990,{'Cl-' if i % 2 else 'S2-'},35.453,2163,5.64,10,4.6,4.4\n" for i in range(50))
     parsed = []

@@ -95,6 +95,9 @@ class _Discard:
     def write(self, text):
         return len(text)
 
+    def flush(self):
+        pass
+
 
 TABLE_ROWS = 2000
 # traced peak of table per byte of the text it renders: table renders each
