@@ -5,11 +5,12 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
 * --format human|csv|json (default human); csv and json carry full float
   precision and are byte-for-byte deterministic for identical inputs.
 * --output PATH replaces a regular or new file whole, so a failed run never
-  leaves a partial file, and writes a device or FIFO in place; default stdout.
+  leaves a partial file, and writes a device or FIFO in place; a symlink is
+  followed, as the shell's > follows it; default stdout.
 * salt data comes from --data-file, else the IONDECOH_DATA_DIR environment
   variable (a directory containing salts.csv), else the bundled table.
-* exit codes: 0 success, 1 bad arguments or values, 2 unreadable or
-  malformed data file.
+* exit codes: 0 success, 1 bad arguments or values or a stdout that cannot
+  take the text, 2 unreadable or malformed data file.
 """
 
 from __future__ import annotations
@@ -69,14 +70,15 @@ def _load_records(args, consume=list):
 
 
 def _salt_values(args, record: SaltRecord, *formulas) -> list:
-    """Each formula of the salt's context at --temperature and --ion-count.
+    """Each formula(operands, T) at the salt's operands (cation_kg, kT, n, a, N) and --temperature T.
 
-    A fault of those two flags is every salt's, so it names none; a fault of
-    a formula names the salt. A loaded record's own fields cannot fail here.
+    A fault of --temperature or --ion-count is every salt's, so it names
+    none; a fault of a formula names the salt.
     """
-    ctx = core.context_for_salt(record, temperature_kelvin(args.temperature), args.ion_count)
+    operands = (record._si.cation_kg, core._thermal_energy(args.temperature, args.ion_count), record._si.per_m3,
+                record._si.edge, args.ion_count)
     try:
-        return [formula(ctx) for formula in formulas]
+        return [formula(operands, args.temperature) for formula in formulas]
     except (IonDecohError, ValueError) as exc:
         raise ValidationError(f"salt {record.name!r}: {exc}") from None
 
@@ -84,7 +86,8 @@ def _salt_values(args, record: SaltRecord, *formulas) -> list:
 def _wavelength_and_rate(args):
     if args.salt is not None:
         record = salt_by_name(_load_records(args), args.salt)
-        return _salt_values(args, record, core.de_broglie_wavelength, core.scattering_rate)
+        wavelength, rate = _salt_values(args, record, core._WAVELENGTH.si, core._RATE.si)
+        return length_m(wavelength), rate_per_s(rate)
     if args.wavelength is None or args.rate is None:
         raise ValidationError("give either --salt or both --wavelength and --rate")
     return length_m(args.wavelength), rate_per_s(args.rate)
@@ -135,20 +138,27 @@ def _deliver(text, output: str | None) -> None:
     """Write the text, one str or its chunks, to stdout or output: a device or FIFO in place, a file by rename."""
     chunks = [text] if isinstance(text, str) else text
     if output is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()  # now, not at exit, so a reader that has gone or a full file gets one error line
+        except OSError as exc:  # stdout's descriptor, if any, goes to devnull, so the exit flush cannot fail again
+            with contextlib.suppress(AttributeError, OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
+    target = os.path.realpath(output)  # a symlink is written through, as the shell's > writes it
     tmp = None  # the new file, once this run has created it
     try:
-        if os.path.exists(output) and not os.path.isfile(output):
-            handle = open(output, "w", encoding="utf-8")
+        if os.path.exists(target) and not os.path.isfile(target):
+            handle = open(target, "w", encoding="utf-8")
         else:
-            name = os.path.join(os.path.dirname(output), ".iondecoh-" + os.urandom(8).hex())
+            name = os.path.join(os.path.dirname(target), ".iondecoh-" + os.urandom(8).hex())
             handle, tmp = open(name, "x", encoding="utf-8"), name
         with handle:
             handle.writelines(chunks)
         if tmp is not None:
-            os.replace(tmp, output)
+            os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
             os.unlink(tmp)
@@ -170,11 +180,7 @@ def _cmd_table(args):
     """
     requested = None if args.salts == "all" else [name.strip() for name in args.salts.split(",") if name.strip()]
     wanted = set(requested or ())
-    temperature, ion_count = args.temperature, args.ion_count
-    try:
-        thermal_energy, flag_fault = core._thermal_energy(temperature, ion_count), None
-    except ValidationError as exc:  # a flag fault is every salt's: it names none
-        thermal_energy, flag_fault = None, exc
+    tau1, tau2 = core._TAU1.si, core._TAU2.si
     as_json = args.format == "json"
     if as_json:
         import json
@@ -190,7 +196,7 @@ def _cmd_table(args):
         row_text = _csv_row
 
     def render_rows(records):
-        fault = flag_fault  # the first exit-1 fault, held until the whole file is read
+        fault = None  # the first exit-1 fault, held until the whole file is read
         chunks, batch, names = [], [], []  # names: every name in file order, for an unknown --salts name
         for record in records:
             if requested is not None:
@@ -200,9 +206,9 @@ def _cmd_table(args):
             if fault is not None:
                 continue
             try:
-                t1, t2 = core._salt_times(record, thermal_energy, temperature, ion_count)
+                t1, t2 = _salt_values(args, record, tau1, tau2)
             except ValidationError as exc:
-                fault = ValidationError(f"salt {record.name!r}: {exc}")
+                fault = exc
                 continue
             if len(batch) == _CHUNK_ROWS:  # joined before the next row, so the last row stays in batch
                 chunks.append("".join(batch))
@@ -224,8 +230,8 @@ def _cmd_table(args):
 
     chunks = _load_records(args, render_rows)
     if as_json:
-        return [f'{{\n  "ion_count": {json.dumps(ion_count)},\n  "salts": [\n', *chunks,
-                f'  ],\n  "temperature_k": {json.dumps(temperature)}\n}}\n']
+        return [f'{{\n  "ion_count": {json.dumps(args.ion_count)},\n  "salts": [\n', *chunks,
+                f'  ],\n  "temperature_k": {json.dumps(args.temperature)}\n}}\n']
     chunks.insert(0, "name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n")
     return chunks if args.format == "csv" else _aligned(chunks)
 
@@ -269,7 +275,9 @@ def _cmd_sim(args) -> str:
 
 def _cmd_xray(args) -> str:
     record = salt_by_name(_load_records(args), args.salt)
-    (check,) = _salt_values(args, record, lambda ctx: regimes.xray_consistency(ctx, record, time_s(args.tau_x)))
+    # through the public context and check, as library callers take them
+    (check,) = _salt_values(args, record, lambda _, temperature: regimes.xray_consistency(
+        core.context_for_salt(record, temperature_kelvin(temperature), args.ion_count), record, time_s(args.tau_x)))
     payload = {"salt": record.name, **check.to_dict()}
     header = list(payload)
     return _render_table(header, [[payload[k] for k in header]], args.format, payload)
@@ -300,7 +308,8 @@ def _cmd_bcs(args) -> str:
 
 def _cmd_classify(args) -> str:
     if args.salt is not None:
-        t1, t2 = _salt_values(args, salt_by_name(_load_records(args), args.salt), core.tau1, core.tau2)
+        t1, t2 = map(time_s, _salt_values(args, salt_by_name(_load_records(args), args.salt),
+                                          core._TAU1.si, core._TAU2.si))
     elif args.tau1 is not None and args.tau2 is not None:
         t1, t2 = time_s(args.tau1), time_s(args.tau2)
     else:
@@ -338,23 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iondecoh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p, handler, salt_data=True):
+        """The handler and the shared flags; a command that reads salt data takes the thermal and data flags."""
+        if salt_data:
+            p.add_argument("--temperature", type=_finite, default=core.DEFAULT_TEMPERATURE.si,
+                           help="temperature in K (default 310)")
+            p.add_argument("--ion-count", type=_finite, default=core.DEFAULT_ION_COUNT,
+                           help="ions decohering together, N (default 1e23)")
         p.add_argument("--format", choices=("human", "csv", "json"), default="human")
         p.add_argument("--output", help="write here instead of stdout (atomic)")
-        if data:
+        if salt_data:
             p.add_argument("--data-file", help="salt data CSV overriding the bundled table")
-
-    def thermal(p):
-        p.add_argument("--temperature", type=_finite, default=core.DEFAULT_TEMPERATURE.si,
-                       help="temperature in K (default 310)")
-        p.add_argument("--ion-count", type=_finite, default=core.DEFAULT_ION_COUNT,
-                       help="ions decohering together, N (default 1e23)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("table", help="decoherence times for the salt table")
     p.add_argument("--salts", default="all", help='"all" or comma-separated names')
-    thermal(p)
-    common(p)
-    p.set_defaults(handler=_cmd_table)
+    common(p, _cmd_table)
 
     p = sub.add_parser("factor", help="two-point suppression factor")
     p.add_argument("--salt", help="derive wavelength and rate from this salt")
@@ -362,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=_finite, help="scattering rate in 1/s")
     p.add_argument("--dx", type=_finite, required=True, help="separation in m")
     p.add_argument("--time", type=_finite, required=True, help="elapsed time in s")
-    thermal(p)
-    common(p)
-    p.set_defaults(handler=_cmd_factor)
+    common(p, _cmd_factor)
 
     p = sub.add_parser("sim", help="evolve a two-packet density matrix")
     p.add_argument("--salt", help="derive wavelength and rate from this salt")
@@ -378,16 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent-widths", type=_finite, default=40.0,
                    help="grid span in packet widths (default 40)")
     p.add_argument("--phase", type=_finite, default=0.0, help="relative phase in rad")
-    thermal(p)
-    common(p)
-    p.set_defaults(handler=_cmd_sim)
+    common(p, _cmd_sim)
 
     p = sub.add_parser("xray", help="implied density and spacing from an X-ray time")
     p.add_argument("--salt", required=True)
     p.add_argument("--tau-x", type=_finite, required=True, help="X-ray interaction time in s")
-    thermal(p)
-    common(p)
-    p.set_defaults(handler=_cmd_xray)
+    common(p, _cmd_xray)
 
     p = sub.add_parser("bcs", help="finite-mode vacuum overlap and its decay rate")
     p.add_argument("--modes", required=True, help="comma-separated mode counts")
@@ -397,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-bandwidth", type=_finite, default=1.0,
                    help="band energy half-width (default 1.0)")
     p.add_argument("--seed", type=int, default=0, help="band energy sampling seed (default 0)")
-    common(p, data=False)
-    p.set_defaults(handler=_cmd_bcs)
+    common(p, _cmd_bcs, salt_data=False)
 
     p = sub.add_parser("classify", help="classical / QM / QFT regime verdict")
     p.add_argument("--salt", help="compute tau1 and tau2 from this salt")
@@ -409,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a macroscopically coherent phase is observed")
     p.add_argument("--threshold", type=_finite, default=regimes.DEFAULT_THRESHOLD_RATIO,
                    help="ratio above which QM is inadequate (default 1e3)")
-    thermal(p)
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
+    common(p, _cmd_classify)
 
     return parser
 
@@ -425,12 +424,13 @@ def main(argv=None) -> int:
         # built once per process: argparse keeps no state between parse_args calls
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:  # argparse printed the help: flushed here, so a fault of stdout gets its line
+            _deliver("", None)
+            return 0 if exc.code in (0, None) else int(exc.code)
         _deliver(args.handler(args), args.output)
-        sys.stdout.flush()  # now, not at exit, so a reader that has gone gets one error line
         return 0
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
     except SaltDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -440,11 +440,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # numpy's allocation failure says how much it asked for
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:  # stdout's reader has gone: point its descriptor, if any, at devnull for the exit flush
-        with contextlib.suppress(AttributeError, OSError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: cannot write to stdout: Broken pipe", file=sys.stderr)
         return 1
 
 

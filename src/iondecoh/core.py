@@ -27,13 +27,11 @@ derived and range-checked once, in materials; context_for_salt only reads it.
 Charge convention: all ions scatter with unit charge q_e; the charge
 numbers carried by the species records are metadata only.
 
-Evaluation: each formula body below is written once, over a carrier, and
-its result's dimension is proved once, at import, by a run over Quantities.
-Every call runs the same body over SI floats, the same float operations in
-the same order, and wraps only its result in a Quantity; Quantity
-arithmetic, which checks every operation, is left to library callers.
-Where a value leaves the double range, the formula raises a
-ValidationError naming it.
+Evaluation: each formula below is a ``units._Formula``, which proves its
+result's dimension once, at import, by a run over Quantities, and runs in
+SI floats on every call; Quantity arithmetic, which checks every operation,
+is left to library callers. Where a value leaves the double range, the
+formula raises a ValidationError naming it.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .errors import ValidationError
 from .materials import SaltRecord
 from .units import (
     AREA,
-    CODATA,
     DIMENSIONLESS,
     ENERGY,
     LENGTH,
@@ -55,9 +52,10 @@ from .units import (
     SPEED,
     TEMPERATURE,
     TIME,
-    Dimension,
-    PhysicalConstants,
     Quantity,
+    _FLOATS,
+    _Formula,
+    _over_floats,
     _Record,
     temperature_kelvin,
 )
@@ -65,8 +63,7 @@ from .units import (
 DEFAULT_TEMPERATURE = temperature_kelvin(310.0)
 DEFAULT_ION_COUNT = 1e23
 
-_SI = PhysicalConstants(*(q.si for q in CODATA._values()))  # the constants as SI floats
-_LARGEST = sys.float_info.max
+_SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 
 class DecoherenceContext(_Record):
@@ -110,7 +107,7 @@ def _thermal_energy(temperature: float, ion_count: float) -> float:
     """k_B T, once the temperature in K and the ion count are checked: every salt's checks of them."""
     if temperature <= 0:
         raise ValidationError(f"temperature must be positive, got {temperature!r}")
-    thermal_energy = _SI.k_B * temperature
+    thermal_energy = _FLOATS.k_B * temperature
     if thermal_energy == 0.0:
         raise ValidationError(f"temperature {temperature!r} K is too low: k_B T underflows to 0.0 J")
     if not 1 <= ion_count < math.inf:  # also rejects NaN
@@ -138,129 +135,92 @@ def context_for_salt(
 
 # -- formulas -------------------------------------------------------------------
 #
-# Each body is written once, over a carrier: c holds the constants and sqrt is
-# the carrier's square root; m, kT, n, a and N are the context's ion mass,
-# thermal energy, bath density, lattice edge and ion count. Over Quantities
-# (CODATA, Quantity.sqrt) every operation checks its dimensions; over SI
-# floats (_SI, math.sqrt) the same operations run in the same order, so the
-# bits agree.
+# Each body is written once, over a carrier c: the constants, c.sqrt and
+# c.cbrt; m, kT, n, a and N are the context's ion mass, thermal energy, bath
+# density, lattice edge and ion count, as its _si holds them.
 
-def _wavelength(c, sqrt, m, kT, n, a, N):
-    return 2.0 * math.pi * c.hbar / sqrt(3.0 * m * kT)
+def _wavelength(c, m, kT, n, a, N):
+    return 2.0 * math.pi * c.hbar / c.sqrt(3.0 * m * kT)
 
 
-def _speed(c, sqrt, m, kT, n, a, N):
-    return sqrt(kT / m)
+def _speed(c, m, kT, n, a, N):
+    return c.sqrt(kT / m)
 
 
-def _cross_section(c, sqrt, m, kT, n, a, N):
+def _cross_section(c, m, kT, n, a, N):
     return (c.coulomb_g * c.q_e ** 2 / kT) ** 2
 
 
-def _rate(c, sqrt, m, kT, n, a, N):
-    return n * _cross_section(c, sqrt, m, kT, n, a, N) * _speed(c, sqrt, m, kT, n, a, N)
+def _rate(c, m, kT, n, a, N):
+    return n * _cross_section(c, m, kT, n, a, N) * _speed(c, m, kT, n, a, N)
 
 
-def _tau1_product(c, sqrt, m, kT, n, a, N):
+def _tau1_product(c, m, kT, n, a, N):
     return m * kT ** 3
 
 
-def _tau1_denominator(c, sqrt, m, kT, n, a, N):
+def _tau1_denominator(c, m, kT, n, a, N):
     return N * n * (c.coulomb_g * c.q_e ** 2) ** 2
 
 
-def _tau2_product(c, sqrt, m, kT, n, a, N):
+def _tau2_product(c, m, kT, n, a, N):
     return m * kT
 
 
-def _tau2_denominator(c, sqrt, m, kT, n, a, N):
+def _tau2_denominator(c, m, kT, n, a, N):
     # g and q_e^2 multiply in turn; (g q_e^2) as one factor would reassociate
     # the product and change the last bits of tau2
     return N * n * a * c.coulomb_g * c.q_e ** 2
 
 
 _OPERAND_DIMS = (MASS, ENERGY, NUMBER_DENSITY, LENGTH, DIMENSIONLESS)  # of m, kT, n, a and N
-# a carrier of Quantities, with one of each operand's dimension: a body's run over it is its proof
-_PROOF_ARGS = (CODATA, Quantity.sqrt, *(Quantity(1.0, d) for d in _OPERAND_DIMS))
+_AT_TEMPERATURE = "{label} leaves the double range at temperature {at!r} K"
 
 
-def _value(body, operands: tuple, quantities: bool = False) -> float:
-    """body's SI value at the SI operands, over floats or, to check them, over Quantities; inf where it overflows."""
-    try:
-        if quantities:
-            return body(CODATA, Quantity.sqrt, *map(Quantity, operands, _OPERAND_DIMS)).si
-        return body(_SI, math.sqrt, *operands)
-    except (ArithmeticError, ValueError):  # a float overflow or zero divisor; a non-finite Quantity
-        return math.inf
+class _Time(_Formula):
+    """A decoherence time, sqrt(product) / denominator, checked in the order the Quantity arithmetic would fail."""
 
+    __slots__ = ("product", "denominator")
 
-class _Formula:
-    """A formula body, its label and its result's dimension; building one proves that dimension.
+    def __init__(self, label: str, product, denominator) -> None:
+        self.product, self.denominator = product, denominator
+        super().__init__(label, TIME, _OPERAND_DIMS, lambda c, *x: c.sqrt(product(c, *x)) / denominator(c, *x),
+                         _AT_TEMPERATURE)
 
-    With a denominator body it is a decoherence time, sqrt(body) / denominator.
-    Otherwise ``si`` rejects a value that is not finite or is below
-    ``smallest``, the least value the body gives when no operation overflows.
-    """
-
-    __slots__ = ("label", "dim", "body", "denominator", "smallest")
-
-    def __init__(self, label: str, dim: Dimension, body, denominator=None, smallest: float = 0.0) -> None:
-        self.label, self.dim, self.body, self.denominator, self.smallest = label, dim, body, denominator, smallest
-        proof = body(*_PROOF_ARGS)
-        if denominator is not None:
-            proof = proof.sqrt() / denominator(*_PROOF_ARGS)
-        proof.require(dim, label)
-
-    def si(self, operands: tuple, temperature: float, quantities: bool = False) -> float:
-        """The SI value at (m, kT, n, a, N), or a ValidationError naming the formula, and T in K, out of range."""
-        value = _value(self.body, operands, quantities)
-        if self.denominator is not None:
-            return self._time(value, _value(self.denominator, operands, quantities), temperature, operands[4])
-        if not self.smallest <= value <= _LARGEST:  # also rejects NaN
-            raise self._out_of_range(temperature)
-        return value
-
-    def _time(self, product: float, denominator: float, temperature: float, ion_count: float) -> float:
-        """sqrt(product) / denominator, checked in the order the Quantity arithmetic would fail."""
-        label = self.label
+    def si(self, operands: tuple, temperature: float) -> float:
+        product, denominator = _over_floats(self.product, operands), _over_floats(self.denominator, operands)
         if denominator == math.inf and product < math.inf:
             # as a float: an int ion count would print every digit
-            raise ValidationError(f"{label} leaves the double range at ion_count {float(ion_count)!r}: "
+            raise ValidationError(f"{self.label} leaves the double range at ion_count {float(operands[4])!r}: "
                                   "its denominator overflows")
-        if product < sys.float_info.min:
-            raise ValidationError(f"temperature {temperature!r} K is too low for {label}: "
+        if product < _SMALLEST_NORMAL:
+            raise ValidationError(f"temperature {temperature!r} K is too low for {self.label}: "
                                   "the product under its square root is below the smallest normal double")
         tau = math.sqrt(product) / denominator if denominator else math.inf
         if not tau <= _LARGEST:  # also rejects NaN, from an overflowing product over an overflowing denominator
-            raise self._out_of_range(temperature)
+            raise ValidationError(self.fault.format(label=self.label, at=temperature, value=tau))
         if tau == 0.0:
-            raise ValidationError(f"{label} underflows to 0.0 s at temperature {temperature!r} K")
+            raise ValidationError(f"{self.label} underflows to 0.0 s at temperature {temperature!r} K")
         return tau
-
-    def _out_of_range(self, temperature: float) -> ValidationError:
-        return ValidationError(f"{self.label} leaves the double range at temperature {temperature!r} K")
-
-    def quantity(self, ctx: DecoherenceContext) -> Quantity:
-        return Quantity(self.si(ctx._si, ctx.temperature.si), self.dim)
 
 
 # a finite divisor's square root is at most 1.4e154, so a wavelength of 0.0 means it overflowed
-_WAVELENGTH = _Formula("de Broglie wavelength", LENGTH, _wavelength, smallest=math.ulp(0.0))
-_SPEED = _Formula("thermal speed", SPEED, _speed)
-_CROSS_SECTION = _Formula("cross section", AREA, _cross_section)
-_RATE = _Formula("scattering rate", RATE, _rate)
-_TAU1 = _Formula("tau1", TIME, _tau1_product, _tau1_denominator)
-_TAU2 = _Formula("tau2", TIME, _tau2_product, _tau2_denominator)
+_WAVELENGTH = _Formula("de Broglie wavelength", LENGTH, _OPERAND_DIMS, _wavelength, _AT_TEMPERATURE, math.ulp(0.0))
+_SPEED = _Formula("thermal speed", SPEED, _OPERAND_DIMS, _speed, _AT_TEMPERATURE)
+_CROSS_SECTION = _Formula("cross section", AREA, _OPERAND_DIMS, _cross_section, _AT_TEMPERATURE)
+_RATE = _Formula("scattering rate", RATE, _OPERAND_DIMS, _rate, _AT_TEMPERATURE)
+_TAU1 = _Time("tau1", _tau1_product, _tau1_denominator)
+_TAU2 = _Time("tau2", _tau2_product, _tau2_denominator)
 
 
 def de_broglie_wavelength(ctx: DecoherenceContext) -> Quantity:
     """Thermal de Broglie wavelength 2 pi hbar / sqrt(3 m k T)."""
-    return _WAVELENGTH.quantity(ctx)
+    return _WAVELENGTH.quantity(ctx._si, ctx.temperature.si)
 
 
 def thermal_speed(ctx: DecoherenceContext) -> Quantity:
     """One-dimensional thermal speed sqrt(k T / m)."""
-    return _SPEED.quantity(ctx)
+    return _SPEED.quantity(ctx._si, ctx.temperature.si)
 
 
 def coulomb_cross_section(ctx: DecoherenceContext) -> Quantity:
@@ -269,12 +229,12 @@ def coulomb_cross_section(ctx: DecoherenceContext) -> Quantity:
     Evaluating sigma(v) = (g q_e^2 / m v^2)^2 at v = sqrt(kT/m) cancels the
     mass, so equal-temperature ions share one cross section.
     """
-    return _CROSS_SECTION.quantity(ctx)
+    return _CROSS_SECTION.quantity(ctx._si, ctx.temperature.si)
 
 
 def scattering_rate(ctx: DecoherenceContext) -> Quantity:
     """Scattering rate Lambda = n sigma v, with sigma and v at the thermal speed sqrt(kT/m)."""
-    return _RATE.quantity(ctx)
+    return _RATE.quantity(ctx._si, ctx.temperature.si)
 
 
 def suppression_rate_time(rate: Quantity, time: Quantity, wavelength: Quantity, time_label: str = "time") -> float:
@@ -325,15 +285,10 @@ def decoherence_factor(
 
 def tau1(ctx: DecoherenceContext) -> Quantity:
     """Ensemble decoherence time sqrt(m (kT)^3) / (N n g^2 q_e^4) = 1/(N Lambda)."""
-    return _TAU1.quantity(ctx)
+    return _TAU1.quantity(ctx._si, ctx.temperature.si)
 
 
 def tau2(ctx: DecoherenceContext) -> Quantity:
     """Lattice-scale decoherence time sqrt(m kT) / (N n a g q_e^2)."""
-    return _TAU2.quantity(ctx)
+    return _TAU2.quantity(ctx._si, ctx.temperature.si)
 
-
-def _salt_times(record: SaltRecord, thermal_energy: float, temperature: float, ion_count: float) -> tuple:
-    """tau1 and tau2 in s from a record's SI floats, m its cation's mass: as tau1(context_for_salt(...)) runs."""
-    operands = (record._si.cation_kg, thermal_energy, record._si.per_m3, record._si.edge, ion_count)
-    return _TAU1.si(operands, temperature), _TAU2.si(operands, temperature)

@@ -34,6 +34,7 @@ from .units import (
     NUMBER_DENSITY,
     TIME,
     Quantity,
+    _Formula,
     _Record,
     mass_amu,
 )
@@ -109,9 +110,7 @@ class SaltRecord(_Record):
             raise ValidationError(f"{name}: ref_tau1 must be positive")
         if ref_tau2 is not None and ref_tau2 <= 0:
             raise ValidationError(f"{name}: ref_tau2 must be positive")
-        per_m3 = _per_volume(density, cation_kg, anion_kg)  # positive masses: no zero divisor
-        if not _SMALLEST_NORMAL <= per_m3 <= _LARGEST:  # an overflowing formula mass gives 0.0
-            raise ValidationError(f"{name}: number density {per_m3!r} m^-3 is not a positive normal double")
+        per_m3 = _NUMBER_DENSITY.si((density, cation_kg, anion_kg), name)
         set_name, set_si = self._setters
         set_name(self, name)
         set_si(self, _SaltFloats(cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2, per_m3))
@@ -127,12 +126,10 @@ class SaltRecord(_Record):
     formula_mass = property(lambda self: Quantity(self._si.cation_kg + self._si.anion_kg, MASS))  # of a formula unit
 
 
-def _per_volume(density, cation_mass, anion_mass):
-    """The number density body, density / (cation_mass + anion_mass), over Quantities or floats; proved below."""
-    return density / (cation_mass + anion_mass)
-
-
-_per_volume(*(Quantity(1.0, d) for d in (MASS_DENSITY, MASS, MASS))).require(NUMBER_DENSITY, "number density")
+# positive masses give no zero divisor; an overflowing formula mass gives 0.0, which is rejected
+_NUMBER_DENSITY = _Formula("number density", NUMBER_DENSITY, (MASS_DENSITY, MASS, MASS),
+                           lambda c, density, cation_kg, anion_kg: density / (cation_kg + anion_kg),
+                           "{at}: {label} {value!r} m^-3 is not a positive normal double", _SMALLEST_NORMAL)
 
 
 def number_density(record: SaltRecord) -> Quantity:

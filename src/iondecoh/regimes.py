@@ -14,7 +14,8 @@ with the dynamical timescale of the process, tau_dyn:
 
 The module also hosts a consistency check that runs the timescale formulas
 backwards from an X-ray scattering time to an implied bulk density and
-lattice spacing.
+lattice spacing. Its three results are ``units._Formula`` objects, proved
+at import and run in SI floats, as core's formulas are.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from .core import DecoherenceContext, tau1 as _tau1
 from .errors import ValidationError
 from .materials import SaltRecord
-from .units import CODATA, LENGTH, MASS_DENSITY, TIME, Quantity, _Record
+from .units import LENGTH, MASS, MASS_DENSITY, TIME, Quantity, _Formula, _Record
 
 DEFAULT_THRESHOLD_RATIO = 1e3
 
@@ -129,17 +130,15 @@ class XRayCheck(_Record):
         }
 
 
-# label, dimension, body over a carrier and least value kept, in evaluation order: c is the speed
-# of light, cbrt a cube root, rho and m the salt's density and formula mass, t1 and tx tau1 and
-# tau_x. Calls run each body over SI floats in Quantity algebra's order, so the bits agree; the
-# tests prove its dimension by a run over Quantities. The spacing divides by the density, so a
-# density of 0.0 is rejected; a spacing of 0.0, from a volume that underflows, is kept.
-_XRAY_RESULTS = (
-    ("implied density", MASS_DENSITY, lambda c, cbrt, rho, m, t1, tx: rho * t1 / tx, math.ulp(0.0)),
-    ("implied spacing", LENGTH, lambda c, cbrt, rho, m, t1, tx: cbrt(m / (rho * t1 / tx)), 0.0),
-    ("wavelength_x", LENGTH, lambda c, cbrt, rho, m, t1, tx: c * tx, 0.0),
-)
-_FLOAT_CARRIER = (CODATA.c.si, lambda x: x ** (1.0 / 3.0))  # c and cbrt over SI floats
+_XRAY_OPERANDS = (MASS_DENSITY, MASS, TIME, TIME)  # of rho and m, the salt's density and formula mass, and tau1, tau_x
+_AT_TAU_X = "{label} leaves the double range at tau_x {at!r} s"
+# in evaluation order; c.c is the speed of light. The spacing divides by the density, so a density
+# of 0.0 is rejected; a spacing of 0.0, from a volume that underflows, is kept.
+_DENSITY = _Formula("implied density", MASS_DENSITY, _XRAY_OPERANDS, lambda c, rho, m, t1, tx: rho * t1 / tx,
+                    _AT_TAU_X, math.ulp(0.0))
+_SPACING = _Formula("implied spacing", LENGTH, _XRAY_OPERANDS,
+                    lambda c, rho, m, t1, tx: c.cbrt(m / (rho * t1 / tx)), _AT_TAU_X)
+_WAVELENGTH_X = _Formula("wavelength_x", LENGTH, _XRAY_OPERANDS, lambda c, rho, m, t1, tx: c.c * tx, _AT_TAU_X)
 
 
 def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantity) -> XRayCheck:
@@ -148,12 +147,6 @@ def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantit
     if tau_x.si <= 0:
         raise ValidationError(f"tau_x must be positive, got {tau_x.si!r}")
     tau1 = _tau1(ctx)
-    operands = (*_FLOAT_CARRIER, record.mass_density.si, record.formula_mass.si, tau1.si, tau_x.si)
-    results = []
-    for label, dim, body, smallest in _XRAY_RESULTS:
-        value = body(*operands)  # the divisors are positive and finite, so no float operation raises
-        if not smallest <= value < math.inf:
-            raise ValidationError(f"{label} leaves the double range at tau_x {tau_x.si!r} s")
-        results.append(Quantity(value, dim))
-    density, spacing, wavelength = results
+    operands = (record._si.density, record._si.cation_kg + record._si.anion_kg, tau1.si, tau_x.si)
+    density, spacing, wavelength = (f.quantity(operands, tau_x.si) for f in (_DENSITY, _SPACING, _WAVELENGTH_X))
     return XRayCheck(tau1, tau_x, wavelength, density, spacing)

@@ -8,13 +8,14 @@ producing silently wrong numbers. Every ``Quantity`` operation checks its
 dimensions, and its constructor coerces to float and rejects non-finite
 magnitudes, so a library caller's own arithmetic is checked step by step.
 
-The package's own formulas do not pay that per operation: ``core`` runs
-each formula body once over Quantities at import, which proves its result's
-dimension, and every call runs the same body over SI floats and wraps only
-the result. A :class:`Dimension` is interned, one instance per exponent
-tuple, so comparing two dimensions is an identity test. Both classes, and
-the package's records, are slotted and frozen: assigning to a field raises
-``dataclasses.FrozenInstanceError``.
+The package's own formulas do not pay that per operation. Each is a
+``_Formula``, defined at the end of this module, the one place where a
+formula is proved: its body runs once over Quantities when it is built,
+which proves its result's dimension, and every call runs the same body over
+SI floats and wraps only the result. A :class:`Dimension` is interned, one
+instance per exponent tuple, so comparing two dimensions is an identity
+test. Both classes, and the package's records, are slotted and frozen:
+assigning to a field raises ``dataclasses.FrozenInstanceError``.
 
 Inputs arrive in the units people actually use (amu, angstrom) and are
 converted on construction; all internal math is SI.
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from operator import add, sub
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 
 
 # CODATA 2022 values; tests/test_units.py pins them bit for bit against the
@@ -43,6 +45,7 @@ _BASE_SYMBOLS = ("kg", "m", "s", "K", "C")
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 _INTERNED: dict[tuple, "Dimension"] = {}
+_LARGEST = sys.float_info.max
 
 
 def _frozen_setattr(self, name, value):
@@ -336,3 +339,54 @@ CODATA = PhysicalConstants(
     amu=Quantity(_ATOMIC_MASS, MASS),
     c=Quantity(_C, SPEED),
 )
+
+
+class _Carrier(_Record):
+    """What a formula body runs over: the CODATA constants with sqrt and cbrt, all as Quantities or all as SI floats."""
+
+    __slots__ = _fields = (*PhysicalConstants._fields, "sqrt", "cbrt")
+
+
+_QUANTITIES = _Carrier(*CODATA._values(), Quantity.sqrt, lambda q: Quantity(q.si ** (1.0 / 3.0), q.dim.root(3)))
+_FLOATS = _Carrier(*(q.si for q in CODATA._values()), math.sqrt, lambda x: x ** (1.0 / 3.0))
+
+
+def _over_floats(body, operands: tuple) -> float:
+    """body's SI value at the SI operands, run over floats; inf where an operation overflows or divides by zero."""
+    try:
+        return body(_FLOATS, *operands)
+    except ArithmeticError:
+        return math.inf
+
+
+class _Formula:
+    """A formula body over a carrier, its operands' dimensions and its result's label, dimension and range.
+
+    Building one proves the result's dimension: the body runs once over
+    Quantities, whose every operation checks its dimensions. Each call runs
+    the same body over SI floats, the same float operations in the same
+    order, so the bits agree. ``si`` keeps a value from ``smallest`` to the
+    largest double and raises ``fault`` for any other, formatted with the
+    label, the operand the caller names (``at``) and the value.
+    """
+
+    __slots__ = ("label", "dim", "operand_dims", "body", "fault", "smallest")
+
+    def __init__(self, label: str, dim: Dimension, operand_dims: tuple, body, fault: str, smallest: float = 0.0):
+        self.label, self.dim, self.operand_dims, self.body, self.fault = label, dim, operand_dims, body, fault
+        self.smallest = smallest
+        self.over_quantities((1.0,) * len(operand_dims)).require(dim, label)
+
+    def over_quantities(self, operands: tuple) -> Quantity:
+        """The body over Quantities at the SI operands: it raises where an operation leaves the double range."""
+        return self.body(_QUANTITIES, *map(Quantity, operands, self.operand_dims))
+
+    def si(self, operands: tuple, at) -> float:
+        """The body over SI floats at the operands, or a ValidationError where it leaves [smallest, largest double]."""
+        value = _over_floats(self.body, operands)
+        if not self.smallest <= value <= _LARGEST:  # also rejects NaN
+            raise ValidationError(self.fault.format(label=self.label, at=at, value=value))
+        return value
+
+    def quantity(self, operands: tuple, at) -> Quantity:
+        return Quantity(self.si(operands, at), self.dim)

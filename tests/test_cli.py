@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import resource
 import stat
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from importlib import resources
 
 import pytest
 
-from iondecoh import cli, core
+from iondecoh import cli, core, regimes
 from iondecoh.materials import SaltRecord, load_salts
 from iondecoh.units import CODATA, temperature_kelvin
 
@@ -567,6 +568,28 @@ def test_output_never_takes_a_file_that_holds_its_new_name(capsys, tmp_path, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name]
 
 
+def test_output_through_a_symlink_writes_the_file_it_names(capsys, tmp_path):
+    # as the shell's > does: the link stays a link, and the file it names gets the text
+    real = tmp_path / "data" / "table.csv"
+    real.parent.mkdir()
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(os.path.join("data", "table.csv"))
+    argv = ["table", "--salts", "NaCl", "--format", "csv"]
+    assert run_cli(capsys, *argv, "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "table.csv")
+    assert real.read_text() == run_cli(capsys, *argv)[1]
+    assert sorted(p.name for p in real.parent.iterdir()) == ["table.csv"]
+
+
+def test_output_error_quotes_the_path_as_given(capsys, tmp_path):
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "absent" / "table.csv")
+    code, out, err = run_cli(capsys, "table", "--salts", "NaCl", "--output", str(link))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {str(link)!r}: No such file or directory\n"
+
+
 MAIN_SCRIPT = "import sys\nfrom iondecoh.cli import main\nsys.exit(main())\n"
 BROKEN_PIPE = "error: cannot write to stdout: Broken pipe\n"
 
@@ -605,6 +628,93 @@ def test_stdout_pipe_closed_before_the_text_is_one_error_line(tmp_path):
         os.close(write_end)
     assert child.returncode == 1
     assert (tmp_path / "stderr").read_text() == BROKEN_PIPE
+
+
+# the fault matrix: each fault is set on one child run only. A file-size limit
+# (RLIMIT_FSIZE, set in the child by preexec_fn) stands for a full disk under
+# stdout or --output; a pipe whose read end is closed before the run stands
+# for a reader that has gone. Every case must end with exit 0 and its whole
+# output, or with exit 1 and exactly one error line.
+FAULT_SIM = ["sim", "--wavelength", "1e-10", "--rate", "1e15", "--separation", "1e-8", "--width", "1e-9",
+             "--t-total", "3e-15", "--steps", "2", "--num-points", "16", "--format", "json"]
+TOO_LARGE = "error: cannot write to stdout: File too large\n"
+
+
+def file_size_limit(size):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (size, size))
+
+    return limit
+
+
+def run_child(argv, stdout, limit=None):
+    """(exit code, stderr text) of one CLI run; stderr is a pipe, which no file-size limit touches."""
+    child = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                           env=buffered_env(), preexec_fn=limit, timeout=120)
+    return child.returncode, child.stderr.decode()
+
+
+@pytest.fixture(scope="module")
+def big_data(tmp_path_factory):
+    """A data file whose csv table is about 200 KB."""
+    path = tmp_path_factory.mktemp("data") / "salts.csv"
+    path.write_text("".join(f"S{i}{GOOD_LINE[len('NaCl'):]}" for i in range(3000)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["table", "--salts", "NaCl", "--format", "csv"], 10),
+    (["table", "--salts", "NaCl", "--format", "csv"], 100),
+    (["table", "--salts", "NaCl"], 100),
+    (["table", "--data-file", "{data}", "--format", "csv"], 4096),
+    (["--help"], 10),
+    (FAULT_SIM, 100),
+    (FAULT_SIM, 1 << 20),
+], ids=["table-10", "table-100", "table-human-100", "table-bulk-4096", "help-10", "sim-json-100", "sim-json-1MiB"])
+def test_stdout_under_a_file_size_limit(tmp_path, big_data, argv, size):
+    argv = [big_data if arg == "{data}" else arg for arg in argv]
+    with open(tmp_path / "whole", "wb") as stdout:
+        assert run_child(argv, stdout) == (0, "")
+    whole = (tmp_path / "whole").read_bytes()
+    with open(tmp_path / "stdout", "wb") as stdout:
+        code, err = run_child(argv, stdout, file_size_limit(size))
+    if len(whole) <= size:
+        assert (code, err) == (0, "") and (tmp_path / "stdout").read_bytes() == whole
+    else:
+        assert (code, err) == (1, TOO_LARGE)
+
+
+def test_output_under_a_file_size_limit_leaves_no_file(tmp_path, big_data):
+    target = tmp_path / "out" / "table.csv"
+    target.parent.mkdir()
+    with open(tmp_path / "stdout", "wb") as stdout:
+        code, err = run_child(["table", "--data-file", big_data, "--format", "csv", "--output", str(target)],
+                              stdout, file_size_limit(4096))
+    assert (code, err) == (1, f"error: cannot write {str(target)!r}: File too large\n")
+    assert list(target.parent.iterdir()) == []
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+def test_output_under_a_roomy_file_size_limit_is_whole(tmp_path, big_data):
+    target = tmp_path / "table.csv"
+    argv = ["table", "--data-file", big_data, "--format", "csv"]
+    with open(tmp_path / "stdout", "wb") as stdout:
+        assert run_child([*argv, "--output", str(target)], stdout, file_size_limit(1 << 20)) == (0, "")
+    with open(tmp_path / "expected", "wb") as stdout:
+        assert run_child(argv, stdout) == (0, "")
+    assert target.read_bytes() == (tmp_path / "expected").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["table", "--help"], FAULT_SIM], ids=["help", "table-help", "sim-json"])
+def test_stdout_into_a_closed_pipe(argv):
+    # table's case is test_stdout_pipe_closed_before_the_text_is_one_error_line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = run_child(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (1, BROKEN_PIPE)
 
 
 def test_negative_phase_in_scientific_notation(capsys):
@@ -714,6 +824,38 @@ SMALL_RUNS = {
     "bcs": ["bcs", "--modes", "10,100,1000"],
     "classify": ["classify", "--salt", "NaCl", "--tau-dyn", "1.0"],
 }
+
+
+def test_xray_reaches_xray_consistency_through_its_module_attribute(capsys, monkeypatch):
+    # library callers and the benchmark's spans see the check that the CLI runs
+    calls = []
+    check = regimes.xray_consistency
+    monkeypatch.setattr(regimes, "xray_consistency", lambda *args: calls.append(args) or check(*args))
+    code, out, err = run_cli(capsys, *SMALL_RUNS["xray"])
+    assert (code, err) == (0, "")
+    assert len(calls) == 1 and calls[0][1].name == "NaCl"
+
+
+@pytest.mark.parametrize("command, contexts", [
+    ("table", 0), ("factor", 0), ("sim", 0), ("classify", 0), ("xray", 1),
+])
+def test_only_xray_builds_a_context(capsys, monkeypatch, command, contexts):
+    # every other salt command runs its formulas over the record's floats
+    built = []
+    set_si = core.DecoherenceContext._set_si
+    monkeypatch.setattr(core.DecoherenceContext, "_set_si",
+                        lambda self, *args: built.append(args) or set_si(self, *args))
+    assert run_cli(capsys, *SMALL_RUNS[command])[0] == 0
+    assert len(built) == contexts
+
+
+def test_an_os_error_off_stdout_is_not_reported_as_a_stdout_fault(monkeypatch):
+    def unreadable():
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "bundled_salt_database", unreadable)
+    with pytest.raises(PermissionError):
+        cli.main(["table", "--format", "csv"])
 
 
 # argv, exit code; every run blocks scipy, and all but sim and bcs block numpy too

@@ -25,6 +25,7 @@ from iondecoh.units import (
     rate_per_s,
     temperature_kelvin,
     time_s,
+    _Formula,
 )
 
 
@@ -229,10 +230,10 @@ def test_context_rejects_a_number_density_outside_the_double_range(cation_kg, de
 
 def test_a_body_of_the_wrong_dimension_fails_its_proof():
     with pytest.raises(DimensionError, match=re.escape("thermal speed must have dimension [m·s⁻¹], got [m²·s⁻²]")):
-        core._Formula("thermal speed", SPEED, lambda c, sqrt, m, kT, n, a, N: kT / m)
+        _Formula("thermal speed", SPEED, core._OPERAND_DIMS, lambda c, m, kT, n, a, N: kT / m,
+                 core._AT_TEMPERATURE)
     with pytest.raises(DimensionError, match=r"^tau1 must have dimension \[s\], got "):
-        core._Formula("tau1", TIME, lambda c, sqrt, m, kT, n, a, N: m * kT ** 3,
-                      lambda c, sqrt, m, kT, n, a, N: N * n)
+        core._Time("tau1", lambda c, m, kT, n, a, N: m * kT ** 3, lambda c, m, kT, n, a, N: N * n)
 
 
 # each public formula and the formula record whose body it runs
@@ -245,6 +246,7 @@ FORMULAS = {
     core.tau2: core._TAU2,
 }
 EDGES = [5e-324, sys.float_info.min, 1.0, sys.float_info.max]
+SUBNORMAL_PRODUCT = "the product under its square root is below the smallest normal double"
 
 
 def wide(low, high):
@@ -301,17 +303,16 @@ def test_float_path_equals_the_carrier_path_bit_for_bit(m, temperature, n, a, io
                                       number_density_per_m3(n), length_m(a), ion_count)
     except ValidationError:
         assume(False)
-    quantities = (ctx.ion_mass, ctx.thermal_energy, ctx.bath_density, ctx.lattice_edge, Quantity(ion_count))
     for public, formula in FORMULAS.items():
         floats = _outcome(lambda: public(ctx).si)
-        assert floats == _outcome(lambda: formula.si(ctx._si, temperature, quantities=True)), public.__name__
-        if formula.denominator is None:
-            # Quantity arithmetic alone rejects what the formula rejects, and gives the same bits
-            checked = _outcome(lambda: formula.body(CODATA, Quantity.sqrt, *quantities).si)
-            if isinstance(checked, str):
-                assert floats == checked, public.__name__
-            else:
-                assert isinstance(floats, tuple), public.__name__
+        checked = _outcome(lambda: formula.over_quantities(ctx._si).si)
+        if isinstance(checked, tuple):  # Quantity arithmetic rejects what the formula rejects
+            assert isinstance(floats, tuple) and floats[0] is ValidationError, public.__name__
+        elif isinstance(formula, core._Time) and isinstance(floats, tuple):
+            # a time also rejects a product under its root that is not a normal double, and 0.0
+            assert floats[1].endswith((SUBNORMAL_PRODUCT, f"underflows to 0.0 s at temperature {temperature!r} K"))
+        else:  # and the float path gives the bits that the run over Quantities gives
+            assert floats == checked, public.__name__
 
 
 def test_cold_but_representable_decoherence_times_are_kept():

@@ -1,15 +1,18 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
+import re
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import constants as codata
 
-from iondecoh import core, units
-from iondecoh.errors import DimensionError
+from iondecoh import core, materials, regimes, units
+from iondecoh.errors import DimensionError, ValidationError
 from iondecoh.materials import bundled_salt_database, number_density, salt_by_name
 
 
@@ -217,3 +220,70 @@ def test_codata_constant_dimensions():
     coupling = units.CODATA.coulomb_g * units.CODATA.q_e ** 2
     assert coupling.dim == units.ENERGY * units.LENGTH
     assert coupling.si == pytest.approx(2.307077550778355e-28, rel=1e-12)
+
+
+def _formulas():
+    """Every _Formula the package builds, found by scanning the modules that build them."""
+    return [value for module in (core, materials, regimes) for value in vars(module).values()
+            if isinstance(value, units._Formula)]
+
+
+def test_every_formula_is_found_and_proved_at_import():
+    found = _formulas()
+    assert sorted(formula.label for formula in found) == sorted([
+        "de Broglie wavelength", "thermal speed", "cross section", "scattering rate", "tau1", "tau2",
+        "number density", "implied density", "implied spacing", "wavelength_x"])
+    for formula in found:  # building a formula ran this proof; it still holds
+        assert formula.over_quantities((1.0,) * len(formula.operand_dims)).dim is formula.dim, formula.label
+
+
+EDGE_OPERANDS = [5e-324, sys.float_info.min, 1.0, 3.0e-26, sys.float_info.max]
+
+
+def _si_or_none(formula, operands):
+    """formula.si at the operands, or None where it rejects them."""
+    try:
+        return formula.si(operands, "the edge")
+    except ValidationError:
+        return None
+
+
+@pytest.mark.parametrize("formula", _formulas(), ids=lambda formula: formula.label)
+def test_the_float_run_equals_the_quantity_run_bit_for_bit(formula):
+    # at every edge operand: where the Quantity run gives a value, the float
+    # run gives its bits, and si gives them or rejects them; where the
+    # Quantity run raises, si rejects the operands too
+    kept = 0
+    for operands in itertools.product(EDGE_OPERANDS, repeat=len(formula.operand_dims)):
+        try:
+            checked = formula.over_quantities(operands)
+        except ValueError:  # Quantity's constructor rejects a magnitude that is not finite
+            checked = None
+        value = _si_or_none(formula, operands)
+        if checked is None:
+            # an overflowing density makes the spacing 0.0; xray_consistency rejects that density first
+            assert value is None or formula is regimes._SPACING and _si_or_none(regimes._DENSITY, operands) is None
+            continue
+        assert checked.dim is formula.dim
+        assert units._over_floats(formula.body, operands).hex() == checked.si.hex(), operands
+        if value is not None:
+            assert value.hex() == checked.si.hex(), operands
+            kept += 1
+    assert kept > 0
+
+
+XRAY_OPERANDS = (units.MASS_DENSITY, units.MASS, units.TIME, units.TIME)
+
+
+@pytest.mark.parametrize("label, dim, operand_dims, body, message", [
+    ("implied density", units.MASS_DENSITY, XRAY_OPERANDS, lambda c, rho, m, t1, tx: rho * t1 * tx,
+     "implied density must have dimension [kg·m⁻³], got [kg·m⁻³·s²]"),
+    ("implied spacing", units.LENGTH, XRAY_OPERANDS, lambda c, rho, m, t1, tx: c.cbrt(m * rho * t1 / tx),
+     "cannot take 3th root of dimension kg²·m⁻³"),
+    ("number density", units.NUMBER_DENSITY, (units.MASS_DENSITY, units.MASS, units.MASS),
+     lambda c, density, cation_kg, anion_kg: density * (cation_kg + anion_kg),
+     "number density must have dimension [m⁻³], got [kg²·m⁻³]"),
+], ids=["xray-density", "xray-spacing", "number-density"])
+def test_a_body_of_the_wrong_dimension_fails_its_proof_at_build(label, dim, operand_dims, body, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        units._Formula(label, dim, operand_dims, body, "{label} at {at}")
