@@ -24,7 +24,7 @@ import sys
 
 from . import core, densmat, regimes, vacuum
 from .errors import IonDecohError, SaltDataError, ValidationError
-from .materials import SaltRecord, _unknown_salt, bundled_salt_database, load_salts, salt_by_name
+from .materials import _BUNDLED_PATH, SaltRecord, _read_salts, _unknown_salt, salt_by_name
 from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
@@ -54,18 +54,15 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_records(args, consume=list):
-    """consume(the records of the data file in use, in file order): by default their list."""
+def _records(args):
+    """The records of --data-file, else IONDECOH_DATA_DIR's salts.csv, else the bundled table, each as it is read."""
     path = args.data_file
     if path is None:
         data_dir = os.environ.get(ENV_DATA_DIR)
-        if data_dir:
-            path = os.path.join(data_dir, "salts.csv")
-    if path is None:
-        return consume(bundled_salt_database())
+        path = os.path.join(data_dir, "salts.csv") if data_dir else _BUNDLED_PATH
     try:
-        return load_salts(path, consume)
-    except OSError as exc:
+        yield from _read_salts(path)
+    except OSError as exc:  # the bundled table's too
         raise SaltDataError(f"cannot read data file {path!r}: {exc}") from None
 
 
@@ -85,7 +82,7 @@ def _salt_values(args, record: SaltRecord, *formulas) -> list:
 
 def _wavelength_and_rate(args):
     if args.salt is not None:
-        record = salt_by_name(_load_records(args), args.salt)
+        record = salt_by_name(list(_records(args)), args.salt)
         wavelength, rate = _salt_values(args, record, core._WAVELENGTH.si, core._RATE.si)
         return length_m(wavelength), rate_per_s(rate)
     if args.wavelength is None or args.rate is None:
@@ -95,7 +92,8 @@ def _wavelength_and_rate(args):
 
 # -- output rendering ---------------------------------------------------------
 
-def _render_table(header, rows, fmt, json_payload):
+def _render_table(rows, fmt, json_payload):
+    """The text of the rows, dicts of one set of keys, as a table with a header line, or json_payload as json."""
     if fmt == "json":
         import itertools
         import json
@@ -107,7 +105,7 @@ def _render_table(header, rows, fmt, json_payload):
         chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_payload)
         batches = iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)), "")
         return "".join([*batches, "\n"])
-    text = "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    text = "".join(",".join(map(str, line)) + "\n" for line in (rows[0], *(row.values() for row in rows)))
     return text if fmt == "csv" else "".join(_aligned([text]))
 
 
@@ -195,44 +193,38 @@ def _cmd_table(args):
     else:
         row_text = _csv_row
 
-    def render_rows(records):
-        fault = None  # the first exit-1 fault, held until the whole file is read
-        chunks, batch, names = [], [], []  # names: every name in file order, for an unknown --salts name
-        for record in records:
-            if requested is not None:
-                names.append(record.name)
-                if record.name not in wanted:
-                    continue
-            if fault is not None:
-                continue
-            try:
-                t1, t2 = _salt_values(args, record, tau1, tau2)
-            except ValidationError as exc:
-                fault = exc
-                continue
-            if len(batch) == _CHUNK_ROWS:  # joined before the next row, so the last row stays in batch
-                chunks.append("".join(batch))
-                batch.clear()
-            batch.append(row_text(record, t1, t2))
+    fault = None  # the first exit-1 fault, held until the whole file is read
+    chunks, batch, names = [], [], []  # names: every name in file order, for an unknown --salts name
+    for record in _records(args):
         if requested is not None:
-            if not requested:
-                raise ValidationError("--salts must name at least one salt")
-            seen = set(names)
-            for name in requested:
-                if name not in seen:
-                    raise _unknown_salt(name, names)
+            names.append(record.name)
+            if record.name not in wanted:
+                continue
         if fault is not None:
-            raise fault
-        if as_json:
-            batch[-1] = batch[-1][:-2] + "\n"  # the last salt takes no comma
-        chunks.append("".join(batch))
-        return chunks
-
-    chunks = _load_records(args, render_rows)
+            continue
+        try:
+            t1, t2 = _salt_values(args, record, tau1, tau2)
+        except ValidationError as exc:
+            fault = exc
+            continue
+        if len(batch) == _CHUNK_ROWS:  # joined before the next row, so the last row stays in batch
+            chunks.append("".join(batch))
+            batch.clear()
+        batch.append(row_text(record, t1, t2))
+    if requested is not None:
+        if not requested:
+            raise ValidationError("--salts must name at least one salt")
+        seen = set(names)
+        for name in requested:
+            if name not in seen:
+                raise _unknown_salt(name, names)
+    if fault is not None:
+        raise fault
     if as_json:
-        return [f'{{\n  "ion_count": {json.dumps(args.ion_count)},\n  "salts": [\n', *chunks,
+        batch[-1] = batch[-1][:-2] + "\n"  # the last salt takes no comma
+        return [f'{{\n  "ion_count": {json.dumps(args.ion_count)},\n  "salts": [\n', *chunks, "".join(batch),
                 f'  ],\n  "temperature_k": {json.dumps(args.temperature)}\n}}\n']
-    chunks.insert(0, "name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n")
+    chunks = ["name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n", *chunks, "".join(batch)]
     return chunks if args.format == "csv" else _aligned(chunks)
 
 
@@ -241,12 +233,11 @@ def _cmd_factor(args) -> str:
     value = core.decoherence_factor(
         length_m(args.dx), time_s(args.time), wavelength, rate
     )
-    header = ["separation_m", "time_s", "wavelength_m", "rate_per_s", "factor"]
-    row = [args.dx, args.time, wavelength.si, rate.si, value]
-    payload = dict(zip(header, row))
     if args.format == "human":
         return f"decoherence factor = {value!r}\n"
-    return _render_table(header, [row], args.format, payload)
+    row = {"separation_m": args.dx, "time_s": args.time, "wavelength_m": wavelength.si, "rate_per_s": rate.si,
+           "factor": value}
+    return _render_table([row], args.format, row)
 
 
 def _cmd_sim(args) -> str:
@@ -261,26 +252,25 @@ def _cmd_sim(args) -> str:
         densmat.prepare_superposition(spec, num_points=args.num_points, extent_widths=args.extent_widths),
         rate, wavelength, t_total=time_s(args.t_total), steps=args.steps, separation=spec.separation,
     )
-    header = ["time_s", "coherence", "trace", "purity", "min_eigenvalue"]
-    rows = [[s.time, s.coherence, s.trace, s.purity, s.min_eigenvalue] for s in samples]
+    rows = [{"time_s": s.time, "coherence": s.coherence, "trace": s.trace, "purity": s.purity,
+             "min_eigenvalue": s.min_eigenvalue} for s in samples]
     payload = {
         "separation_m": args.separation,
         "width_m": args.width,
         "wavelength_m": wavelength.si,
         "rate_per_s": rate.si,
-        "samples": [dict(zip(header, row)) for row in rows],
+        "samples": rows,
     }
-    return _render_table(header, rows, args.format, payload)
+    return _render_table(rows, args.format, payload)
 
 
 def _cmd_xray(args) -> str:
-    record = salt_by_name(_load_records(args), args.salt)
+    record = salt_by_name(list(_records(args)), args.salt)
     # through the public context and check, as library callers take them
     (check,) = _salt_values(args, record, lambda _, temperature: regimes.xray_consistency(
         core.context_for_salt(record, temperature_kelvin(temperature), args.ion_count), record, time_s(args.tau_x)))
-    payload = {"salt": record.name, **check.to_dict()}
-    header = list(payload)
-    return _render_table(header, [[payload[k] for k in header]], args.format, payload)
+    row = {"salt": record.name, **check.to_dict()}
+    return _render_table([row], args.format, row)
 
 
 def _cmd_bcs(args) -> str:
@@ -291,16 +281,15 @@ def _cmd_bcs(args) -> str:
         family = lambda k: vacuum.uniform_profile(args.uniform_u, k)  # noqa: E731
     else:
         family = vacuum.pairing_family(args.gap, args.half_bandwidth, args.seed)
-    header = ["modes", "log_overlap", "overlap"]
     rows = []
     for count in counts:
         log_overlap = vacuum.log_vacuum_overlap(family(count))
-        rows.append([count, log_overlap, math.exp(log_overlap)])
-    payload = {"points": [dict(zip(header, row)) for row in rows]}
+        rows.append({"modes": count, "log_overlap": log_overlap, "overlap": math.exp(log_overlap)})
+    payload = {"points": rows}
     if len(counts) >= 3:
         # overlap_decay_rate's fit, over the log overlaps above: each profile is drawn once
-        payload["decay_rate_per_mode"] = vacuum._log_overlap_slope(counts, [row[1] for row in rows])
-    text = _render_table(header, rows, args.format, payload)
+        payload["decay_rate_per_mode"] = vacuum._log_overlap_slope(counts, [row["log_overlap"] for row in rows])
+    text = _render_table(rows, args.format, payload)
     if args.format == "human" and "decay_rate_per_mode" in payload:
         text += f"decay rate per mode = {payload['decay_rate_per_mode']!r}\n"
     return text
@@ -308,7 +297,7 @@ def _cmd_bcs(args) -> str:
 
 def _cmd_classify(args) -> str:
     if args.salt is not None:
-        t1, t2 = map(time_s, _salt_values(args, salt_by_name(_load_records(args), args.salt),
+        t1, t2 = map(time_s, _salt_values(args, salt_by_name(list(_records(args)), args.salt),
                                           core._TAU1.si, core._TAU2.si))
     elif args.tau1 is not None and args.tau2 is not None:
         t1, t2 = time_s(args.tau1), time_s(args.tau2)
@@ -325,9 +314,9 @@ def _cmd_classify(args) -> str:
     if args.salt is not None:
         payload["salt"] = args.salt
     if args.format != "human":
-        header = ["tau1_s", "tau2_s", "tau_dyn_s", "tau_dec_s", "timescale_ratio", "verdict"]
-        row = [t1.si, t2.si, args.tau_dyn, payload["tau_dec_s"], payload["timescale_ratio"], report.verdict.value]
-        return _render_table(header, [row], args.format, payload)
+        row = {"tau1_s": t1.si, "tau2_s": t2.si, "tau_dyn_s": args.tau_dyn, "tau_dec_s": payload["tau_dec_s"],
+               "timescale_ratio": payload["timescale_ratio"], "verdict": report.verdict.value}
+        return _render_table([row], args.format, payload)
     lines = [
         f"tau1 = {t1.si!r} s",
         f"tau2 = {t2.si!r} s",

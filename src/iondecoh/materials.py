@@ -12,12 +12,14 @@ Records keep file order, which is also the fixed output order everywhere.
 Every SaltRecord's number density, density / (m_cation + m_anion), is a positive normal double.
 A record keeps SI floats, each ion as its symbol, charge number and kg, and its fields
 give IonSpecies and Quantities on access; the loader builds no Quantity.
-The loader yields each record as its line is read; load_salts lists them, or
-hands them to a consumer that can keep less than the records.
+The loader yields each record as its line is read, so a caller that iterates
+it can keep less than the records; load_salts lists them. A line may hold at
+most 65,536 characters, its newline included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -44,6 +46,8 @@ _AMU = CODATA.amu.si  # kg, the factor mass_amu applies
 _SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 _FIELD_COUNT = 10  # the columns the module docstring lists, which the loader unpacks by name
+_MAX_LINE = 65536  # characters a line may hold, its newline included
+_BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", "salts.csv")
 # a SaltRecord's SI floats, each ion as its (symbol, charge number) and its mass in kg; per_m3 is n
 _SaltFloats = namedtuple("_SaltFloats", "cation cation_kg anion anion_kg density edge water ref_tau1 ref_tau2 per_m3")
 
@@ -166,14 +170,16 @@ def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
     Raises SaltDataError with the line number, and the field for a
     numeric one, on malformed input and on a value that fails a physical
     constraint: a field that is not a positive normal double in SI units,
-    a bad ion symbol, a zero charge, an empty name, or a number density
-    that is not a positive normal double, which SaltRecord rejects. The
-    error comes when iteration reaches the faulty line, after the records
-    before it.
+    a bad ion symbol, a zero charge, an empty name, a number density
+    that is not a positive normal double, which SaltRecord rejects, or a
+    line over _MAX_LINE characters. The error comes when iteration reaches
+    the faulty line, after the records before it.
     """
     seen: set[str] = set()
     ions: dict[str, tuple[str, int]] = {}  # symbol -> (symbol, charge number), parsed once a load
     for line_number, raw in enumerate(stream, start=1):
+        if len(raw) > _MAX_LINE:
+            raise SaltDataError(f"more than {_MAX_LINE} characters", line_number)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -206,33 +212,34 @@ def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
         yield record
 
 
-def load_salts(path, consume=list):
-    """Load the salt records of a file path: their list, or what consume makes of them.
+def _read_salts(path) -> Iterator[SaltRecord]:
+    """The salt records of a file path, in file order, each yielded as its line is read.
 
-    consume gets an iterator that reads each record's line only when it is
-    reached, so one that renders each record as it comes keeps none of them.
     A leading UTF-8 byte-order mark is ignored. A file that is not UTF-8, or
     that holds no records, raises SaltDataError where the iteration reaches
     the fault, as each fault that load_salt_database raises does.
     """
-    def records(handle):
-        empty = True
-        for record in load_salt_database(handle):
-            empty = False
-            yield record
-        if empty:
-            raise SaltDataError(f"data file {path!r} holds no salt records")
-
+    empty = True
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return consume(records(handle))
+            # bounded reads: an endless line (/dev/zero, a FIFO that sends no newline) stops at the cap
+            for record in load_salt_database(iter(functools.partial(handle.readline, _MAX_LINE + 1), "")):
+                empty = False
+                yield record
     except UnicodeDecodeError as exc:
         raise SaltDataError(f"cannot read data file {path!r}: not UTF-8 text ({exc.reason})") from None
+    if empty:
+        raise SaltDataError(f"data file {path!r} holds no salt records")
+
+
+def load_salts(path) -> list[SaltRecord]:
+    """The salt records of a file path, in file order; a file not UTF-8, empty or faulty raises SaltDataError."""
+    return list(_read_salts(path))
 
 
 def bundled_salt_database() -> list[SaltRecord]:
     """The 16 binary salts shipped with the package, in fixed order."""
-    return load_salts(os.path.join(os.path.dirname(__file__), "data", "salts.csv"))
+    return load_salts(_BUNDLED_PATH)
 
 
 def salt_by_name(records: list[SaltRecord], name: str) -> SaltRecord:

@@ -377,6 +377,9 @@ ONE_LINE_ERRORS = {
          "--format", "csv"],
         "extent_widths must be positive and give a finite grid span, got 1.8e+158"),
     "bcs-negative-seed": (["bcs", "--modes", "10", "--seed=-1"], "seed must be a non-negative integer, got -1"),
+    "bcs-no-modes": (["bcs", "--modes", ","], "--modes must list at least one mode count"),
+    "factor-dx-not-a-number": (["factor", "--salt", "NaCl", "--dx", "abc", "--time", "1"],
+                               "argument --dx: invalid float value: 'abc'"),
     "data-file-not-utf8": (["table", "--data-file", DATA_FILE],
                            "cannot read data file '{path}': not UTF-8 text (invalid start byte)",
                            b"\xff" + GOOD_LINE.encode()),
@@ -393,6 +396,9 @@ ONE_LINE_ERRORS = {
         HUGE_IONS.replace("NaCl,", "Big,").encode(), 1)
        for argv in (["xray", "--tau-x", "0.5e-18"], ["classify", "--tau-dyn", "1"])},
     "data-file-empty": (["table", "--data-file", DATA_FILE], "data file '{path}' holds no salt records", b""),
+    # a line with no newline, as /dev/zero gives, is read no further than the cap
+    "data-file-line-too-long": (["table", "--data-file", DATA_FILE], "line 2: more than 65536 characters",
+                                (GOOD_LINE + "x" * 70000).encode()),
     "table-order-data-fault-beats-formula-fault": (
         ["table", "--data-file", DATA_FILE, "--ion-count", "1e300"], "line 3: expected 10 fields, got 9",
         NINE_FIELDS_ON_LINE_3),
@@ -633,16 +639,18 @@ def test_stdout_pipe_closed_before_the_text_is_one_error_line(tmp_path):
 # the fault matrix: each fault is set on one child run only. A file-size limit
 # (RLIMIT_FSIZE, set in the child by preexec_fn) stands for a full disk under
 # stdout or --output; a pipe whose read end is closed before the run stands
-# for a reader that has gone. Every case must end with exit 0 and its whole
+# for a reader that has gone; an address-space limit (RLIMIT_AS) stands for
+# memory that runs out. Every case must end with exit 0 and its whole
 # output, or with exit 1 and exactly one error line.
 FAULT_SIM = ["sim", "--wavelength", "1e-10", "--rate", "1e15", "--separation", "1e-8", "--width", "1e-9",
              "--t-total", "3e-15", "--steps", "2", "--num-points", "16", "--format", "json"]
 TOO_LARGE = "error: cannot write to stdout: File too large\n"
 
 
-def file_size_limit(size):
+def limit_in_child(size, which=resource.RLIMIT_FSIZE):
+    """A preexec_fn that limits one resource of the child, by default its file size, to size."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (size, size))
+        resource.setrlimit(which, (size, size))
 
     return limit
 
@@ -677,7 +685,7 @@ def test_stdout_under_a_file_size_limit(tmp_path, big_data, argv, size):
         assert run_child(argv, stdout) == (0, "")
     whole = (tmp_path / "whole").read_bytes()
     with open(tmp_path / "stdout", "wb") as stdout:
-        code, err = run_child(argv, stdout, file_size_limit(size))
+        code, err = run_child(argv, stdout, limit_in_child(size))
     if len(whole) <= size:
         assert (code, err) == (0, "") and (tmp_path / "stdout").read_bytes() == whole
     else:
@@ -689,7 +697,7 @@ def test_output_under_a_file_size_limit_leaves_no_file(tmp_path, big_data):
     target.parent.mkdir()
     with open(tmp_path / "stdout", "wb") as stdout:
         code, err = run_child(["table", "--data-file", big_data, "--format", "csv", "--output", str(target)],
-                              stdout, file_size_limit(4096))
+                              stdout, limit_in_child(4096))
     assert (code, err) == (1, f"error: cannot write {str(target)!r}: File too large\n")
     assert list(target.parent.iterdir()) == []
     assert (tmp_path / "stdout").read_bytes() == b""
@@ -699,7 +707,7 @@ def test_output_under_a_roomy_file_size_limit_is_whole(tmp_path, big_data):
     target = tmp_path / "table.csv"
     argv = ["table", "--data-file", big_data, "--format", "csv"]
     with open(tmp_path / "stdout", "wb") as stdout:
-        assert run_child([*argv, "--output", str(target)], stdout, file_size_limit(1 << 20)) == (0, "")
+        assert run_child([*argv, "--output", str(target)], stdout, limit_in_child(1 << 20)) == (0, "")
     with open(tmp_path / "expected", "wb") as stdout:
         assert run_child(argv, stdout) == (0, "")
     assert target.read_bytes() == (tmp_path / "expected").read_bytes()
@@ -715,6 +723,22 @@ def test_stdout_into_a_closed_pipe(argv):
     finally:
         os.close(write_end)
     assert (code, err) == (1, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["sim", "--salt", "NaCl", "--separation", "3e-9", "--width", "3e-10", "--t-total", "2e-16", "--steps", "1",
+      "--num-points", "6000"],
+     "error: Unable to allocate 549. MiB for an array with shape (6000, 6000) and data type complex128\n"),
+    (["bcs", "--modes", "100000000"],
+     "error: Unable to allocate 763. MiB for an array with shape (100000000,) and data type float64\n"),
+], ids=["sim-6000", "bcs-1e8"])
+def test_allocation_under_an_address_space_limit(tmp_path, monkeypatch, argv, line):
+    # OpenBLAS reserves memory per thread at import, so one thread keeps the
+    # limit's headroom the same on every machine
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with open(tmp_path / "stdout", "wb") as stdout:
+        assert run_child(argv, stdout, limit_in_child(600 << 20, resource.RLIMIT_AS)) == (1, line)
+    assert (tmp_path / "stdout").read_bytes() == b""
 
 
 def test_negative_phase_in_scientific_notation(capsys):
@@ -849,13 +873,12 @@ def test_only_xray_builds_a_context(capsys, monkeypatch, command, contexts):
     assert len(built) == contexts
 
 
-def test_an_os_error_off_stdout_is_not_reported_as_a_stdout_fault(monkeypatch):
-    def unreadable():
-        raise PermissionError(13, "Permission denied")
-
-    monkeypatch.setattr(cli, "bundled_salt_database", unreadable)
-    with pytest.raises(PermissionError):
-        cli.main(["table", "--format", "csv"])
+def test_an_os_error_off_stdout_is_not_reported_as_a_stdout_fault(capsys, tmp_path, monkeypatch):
+    # an unreadable bundled table is a data-file fault, as an unreadable --data-file is
+    monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
+    monkeypatch.setattr(cli, "_BUNDLED_PATH", str(tmp_path))
+    assert run_cli(capsys, "table", "--format", "csv") == (
+        2, "", f"error: cannot read data file {str(tmp_path)!r}: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
 
 # argv, exit code; every run blocks scipy, and all but sim and bcs block numpy too
@@ -1088,7 +1111,7 @@ def _salt_payload(count):
 @pytest.mark.parametrize("count", [0, 1, 2000])
 def test_json_table_text_equals_json_dumps(count):
     payload = _salt_payload(count)
-    assert cli._render_table([], None, "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli._render_table([], "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("chunks", [cli._JSON_BATCH - 1, cli._JSON_BATCH, cli._JSON_BATCH + 1, 2 * cli._JSON_BATCH])
@@ -1096,4 +1119,4 @@ def test_json_text_is_whole_either_side_of_a_batch(chunks):
     # {"salts": k floats} encodes in k + 8 chunks
     payload = {"salts": [0.5] * (chunks - 8)}
     assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)) == chunks
-    assert cli._render_table([], None, "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli._render_table([], "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

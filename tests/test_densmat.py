@@ -205,6 +205,8 @@ def test_unresolvable_separation_rejected():
         densmat.coherence_ratio(rho, length_m(rho.spacing.si / 10.0))
     with pytest.raises(ValidationError, match="extent"):
         densmat.coherence_ratio(rho, length_m(1.0))
+    with pytest.raises(ValidationError, match="^separation must be nonnegative$"):
+        densmat.coherence_ratio(rho, length_m(-rho.spacing.si))
 
 
 def test_negative_dt_rejected():

@@ -84,6 +84,9 @@ def test_parse_ion_symbols():
     for bad in ("Na", "na+", "Na++", "2+", "Na0"):
         with pytest.raises(ValidationError):
             materials.parse_ion(bad, 22.990)
+    for mass in (0.0, -22.990):
+        with pytest.raises(ValidationError, match="^Na\\+: mass must be positive$"):
+            materials.parse_ion("Na+", mass)
 
 
 def test_empty_stream_gives_empty_database():
@@ -156,6 +159,17 @@ def test_record_rejects_a_reference_time_that_is_not_positive(field, seconds):
                              **{field: time_s(seconds)})
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+@pytest.mark.parametrize("field, label", [("mass_density", "density_kg_m3"), ("lattice_edge", "lattice_a_angstrom"),
+                                          ("water_per_ion", "water_per_ion")])
+def test_record_rejects_a_bulk_field_that_is_not_positive(field, label, value):
+    nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
+    fields = dict(zip(materials.SaltRecord._fields, nacl._values()))
+    fields[field] = value if field == "water_per_ion" else fields[field] * value
+    with pytest.raises(ValidationError, match=rf"^NaCl: {label} must be positive$"):
+        materials.SaltRecord(**fields)
+
+
 def test_the_loader_parses_each_ion_symbol_once_a_load(monkeypatch):
     text = "".join(f"S{i},Na+,22.990,{'Cl-' if i % 2 else 'S2-'},35.453,2163,5.64,10,4.6,4.4\n" for i in range(50))
     parsed = []
@@ -178,11 +192,24 @@ def test_the_loader_yields_each_record_before_it_reads_the_next_line():
         next(records)
 
 
-def test_load_salts_hands_the_records_to_consume_as_they_are_read(tmp_path):
+def test_read_salts_yields_each_record_before_it_reads_the_next_line(tmp_path):
     path = tmp_path / "salts.csv"
     path.write_text("NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\nKBr,K+\n")
     seen = []
     with pytest.raises(SaltDataError, match="^line 2: expected 10 fields, got 2$"):
-        materials.load_salts(path, lambda records: [seen.append(r.name) for r in records])
+        for record in materials._read_salts(path):
+            seen.append(record.name)
     assert seen == ["NaCl"]
-    assert materials.load_salts(path, next).name == "NaCl"  # reads no further than the first record
+    assert next(materials._read_salts(path)).name == "NaCl"  # reads no further than the first record
+    with pytest.raises(SaltDataError, match="^line 2: expected 10 fields, got 2$"):
+        materials.load_salts(path)
+
+
+def test_a_line_may_hold_max_line_characters_and_no_more(tmp_path):
+    longest = "#" * (materials._MAX_LINE - 1) + "\n"  # its newline included
+    path = tmp_path / "salts.csv"
+    path.write_text(longest + "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n#" + longest)
+    records = materials._read_salts(path)
+    assert next(records).name == "NaCl"
+    with pytest.raises(SaltDataError, match="^line 3: more than 65536 characters$"):
+        next(records)

@@ -35,8 +35,8 @@ EXTRA_EXAMPLES = [
 ]
 
 
-def readme_examples(commands=COMMANDS):
-    """The argv of each README example of the given commands, in README order, with no --format."""
+def readme_examples():
+    """The argv of each README example of COMMANDS, in README order, with no --format."""
     examples, pending = [], ""
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
         line = pending + line.strip()
@@ -47,7 +47,7 @@ def readme_examples(commands=COMMANDS):
             pending = line[:-1]
             continue
         argv = shlex.split(line, comments=True)
-        if argv[1] in commands:
+        if argv[1] in COMMANDS:
             if "--format" in argv:
                 at = argv.index("--format")
                 del argv[at:at + 2]

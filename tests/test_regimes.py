@@ -96,7 +96,7 @@ def test_scale_invariance_randomized():
 def test_classify_validation():
     with pytest.raises(ValidationError):
         regimes.classify(time_s(-1.0), time_s(1.0), time_s(1.0), False)
-    for threshold in (0.5, 1.0, float("nan")):
+    for threshold in (0.5, 1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="threshold_ratio"):
             regimes.classify(time_s(1.0), time_s(1.0), time_s(2.0), False, threshold_ratio=threshold)
 

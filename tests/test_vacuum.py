@@ -98,6 +98,8 @@ def test_decay_rate_needs_three_counts():
         vacuum.overlap_decay_rate(family, [100, 200])
     with pytest.raises(ValidationError):
         vacuum.overlap_decay_rate(family, [100, 100, 100])
+    with pytest.raises(ValidationError, match="^mode counts must be nonnegative$"):
+        vacuum.overlap_decay_rate(family, [-1, 0, 1])
 
 
 def test_profile_validation():
