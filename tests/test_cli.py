@@ -2,14 +2,13 @@ import hashlib
 import json
 import math
 import os
-import random
 import resource
 import stat
 import subprocess
 import sys
-from importlib import resources
 
 import pytest
+from test_readme_corpus import write_perturbed_salts
 
 from iondecoh import cli, core, regimes
 from iondecoh.materials import SaltRecord, load_salts
@@ -1022,23 +1021,6 @@ def test_scalar_output_bytes_are_pinned(capsys, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _write_perturbed_salts(path, rows=500, seed=7):
-    """``rows`` valid records: bundled rows with seeded, full-precision perturbations."""
-    text = resources.files("iondecoh").joinpath("data/salts.csv").read_text(encoding="utf-8")
-    bundled = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
-    rng = random.Random(seed)
-    lines = []
-    for i in range(rows):
-        name, cation, m_cat, anion, m_an, density, edge, water, ref1, ref2 = rng.choice(bundled)
-        lines.append(",".join([
-            f"{name}{i}", cation, repr(float(m_cat) * rng.uniform(0.5, 2.0)),
-            anion, repr(float(m_an) * rng.uniform(0.5, 2.0)),
-            repr(float(density) * rng.uniform(0.5, 2.0)), repr(float(edge) * rng.uniform(0.8, 1.25)),
-            water, ref1 if rng.random() < 0.5 else "-", ref2 if rng.random() < 0.5 else "-",
-        ]))
-    path.write_text("\n".join(lines) + "\n")
-
-
 # sha256 of the csv and json stdout of `table` over the 500-row perturbed file
 PINNED_BULK_TABLE_SHA256 = {
     "250K": (["--temperature", "250"],
@@ -1060,7 +1042,7 @@ PINNED_BULK_TABLE_SHA256 = {
 def test_bulk_table_bytes_are_pinned(capsys, tmp_path, case):
     extra, csv_digest, json_digest = PINNED_BULK_TABLE_SHA256[case]
     data = tmp_path / "salts.csv"
-    _write_perturbed_salts(data)
+    write_perturbed_salts(data)
     for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
         code, out, err = run_cli(capsys, "table", "--data-file", str(data), "--format", fmt, *extra)
         assert (code, err) == (0, "")
@@ -1074,7 +1056,7 @@ def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
     # every row equals tau1/tau2 of the record's context at the same flags
     extra = PINNED_BULK_TABLE_SHA256[case][0]
     data = tmp_path / "salts.csv"
-    _write_perturbed_salts(data)
+    write_perturbed_salts(data)
     code, out, err = run_cli(capsys, "table", "--data-file", str(data), "--format", "csv", *extra)
     assert (code, err) == (0, "")
     args = cli.build_parser().parse_args(["table", *extra])
@@ -1091,7 +1073,7 @@ def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
 
 def test_the_constructor_and_the_loader_build_the_same_record(tmp_path):
     data = tmp_path / "salts.csv"
-    _write_perturbed_salts(data)
+    write_perturbed_salts(data)
     records = load_salts(data)
     assert any(r.ref_tau1 is None for r in records) and any(r.ref_tau2 is not None for r in records)
     for loaded in records:

@@ -1,13 +1,14 @@
-"""The stdout bytes of the README's CLI examples, pinned by a committed manifest.
+"""The stdout bytes of every successful CLI run that tier-1 pins, in one committed manifest.
 
-Every ``iondecoh table|factor|xray|classify`` example in README.md is read
-from the README itself, so the docs and the corpus cannot drift, and runs in
-each of human, csv and json, with two examples of the explicit-input forms
-besides. sim and bcs are left out: their last digits depend on the BLAS
-build and numpy's SIMD paths, so their bytes compare only between two trees
-on one machine.
-
-Regenerate the manifest after a deliberate change of output or of the README:
+The cases: every ``table``, ``factor``, ``xray`` and ``classify`` example in
+README.md, read from the README itself so that the two cannot drift, in human,
+csv and json, plus two explicit-input examples; and ``table --data-file`` over
+a seeded file of perturbed bundled rows, in csv and json at four settings.
+Each digest is checked for the case as listed, for the case with ``--output
+FILE`` and for each README example as written. sim and bcs are left out: their
+last digits depend on the BLAS build. Error lines are pinned as text in
+``test_cli.ONE_LINE_ERRORS``. After a deliberate change of output, rewrite the
+manifest; this prints each case whose digest changed, appeared or went away:
 
     PYTHONPATH=src python tests/test_readme_corpus.py
 """
@@ -17,9 +18,11 @@ import io
 import json
 import os
 import pathlib
+import random
 import shlex
-import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
 
@@ -33,10 +36,14 @@ EXTRA_EXAMPLES = [
     ["factor", "--wavelength", "3e-11", "--rate", "2e15", "--dx", "3e-9", "--time", "1e-15"],
     ["classify", "--tau1", "1e-3", "--tau2", "2e-3", "--tau-dyn", "0.5"],
 ]
+SEED, ROWS = 7, 500
+PERTURBED = f"perturbed-seed{SEED}-rows{ROWS}.csv"  # so the case ids record the generator's settings
+BULK_FLAGS = {"250K": ["--temperature", "250"], "310K": [], "400K": ["--temperature", "400"],
+              "310K-N1e19": ["--ion-count", "1e19"]}
 
 
 def readme_examples():
-    """The argv of each README example of COMMANDS, in README order, with no --format."""
+    """The argv of each README example of COMMANDS, exactly as written, in README order."""
     examples, pending = [], ""
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
         line = pending + line.strip()
@@ -46,26 +53,77 @@ def readme_examples():
         if line.endswith("\\"):
             pending = line[:-1]
             continue
-        argv = shlex.split(line, comments=True)
-        if argv[1] in COMMANDS:
-            if "--format" in argv:
-                at = argv.index("--format")
-                del argv[at:at + 2]
-            examples.append(argv[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        if argv[0] in COMMANDS:
+            examples.append(argv)
     return examples
 
 
-# case id -> argv: each example in each format
-CASES = {" ".join([*argv, "--format", fmt]): [*argv, "--format", fmt]
-         for argv in readme_examples() + EXTRA_EXAMPLES for fmt in FORMATS}
+def with_format(argv, fmt=None):
+    """argv with its --format moved last and set to fmt, else to its own, else to human."""
+    argv = list(argv)
+    if "--format" in argv:
+        at = argv.index("--format")
+        fmt = fmt or argv[at + 1]
+        del argv[at:at + 2]
+    return [*argv, "--format", fmt or "human"]
 
 
-def stdout_sha256(argv):
+def write_perturbed_salts(path):
+    """ROWS valid records: bundled rows with seeded, full-precision perturbations."""
+    text = resources.files("iondecoh").joinpath("data/salts.csv").read_text(encoding="utf-8")
+    bundled = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
+    rng = random.Random(SEED)
+    lines = []
+    for i in range(ROWS):
+        name, cation, m_cat, anion, m_an, density, edge, water, ref1, ref2 = rng.choice(bundled)
+        lines.append(",".join([
+            f"{name}{i}", cation, repr(float(m_cat) * rng.uniform(0.5, 2.0)),
+            anion, repr(float(m_an) * rng.uniform(0.5, 2.0)),
+            repr(float(density) * rng.uniform(0.5, 2.0)), repr(float(edge) * rng.uniform(0.8, 1.25)),
+            water, ref1 if rng.random() < 0.5 else "-", ref2 if rng.random() < 0.5 else "-",
+        ]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+# case id -> argv
+README_CASES = {" ".join(argv): argv for argv in
+                (with_format(example, fmt) for example in readme_examples() + EXTRA_EXAMPLES for fmt in FORMATS)}
+BULK_CASES = {" ".join(argv): argv for argv in (["table", "--data-file", PERTURBED, *flags, "--format", fmt]
+              for flags in BULK_FLAGS.values() for fmt in ("csv", "json"))}
+CASES = {**README_CASES, **BULK_CASES}
+
+
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
-    assert (code, err.getvalue()) == (0, ""), argv
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def stdout_sha256(argv):
+    code, out, err = run(argv)
+    assert (code, err) == (0, ""), argv
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """The manifest's digests; the cases run over the bundled table, beside a written PERTURBED."""
+    workdir = tmp_path_factory.mktemp("corpus")
+    write_perturbed_salts(workdir / PERTURBED)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(cli.ENV_DATA_DIR, raising=False)
+        patch.chdir(workdir)
+        yield json.loads(MANIFEST.read_text())
+
+
+def check_case(case, digests, tmp_path):
+    """The case's stdout, and its --output file with stdout empty, both hash to its digest."""
+    assert stdout_sha256(CASES[case]) == digests[case]
+    target = tmp_path / "out"
+    assert run([*CASES[case], "--output", str(target)]) == (0, "", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digests[case]
 
 
 def test_the_readme_shows_an_example_of_each_command():
@@ -76,14 +134,30 @@ def test_the_manifest_holds_every_case():
     assert sorted(json.loads(MANIFEST.read_text())) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_readme_example_bytes(monkeypatch, case):
-    monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
-    assert stdout_sha256(CASES[case]) == json.loads(MANIFEST.read_text())[case]
+@pytest.mark.parametrize("case", list(README_CASES))
+def test_readme_example_bytes(digests, tmp_path, case):
+    check_case(case, digests, tmp_path)
+
+
+@pytest.mark.parametrize("case", list(BULK_CASES))
+def test_bulk_table_bytes(digests, tmp_path, case):
+    check_case(case, digests, tmp_path)
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_as_written(digests, argv):
+    assert stdout_sha256(argv) == digests[" ".join(with_format(argv))]
 
 
 if __name__ == "__main__":
-    if cli.ENV_DATA_DIR in os.environ:
-        sys.exit(f"unset {cli.ENV_DATA_DIR}: the manifest is of the bundled table")
-    MANIFEST.write_text(json.dumps({case: stdout_sha256(argv) for case, argv in CASES.items()}, indent=2) + "\n")
-    print(f"wrote {len(CASES)} cases to {MANIFEST}")
+    os.environ.pop(cli.ENV_DATA_DIR, None)  # the manifest is of the bundled table
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        write_perturbed_salts(pathlib.Path(PERTURBED))
+        new = {case: stdout_sha256(argv) for case, argv in CASES.items()}
+    for case in {**old, **new}:
+        if old.get(case) != new.get(case):
+            print("changed:" if case in old and case in new else "appeared:" if case in new else "went away:", case)
+    MANIFEST.write_text(json.dumps(new, indent=2) + "\n")
+    print(f"wrote {len(new)} cases to {MANIFEST}")
