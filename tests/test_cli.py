@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -8,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from test_readme_corpus import write_perturbed_salts
+from test_readme_corpus import BULK_FLAGS, ROWS, write_perturbed_salts
 
 from iondecoh import cli, core, regimes
 from iondecoh.materials import SaltRecord, load_salts
@@ -986,75 +985,11 @@ def test_memory_error_exits_one(capsys, monkeypatch, command, target, message, l
     assert (code, out, err) == (1, "", line + "\n")
 
 
-# sha256 of stdout for the README examples whose output comes from pure-Python
-# float code only. sim and bcs are left out: their last digits depend on the
-# BLAS build and on numpy's SIMD paths, so a pin would differ across machines.
-PINNED_STDOUT_SHA256 = {
-    "table-csv": (["table", "--salts", "all", "--format", "csv"],
-                  "2382b21a30399c92f3771e9029f55d797c7e0eccf90a3582d046a3ab791f93bb"),
-    "table-json": (["table", "--salts", "all", "--format", "json"],
-                   "5b2d45cfb6c600de0fdfd90076080814e0aa961dd7976a38f6560573ae19f4f5"),
-    "factor-json": (["factor", "--salt", "NaCl", "--dx", "3e-9", "--time", "1e-16", "--format", "json"],
-                    "b0e778a7013e4090f81d79d8a81127f3fa8a4368176cdbb947e18d23a6a9f011"),
-    "xray-json": (["xray", "--salt", "NaCl", "--tau-x", "0.5e-18", "--format", "json"],
-                  "f2fb6194145ddfd85345eb702a96d6ae37ad01f8a3fd13a0a31d87f652e882a6"),
-    "classify-json": (["classify", "--salt", "NaCl", "--tau-dyn", "1.0", "--observed-coherence",
-                       "--format", "json"],
-                      "179f7eabb945950a5adb4e93288c55d7f68e33c21aac6d95c1094498767570cc"),
-    "table-human": (["table", "--salts", "NaCl,KBr"],
-                    "b792a4009d74169b01530d6c2bfea8005fdda71472b62a2b2ffe60f308442b9b"),
-    "factor-human": (["factor", "--salt", "NaCl", "--dx", "3e-9", "--time", "1e-16"],
-                     "f92b971f873e8b37e3b5ec2295285a76cc73eba259706fdd7858d37d9102b0f8"),
-    "xray-human": (["xray", "--salt", "NaCl", "--tau-x", "0.5e-18"],
-                   "936afe2b2d68df21b0c71d3e065c9a679d1011f4426ef9ae1acac165c47a962d"),
-    "classify-human": (["classify", "--salt", "NaCl", "--tau-dyn", "1.0", "--observed-coherence"],
-                       "90e5864c59a70ef06f6f884e4184a0bba9ce675587b5672a3e3185c872e7e490"),
-}
-
-
-@pytest.mark.parametrize("case", list(PINNED_STDOUT_SHA256))
-def test_scalar_output_bytes_are_pinned(capsys, monkeypatch, case):
-    argv, digest = PINNED_STDOUT_SHA256[case]
-    monkeypatch.delenv(cli.ENV_DATA_DIR, raising=False)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of the csv and json stdout of `table` over the 500-row perturbed file
-PINNED_BULK_TABLE_SHA256 = {
-    "250K": (["--temperature", "250"],
-             "fdb4b285c5e29e53523db248be9027199b12a5750dbdb872eeda5383ee2f49d2",
-             "74181f4948e8bce935eaa8cfd10f293369e5e1ebd14387dd9d3d2e60d16dd190"),
-    "310K": ([],
-             "0673959c7c621b2a7eaead5e25608e13603bb3b8d4322f28b7397a8bdeb02711",
-             "772720ea7ec668ddc55dc82d408a675edd475ded80a36bd192f14c0c4bfbff2a"),
-    "400K": (["--temperature", "400"],
-             "6bdc42b48645de61495188305b1434a76e1ace958a09cbc1c04476b8add65212",
-             "025547ac7798a0d2742c40246df02863fa534cfba0dcb2f450013d6c0f33ca34"),
-    "310K-N1e19": (["--ion-count", "1e19"],
-                   "f324a0fb675ac58126555b3a8724db8803b18bc1ee056f8716c1112172a9631a",
-                   "06a335a152438d967b200a4f342a85658ed8fdc5496442bc5eb192725cbddf00"),
-}
-
-
-@pytest.mark.parametrize("case", list(PINNED_BULK_TABLE_SHA256))
-def test_bulk_table_bytes_are_pinned(capsys, tmp_path, case):
-    extra, csv_digest, json_digest = PINNED_BULK_TABLE_SHA256[case]
-    data = tmp_path / "salts.csv"
-    write_perturbed_salts(data)
-    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
-        code, out, err = run_cli(capsys, "table", "--data-file", str(data), "--format", fmt, *extra)
-        assert (code, err) == (0, "")
-        assert len(out.splitlines()) > 500
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
-
-
-@pytest.mark.parametrize("case", list(PINNED_BULK_TABLE_SHA256))
+@pytest.mark.parametrize("case", list(BULK_FLAGS))
 def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
     # table runs tau1 and tau2 over each record's SI floats, with no context:
     # every row equals tau1/tau2 of the record's context at the same flags
-    extra = PINNED_BULK_TABLE_SHA256[case][0]
+    extra = BULK_FLAGS[case]
     data = tmp_path / "salts.csv"
     write_perturbed_salts(data)
     code, out, err = run_cli(capsys, "table", "--data-file", str(data), "--format", "csv", *extra)
@@ -1063,7 +998,7 @@ def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
     temperature = temperature_kelvin(args.temperature)
     records = load_salts(data)
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == len(records) == 500
+    assert len(rows) == len(records) == ROWS
     for record, (name, _, _, tau1_s, tau2_s) in zip(records, rows):
         ctx = core.context_for_salt(record, temperature, args.ion_count)
         assert name == record.name
