@@ -5,9 +5,8 @@ The data file is CSV with ``#`` comment lines and ten columns::
     name, cation_symbol, cation_mass_amu, anion_symbol, anion_mass_amu,
     density_kg_m3, lattice_a_angstrom, water_per_ion, ref_tau1_1e-40s, ref_tau2_1e-38s
 
-``water_per_ion`` and the two reference times may be ``-`` (missing).
-Every numeric field is a positive quantity whose SI value must be a
-normal double.
+``water_per_ion`` and the two reference times may be ``-`` (missing). Every
+numeric field is a positive quantity whose SI value must be a normal double.
 Records keep file order, which is also the fixed output order everywhere.
 Every SaltRecord's number density, density / (m_cation + m_anion), is a positive normal double.
 A record keeps SI floats, each ion as its symbol, charge number and kg, and its fields
@@ -167,17 +166,19 @@ def _parse_float(field: str, name: str, line_number: int, scale: float = 1.0) ->
 def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
     """Parse salt records from a text stream, yielding each in file order as its line is read.
 
-    Raises SaltDataError with the line number, and the field for a
-    numeric one, on malformed input and on a value that fails a physical
-    constraint: a field that is not a positive normal double in SI units,
-    a bad ion symbol, a zero charge, an empty name, a number density
-    that is not a positive normal double, which SaltRecord rejects, or a
-    line over _MAX_LINE characters. The error comes when iteration reaches
-    the faulty line, after the records before it.
+    Raises SaltDataError with the line number, and the field for a numeric
+    one, on malformed input and on a value that fails a physical constraint:
+    a field that is not a positive normal double in SI units, a bad ion
+    symbol, a zero charge, an empty name, a number density that is not a
+    positive normal double, which SaltRecord rejects, or a line over
+    _MAX_LINE characters, which a stream with readline stops reading at the
+    cap (/dev/zero, a FIFO that sends no newline). The error comes when
+    iteration reaches the faulty line, after the records before it.
     """
     seen: set[str] = set()
     ions: dict[str, tuple[str, int]] = {}  # symbol -> (symbol, charge number), parsed once a load
-    for line_number, raw in enumerate(stream, start=1):
+    lines = iter(functools.partial(stream.readline, _MAX_LINE + 1), "") if hasattr(stream, "readline") else stream
+    for line_number, raw in enumerate(lines, start=1):
         if len(raw) > _MAX_LINE:
             raise SaltDataError(f"more than {_MAX_LINE} characters", line_number)
         line = raw.strip()
@@ -222,8 +223,7 @@ def _read_salts(path) -> Iterator[SaltRecord]:
     empty = True
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            # bounded reads: an endless line (/dev/zero, a FIFO that sends no newline) stops at the cap
-            for record in load_salt_database(iter(functools.partial(handle.readline, _MAX_LINE + 1), "")):
+            for record in load_salt_database(handle):
                 empty = False
                 yield record
     except UnicodeDecodeError as exc:

@@ -199,6 +199,13 @@ def test_spacing_whose_inverse_square_overflows_rejected_before_the_outer_produc
         densmat.prepare_superposition(spec, num_points=256)
 
 
+def small_state(elements, band_peaks):
+    """A ReducedDensityMatrix of the given elements on a grid of unit spacing."""
+    elements = np.asarray(elements, dtype=complex)
+    return densmat.ReducedDensityMatrix(np.arange(len(elements), dtype=float), length_m(1.0), elements,
+                                        np.asarray(band_peaks, dtype=float), time_s(0.0))
+
+
 def test_unresolvable_separation_rejected():
     rho = two_packet_state()
     with pytest.raises(ValidationError, match="resolution"):
@@ -207,6 +214,9 @@ def test_unresolvable_separation_rejected():
         densmat.coherence_ratio(rho, length_m(1.0))
     with pytest.raises(ValidationError, match="^separation must be nonnegative$"):
         densmat.coherence_ratio(rho, length_m(-rho.spacing.si))
+    incoherent = small_state(np.eye(4) / 4.0, [0.25, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="^state had no coherence at that separation to begin with$"):
+        densmat.coherence_ratio(incoherent, length_m(1.0))
 
 
 def test_negative_dt_rejected():
@@ -221,6 +231,9 @@ def test_check_invariants_flags_corruption():
     rho.elements[0, 0] += 1e9
     with pytest.raises(ValidationError):
         densmat.check_invariants(rho)
+    # Hermitian, trace one, eigenvalues 1.5 and -0.5
+    with pytest.raises(ValidationError, match="^state has a negative eigenvalue -0.5$"):
+        densmat.check_invariants(small_state([[1.5, 0.0], [0.0, -0.5]], [1.5, 0.0]))
 
 
 def test_check_invariants_rejects_nan_before_eigensolve(monkeypatch):

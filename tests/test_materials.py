@@ -213,3 +213,12 @@ def test_a_line_may_hold_max_line_characters_and_no_more(tmp_path):
     assert next(records).name == "NaCl"
     with pytest.raises(SaltDataError, match="^line 3: more than 65536 characters$"):
         next(records)
+
+
+def test_an_open_stream_is_read_no_further_than_the_cap(tmp_path):
+    path = tmp_path / "salts.csv"
+    path.write_text("#" * 70_000 + "\nNaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n")
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(SaltDataError, match="^line 1: more than 65536 characters$"):
+            list(materials.load_salt_database(handle))
+        assert handle.readline() == "#" * (70_000 - materials._MAX_LINE - 1) + "\n"

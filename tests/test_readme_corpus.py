@@ -151,7 +151,7 @@ def test_readme_example_as_written(digests, argv):
 
 if __name__ == "__main__":
     os.environ.pop(cli.ENV_DATA_DIR, None)  # the manifest is of the bundled table
-    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    old = json.loads(MANIFEST.read_text())
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         write_perturbed_salts(pathlib.Path(PERTURBED))

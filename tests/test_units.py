@@ -56,6 +56,12 @@ def test_addition_requires_matching_dimensions():
         units.length_m(1.0) + units.time_s(1.0)
     total = units.length_m(1.0) + units.length_angstrom(1.0)
     assert total.si == pytest.approx(1.0 + 1e-10)
+    assert units.length_m(1.0) - units.length_m(0.25) == -units.length_m(-0.75) == units.length_m(0.75)
+    # an operand that is not a Quantity or a number is left to Python, which raises TypeError
+    for operation in (lambda q: q + 1, lambda q: q - 1, lambda q: q * None, lambda q: None * q,
+                      lambda q: q / None, lambda q: None / q):
+        with pytest.raises(TypeError):
+            operation(units.Quantity(1.0))
 
 
 def test_comparison_requires_matching_dimensions():
@@ -138,12 +144,13 @@ def test_equality_hash_and_repr():
 
 @pytest.mark.parametrize("operation, message", [
     (lambda: units.length_m(1.0) + units.time_s(1.0), "cannot add [m] and [s]"),
+    (lambda: units.length_m(1.0) - units.time_s(1.0), "cannot subtract [m] and [s]"),
     (lambda: units.length_m(1.0) < units.time_s(1.0), "cannot compare [m] and [s]"),
     (lambda: units.length_m(3.0).require(units.TIME, "elapsed time"),
      "elapsed time must have dimension [s], got [m]"),
     (lambda: units.length_m(4.0).sqrt(), "cannot take 2th root of dimension m"),
     (lambda: units.length_m(4.0) ** 0.5, "dimension exponent must be an integer, got 0.5"),
-], ids=["add", "compare", "require", "root", "non-integer-power"])
+], ids=["add", "subtract", "compare", "require", "root", "non-integer-power"])
 def test_dimension_error_messages(operation, message):
     with pytest.raises(DimensionError) as info:
         operation()
@@ -202,6 +209,8 @@ def test_ratio_and_require():
 def test_dimension_rendering():
     assert str(units.ENERGY) == "kg·m²·s⁻²"
     assert str(units.DIMENSIONLESS) == "1"
+    assert str(units.Quantity(2.0, units.LENGTH)) == "2 m"
+    assert str(units.Quantity(0.5)) == "0.5"
 
 
 def test_codata_constants_match_scipy_bit_for_bit():
