@@ -24,7 +24,7 @@ import sys
 
 from . import core, densmat, regimes, vacuum
 from .errors import IonDecohError, SaltDataError, ValidationError
-from .materials import _BUNDLED_PATH, SaltRecord, _read_salts, _unknown_salt, salt_by_name
+from .materials import _BUNDLED_PATH, SaltRecord, _read_salts, _select
 from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
@@ -80,14 +80,15 @@ def _salt_values(args, record: SaltRecord, *formulas) -> list:
         raise ValidationError(f"salt {record.name!r}: {exc}") from None
 
 
-def _wavelength_and_rate(args):
+def _salt_or_given(args, formulas, flags) -> list:
+    """The formulas' floats at --salt's record, else both flags' values; the unpack reads the file to its end."""
     if args.salt is not None:
-        record = salt_by_name(list(_records(args)), args.salt)
-        wavelength, rate = _salt_values(args, record, core._WAVELENGTH.si, core._RATE.si)
-        return length_m(wavelength), rate_per_s(rate)
-    if args.wavelength is None or args.rate is None:
-        raise ValidationError("give either --salt or both --wavelength and --rate")
-    return length_m(args.wavelength), rate_per_s(args.rate)
+        (record,) = _select(_records(args), [args.salt])
+        return _salt_values(args, record, *formulas)
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise ValidationError(f"give either --salt or both --{flags[0]} and --{flags[1]}")
+    return values
 
 
 # -- output rendering ---------------------------------------------------------
@@ -177,7 +178,6 @@ def _cmd_table(args):
     later row is evaluated, and the rest of the file is still read.
     """
     requested = None if args.salts == "all" else [name.strip() for name in args.salts.split(",") if name.strip()]
-    wanted = set(requested or ())
     tau1, tau2 = core._TAU1.si, core._TAU2.si
     as_json = args.format == "json"
     if as_json:
@@ -194,12 +194,8 @@ def _cmd_table(args):
         row_text = _csv_row
 
     fault = None  # the first exit-1 fault, held until the whole file is read
-    chunks, batch, names = [], [], []  # names: every name in file order, for an unknown --salts name
-    for record in _records(args):
-        if requested is not None:
-            names.append(record.name)
-            if record.name not in wanted:
-                continue
+    chunks, batch = [], []
+    for record in _records(args) if requested is None else _select(_records(args), requested):
         if fault is not None:
             continue
         try:
@@ -211,13 +207,8 @@ def _cmd_table(args):
             chunks.append("".join(batch))
             batch.clear()
         batch.append(row_text(record, t1, t2))
-    if requested is not None:
-        if not requested:
-            raise ValidationError("--salts must name at least one salt")
-        seen = set(names)
-        for name in requested:
-            if name not in seen:
-                raise _unknown_salt(name, names)
+    if requested == []:
+        raise ValidationError("--salts must name at least one salt")
     if fault is not None:
         raise fault
     if as_json:
@@ -229,19 +220,19 @@ def _cmd_table(args):
 
 
 def _cmd_factor(args) -> str:
-    wavelength, rate = _wavelength_and_rate(args)
+    wavelength, rate = _salt_or_given(args, (core._WAVELENGTH.si, core._RATE.si), ("wavelength", "rate"))
     value = core.decoherence_factor(
-        length_m(args.dx), time_s(args.time), wavelength, rate
+        length_m(args.dx), time_s(args.time), length_m(wavelength), rate_per_s(rate)
     )
     if args.format == "human":
         return f"decoherence factor = {value!r}\n"
-    row = {"separation_m": args.dx, "time_s": args.time, "wavelength_m": wavelength.si, "rate_per_s": rate.si,
+    row = {"separation_m": args.dx, "time_s": args.time, "wavelength_m": wavelength, "rate_per_s": rate,
            "factor": value}
     return _render_table([row], args.format, row)
 
 
 def _cmd_sim(args) -> str:
-    wavelength, rate = _wavelength_and_rate(args)
+    wavelength, rate = _salt_or_given(args, (core._WAVELENGTH.si, core._RATE.si), ("wavelength", "rate"))
     spec = densmat.SuperpositionSpec(
         separation=length_m(args.separation),
         width=length_m(args.width),
@@ -250,22 +241,23 @@ def _cmd_sim(args) -> str:
     # passed inline: a local would keep the prepared state alive for the whole run
     samples = densmat.evolve_series(
         densmat.prepare_superposition(spec, num_points=args.num_points, extent_widths=args.extent_widths),
-        rate, wavelength, t_total=time_s(args.t_total), steps=args.steps, separation=spec.separation,
+        rate_per_s(rate), length_m(wavelength), t_total=time_s(args.t_total), steps=args.steps,
+        separation=spec.separation,
     )
     rows = [{"time_s": s.time, "coherence": s.coherence, "trace": s.trace, "purity": s.purity,
              "min_eigenvalue": s.min_eigenvalue} for s in samples]
     payload = {
         "separation_m": args.separation,
         "width_m": args.width,
-        "wavelength_m": wavelength.si,
-        "rate_per_s": rate.si,
+        "wavelength_m": wavelength,
+        "rate_per_s": rate,
         "samples": rows,
     }
     return _render_table(rows, args.format, payload)
 
 
 def _cmd_xray(args) -> str:
-    record = salt_by_name(list(_records(args)), args.salt)
+    (record,) = _select(_records(args), [args.salt])
     # through the public context and check, as library callers take them
     (check,) = _salt_values(args, record, lambda _, temperature: regimes.xray_consistency(
         core.context_for_salt(record, temperature_kelvin(temperature), args.ion_count), record, time_s(args.tau_x)))
@@ -296,13 +288,7 @@ def _cmd_bcs(args) -> str:
 
 
 def _cmd_classify(args) -> str:
-    if args.salt is not None:
-        t1, t2 = map(time_s, _salt_values(args, salt_by_name(list(_records(args)), args.salt),
-                                          core._TAU1.si, core._TAU2.si))
-    elif args.tau1 is not None and args.tau2 is not None:
-        t1, t2 = time_s(args.tau1), time_s(args.tau2)
-    else:
-        raise ValidationError("give either --salt or both --tau1 and --tau2")
+    t1, t2 = map(time_s, _salt_or_given(args, (core._TAU1.si, core._TAU2.si), ("tau1", "tau2")))
     report = regimes.classify(
         t1,
         t2,

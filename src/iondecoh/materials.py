@@ -242,14 +242,19 @@ def bundled_salt_database() -> list[SaltRecord]:
     return load_salts(_BUNDLED_PATH)
 
 
-def salt_by_name(records: list[SaltRecord], name: str) -> SaltRecord:
-    """Look up a salt by exact name; error message lists the valid names."""
+def salt_by_name(records: Iterable[SaltRecord], name: str) -> SaltRecord:
+    """Look up a salt by exact name, the first record that holds it; error message lists the valid names."""
+    return next(_select(records, [name]))
+
+
+def _select(records: Iterable[SaltRecord], names: list[str]) -> Iterator[SaltRecord]:
+    """Each record whose name is in names, in file order, as it is read; then the first name no record held raises."""
+    wanted, read = set(names), []  # read: every name in file order, for the error; no record is kept
     for record in records:
-        if record.name == name:
-            return record
-    raise _unknown_salt(name, [r.name for r in records])
-
-
-def _unknown_salt(name: str, names: list[str]) -> ValidationError:
-    """The error for a salt the data does not hold; it lists the names the data holds, in file order."""
-    return ValidationError(f"unknown salt {name!r}; valid names: {', '.join(names)}")
+        read.append(record.name)
+        if record.name in wanted:
+            yield record
+    held = set(read)
+    for name in names:
+        if name not in held:
+            raise ValidationError(f"unknown salt {name!r}; valid names: {', '.join(read)}")
