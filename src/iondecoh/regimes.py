@@ -14,8 +14,9 @@ with the dynamical timescale of the process, tau_dyn:
 
 The module also hosts a consistency check that runs the timescale formulas
 backwards from an X-ray scattering time to an implied bulk density and
-lattice spacing. Its three results are ``units._Formula`` objects, proved
-at import and run in SI floats, as core's formulas are.
+lattice spacing. Its three results, and the ratio tau_dyn / tau_dec, are
+``units._Formula`` objects, proved at import and run in SI floats, as core's
+formulas are; a ratio out of the double range names itself and both times.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from .core import DecoherenceContext, tau1 as _tau1
 from .errors import ValidationError
 from .materials import SaltRecord
-from .units import LENGTH, MASS, MASS_DENSITY, TIME, Quantity, _Formula, _Record
+from .units import DIMENSIONLESS, LENGTH, MASS, MASS_DENSITY, TIME, Quantity, _Formula, _Record
 
 DEFAULT_THRESHOLD_RATIO = 1e3
 
@@ -42,6 +43,11 @@ class Verdict(enum.Enum):
     QFT_REGIME_INDICATED = "QftRegimeIndicated"
 
 
+# tau_dyn / tau_dec, of two positive times; a ratio that underflows to 0.0 is kept
+_TIMESCALE_RATIO = _Formula("timescale ratio", DIMENSIONLESS, (TIME, TIME), lambda c, dyn, dec: dyn / dec,
+                            "{label} leaves the double range at tau_dyn {at[0]!r} s, tau_dec {at[1]!r} s")
+
+
 class RegimeReport(_Record):
     """Classification result with every input echoed for auditability; timescale_ratio is kept, not a field."""
 
@@ -50,7 +56,8 @@ class RegimeReport(_Record):
 
     def __init__(self, *fields, **by_name) -> None:
         _Record.__init__(self, *fields, **by_name)
-        self._setters[-1](self, self.tau_dyn.ratio(self.tau_dec))
+        at = (self.tau_dyn.require(TIME, "tau_dyn").si, self.tau_dec.require(TIME, "tau_dec").si)
+        self._setters[-1](self, _TIMESCALE_RATIO.si(at, at))
 
     @property
     def tau_dec(self) -> Quantity:
@@ -94,7 +101,7 @@ def classify(
         )
     if threshold_ratio == math.inf:
         raise ValidationError("threshold_ratio must be finite, got inf")
-    ratio = tau_dyn.ratio(min(tau1, tau2))
+    ratio = _TIMESCALE_RATIO.si(at := (tau_dyn.si, min(tau1.si, tau2.si)), at)
     if ratio <= threshold_ratio:
         verdict = Verdict.QUANTUM_MECHANICS_ADEQUATE
     elif coherent_phase_observed:

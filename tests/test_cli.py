@@ -360,11 +360,11 @@ ONE_LINE_ERRORS = {
                            f"{SALT}tau1 underflows to 0.0 s at temperature 1e-71 K"),
     "classify-ratio-overflows": (
         ["classify", "--tau1", "1e-40", "--tau2", "1e-38", "--tau-dyn", "1e308", "--format", "json"],
-        "quantity magnitude must be finite, got inf"),
+        "timescale ratio leaves the double range at tau_dyn 1e+308 s, tau_dec 1e-40 s"),
     "classify-threshold-inf": (["classify", "--salt", "NaCl", "--tau-dyn", "1", "--threshold", "inf", "--format", "json"],
                                "argument --threshold: 'inf' is not a finite number"),
     "classify-subnormal-tau1": (["classify", "--tau1", "1e-320", "--tau2", "1", "--tau-dyn", "1", "--format", "csv"],
-                                "quantity magnitude must be finite, got inf"),
+                                "timescale ratio leaves the double range at tau_dyn 1.0 s, tau_dec 1e-320 s"),
     "sim-width-squared-overflows": (
         ["sim", "--wavelength", "3e-10", "--rate", "1", "--separation", "0", "--width", "1e300",
          "--t-total", "1e-9", "--steps", "1", "--num-points", "16", "--format", "csv"],

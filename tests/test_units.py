@@ -241,7 +241,7 @@ def test_every_formula_is_found_and_proved_at_import():
     found = _formulas()
     assert sorted(formula.label for formula in found) == sorted([
         "de Broglie wavelength", "thermal speed", "cross section", "scattering rate", "tau1", "tau2",
-        "number density", "implied density", "implied spacing", "wavelength_x"])
+        "number density", "implied density", "implied spacing", "wavelength_x", "timescale ratio"])
     for formula in found:  # building a formula ran this proof; it still holds
         assert formula.over_quantities((1.0,) * len(formula.operand_dims)).dim is formula.dim, formula.label
 
