@@ -54,6 +54,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _mode_counts(text: str) -> list[int]:
+    """The argparse type of --modes: its comma-separated ints, each once, in increasing order."""
+    counts = set()
+    for field in filter(None, map(str.strip, text.split(","))):
+        try:
+            counts.add(int(field))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {field!r}") from None
+    return sorted(counts)
+
+
 def _records(args):
     """The records of --data-file, else IONDECOH_DATA_DIR's salts.csv, else the bundled table, each as it is read."""
     path = args.data_file
@@ -266,7 +277,7 @@ def _cmd_xray(args) -> str:
 
 
 def _cmd_bcs(args) -> str:
-    counts = sorted({int(k.strip()) for k in args.modes.split(",") if k.strip()})
+    counts = args.modes
     if not counts:
         raise ValidationError("--modes must list at least one mode count")
     if args.uniform_u is not None:
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_xray)
 
     p = sub.add_parser("bcs", help="finite-mode vacuum overlap and its decay rate")
-    p.add_argument("--modes", required=True, help="comma-separated mode counts")
+    p.add_argument("--modes", type=_mode_counts, required=True, help="comma-separated mode counts")
     p.add_argument("--uniform-u", type=_finite, help="uniform U_k (otherwise pairing model)")
     # a bare float: an infinite gap is a finite limit, every U_k = 1/sqrt(2); pairing_family rejects NaN
     p.add_argument("--gap", type=float, default=0.2, help="pairing gap (default 0.2)")

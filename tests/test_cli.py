@@ -376,6 +376,7 @@ ONE_LINE_ERRORS = {
         "extent_widths must be positive and give a finite grid span, got 1.8e+158"),
     "bcs-negative-seed": (["bcs", "--modes", "10", "--seed=-1"], "seed must be a non-negative integer, got -1"),
     "bcs-no-modes": (["bcs", "--modes", ","], "--modes must list at least one mode count"),
+    "bcs-modes-not-an-int": (["bcs", "--modes", "10,x"], "argument --modes: invalid int value: 'x'"),
     "factor-dx-not-a-number": (["factor", "--salt", "NaCl", "--dx", "abc", "--time", "1"],
                                "argument --dx: invalid float value: 'abc'"),
     "data-file-not-utf8": (["table", "--data-file", DATA_FILE],
