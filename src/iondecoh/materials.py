@@ -254,7 +254,7 @@ def _select(records: Iterable[SaltRecord], names: list[str]) -> Iterator[SaltRec
         read.append(record.name)
         if record.name in wanted:
             yield record
-    held = set(read)
+    missing = wanted.difference(read)
     for name in names:
-        if name not in held:
+        if name in missing:
             raise ValidationError(f"unknown salt {name!r}; valid names: {', '.join(read)}")

@@ -407,6 +407,14 @@ ONE_LINE_ERRORS = {
     "table-order-data-fault-beats-empty-salts": (
         ["table", "--data-file", DATA_FILE, "--salts", ",", "--temperature=-1"], "line 3: expected 10 fields, got 9",
         NINE_FIELDS_ON_LINE_3),
+    # a --salt command reads the file to its end, so a fault after the salt's row still wins
+    **{f"salt-order-data-fault-beats-found-salt-{argv[0]}": (
+        [*argv, "--salt", "NaCl", "--data-file", DATA_FILE], "line 3: expected 10 fields, got 9",
+        NINE_FIELDS_ON_LINE_3)
+       for argv in (["factor", "--dx", "3e-9", "--time", "1e-16"], ["xray", "--tau-x", "0.5e-18"],
+                    ["classify", "--tau-dyn", "1"],
+                    ["sim", "--separation", "3e-9", "--width", "3e-10", "--t-total", "2e-16", "--steps", "1",
+                     "--num-points", "16"])},
     "table-order-empty-file-beats-every-flag": (
         ["table", "--data-file", DATA_FILE, "--salts", "Nope", "--temperature=-1", "--format", "csv"],
         "data file '{path}' holds no salt records", b""),

@@ -132,6 +132,23 @@ def test_unknown_salt_lookup_lists_valid_names():
         materials.salt_by_name(records, "unobtanium")
 
 
+def test_salt_by_name_reads_a_generator_no_further_than_its_match():
+    nacl_line = "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4\n"
+    nine_fields = "KBr,K+,39.098,Br-,79.904,2750,6.60,-,9.6\n"
+    stream = io.StringIO(nacl_line + nine_fields)
+    assert materials.salt_by_name(materials.load_salt_database(stream), "NaCl").name == "NaCl"
+    assert stream.readline() == nine_fields  # the faulty line was never read
+    with pytest.raises(ValidationError, match="^unknown salt 'KBr'; valid names: NaCl$"):
+        materials.salt_by_name(materials.load_salt_database(io.StringIO(nacl_line)), "KBr")
+
+
+def test_salt_by_name_over_a_list_with_a_repeated_name_returns_the_first():
+    nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
+    twin = materials.SaltRecord("NaCl", nacl.cation, nacl.anion, mass_density_kg_m3(1000.0), nacl.lattice_edge)
+    assert materials.salt_by_name([twin, nacl], "NaCl") is twin
+    assert materials.salt_by_name([nacl, twin], "NaCl") is nacl
+
+
 def test_record_validation_rejects_wrong_dimension():
     nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
     with pytest.raises(DimensionError):

@@ -138,3 +138,18 @@ def test_loaded_records_stay_within_450_bytes_a_row(tmp_path):
     # 425 bytes a row, where records of Quantities took 825
     path = _bundled_rows_file(tmp_path)
     assert traced_size(lambda: load_salts(path)) / TABLE_ROWS <= 450
+
+
+def test_factor_salt_stays_within_165_bytes_a_row(tmp_path):
+    # factor --salt reads the whole file but keeps the names read, not the
+    # records: measured 141 traced bytes a row, the loader's set of names
+    # included, where a list of every record took 505
+    path = _bundled_rows_file(tmp_path)
+    last = path.read_text().splitlines()[-1].split(",")[0]
+    argv = ["factor", "--salt", last, "--dx", "3e-9", "--time", "1e-16", "--data-file", str(path)]
+
+    def run():
+        with contextlib.redirect_stdout(_Discard()):
+            assert cli.main(argv) == 0
+
+    assert traced_peak(run) / TABLE_ROWS <= 165
