@@ -11,8 +11,16 @@ last digits depend on the BLAS build. Error lines are pinned as text in
 manifest; this prints each case whose digest changed, appeared or went away:
 
     PYTHONPATH=src python tests/test_readme_corpus.py
+
+To compare this working tree with a commit on one machine, sim and bcs
+included, run every case, plus the README's sim and bcs examples in each
+format, as a child ``python -m iondecoh.cli`` of each tree; this prints each
+case whose stdout, stderr or exit code differs, and exits 1 if any does:
+
+    PYTHONPATH=src python tests/test_readme_corpus.py --against REV
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -20,6 +28,8 @@ import os
 import pathlib
 import random
 import shlex
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -42,8 +52,8 @@ BULK_FLAGS = {"250K": ["--temperature", "250"], "310K": [], "400K": ["--temperat
               "310K-N1e19": ["--ion-count", "1e19"]}
 
 
-def readme_examples():
-    """The argv of each README example of COMMANDS, exactly as written, in README order."""
+def readme_examples(commands=COMMANDS):
+    """The argv of each README example of commands, exactly as written, in README order."""
     examples, pending = [], ""
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
         line = pending + line.strip()
@@ -54,7 +64,7 @@ def readme_examples():
             pending = line[:-1]
             continue
         argv = shlex.split(line, comments=True)[1:]
-        if argv[0] in COMMANDS:
+        if argv[0] in commands:
             examples.append(argv)
     return examples
 
@@ -149,8 +159,43 @@ def test_readme_example_as_written(digests, argv):
     assert stdout_sha256(argv) == digests[" ".join(with_format(argv))]
 
 
+def run_child(src, argv, cwd):
+    """The exit code, stdout and stderr of argv run as a child python -m iondecoh.cli of the tree src."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "iondecoh.cli", *argv], cwd=cwd, env=env, capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def against(rev):
+    """Run each case in this working tree and in rev's committed files; print each that differs, 1 if any does."""
+    cases = {**CASES, **{" ".join(argv): argv for argv in
+                         (with_format(example, fmt) for example in readme_examples(("sim", "bcs")) for fmt in FORMATS)}}
+    with tempfile.TemporaryDirectory() as work:
+        tree = pathlib.Path(work, "rev")
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+        if archive.returncode:
+            sys.exit(f"cannot read {rev}: {archive.stderr.decode().strip()}")
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+        write_perturbed_salts(pathlib.Path(work, PERTURBED))
+        differ = 0
+        for case, argv in cases.items():
+            ours, theirs = run_child(ROOT / "src", argv, work), run_child(tree / "src", argv, work)
+            parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs) if a != b]
+            if parts:
+                differ += 1
+                print(f"differs ({', '.join(parts)}):", case)
+    print(f"{differ} of {len(cases)} cases differ between this tree and {rev}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
     os.environ.pop(cli.ENV_DATA_DIR, None)  # the manifest is of the bundled table
+    parser = argparse.ArgumentParser(description="Rewrite the manifest, or compare this tree with a commit.")
+    parser.add_argument("--against", metavar="REV", help="run every case here and at REV and print each that differs")
+    rev = parser.parse_args().against
+    if rev is not None:
+        sys.exit(against(rev))
     old = json.loads(MANIFEST.read_text())
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
