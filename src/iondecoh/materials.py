@@ -13,7 +13,10 @@ A record keeps SI floats, each ion as its symbol, charge number and kg, and its 
 give IonSpecies and Quantities on access; the loader builds no Quantity.
 The loader yields each record as its line is read, so a caller that iterates
 it can keep less than the records; load_salts lists them. A line may hold at
-most 65,536 characters, its newline included.
+most 65,536 characters, its newline included. One rule picks salts by name,
+for salt_by_name and for the CLI's --salt and --salts: each record asked for,
+in file order as it is read, and then an unknown name raises with the names
+read, in file order; only the names are kept, not the records.
 """
 
 from __future__ import annotations
