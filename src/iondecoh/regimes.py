@@ -101,7 +101,8 @@ def classify(
         )
     if threshold_ratio == math.inf:
         raise ValidationError("threshold_ratio must be finite, got inf")
-    ratio = _TIMESCALE_RATIO.si(at := (tau_dyn.si, min(tau1.si, tau2.si)), at)
+    at = (tau_dyn.si, min(tau1.si, tau2.si))
+    ratio = _TIMESCALE_RATIO.si(at, at)
     if ratio <= threshold_ratio:
         verdict = Verdict.QUANTUM_MECHANICS_ADEQUATE
     elif coherent_phase_observed:

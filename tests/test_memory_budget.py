@@ -143,7 +143,7 @@ def test_loaded_records_stay_within_450_bytes_a_row(tmp_path):
 def test_factor_salt_stays_within_165_bytes_a_row(tmp_path):
     # factor --salt reads the whole file but keeps the names read, not the
     # records: measured 141 traced bytes a row, the loader's set of names
-    # included, where a list of every record took 505
+    # included, where a list of every record took 490
     path = _bundled_rows_file(tmp_path)
     last = path.read_text().splitlines()[-1].split(",")[0]
     argv = ["factor", "--salt", last, "--dx", "3e-9", "--time", "1e-16", "--data-file", str(path)]
