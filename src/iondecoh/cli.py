@@ -28,7 +28,6 @@ from .materials import _BUNDLED_PATH, SaltRecord, _read_salts, _select
 from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
-_JSON_BATCH = 4096  # json chunks joined at a time
 _CHUNK_ROWS = 1000  # table rows joined into one chunk of its text
 
 
@@ -93,32 +92,30 @@ def _salt_values(args, record: SaltRecord, *formulas) -> list:
 
 def _salt_or_given(args, formulas, flags) -> list:
     """The formulas' floats at --salt's record, else both flags' values; the unpack reads the file to its end."""
+    values = [getattr(args, flag) for flag in flags]
+    if values.count(None) != (2 if args.salt is not None else 0):
+        raise ValidationError(f"give either --salt or both --{flags[0]} and --{flags[1]}")
     if args.salt is not None:
         (record,) = _select(_records(args), [args.salt])
         return _salt_values(args, record, *formulas)
-    values = [getattr(args, flag) for flag in flags]
-    if None in values:
-        raise ValidationError(f"give either --salt or both --{flags[0]} and --{flags[1]}")
     return values
 
 
 # -- output rendering ---------------------------------------------------------
 
 def _render_table(rows, fmt, json_payload):
-    """The text of the rows, dicts of one set of keys, as a table with a header line, or json_payload as json."""
+    """The chunks of the rows, dicts of one set of keys, as a table with a header line, or of json_payload as json.
+
+    json is yielded as the encoder yields it, so no whole text is held.
+    """
     if fmt == "json":
-        import itertools
         import json
 
-        # json.dumps lists every chunk of the pure-Python indent encoder (16 to
-        # 24 a table row) before its one join; joining a batch at a time keeps
-        # one batch of chunks alive next to the text. The encoder yields no
-        # empty chunk, so an empty batch means it is done.
-        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_payload)
-        batches = iter(lambda: "".join(itertools.islice(chunks, _JSON_BATCH)), "")
-        return "".join([*batches, "\n"])
+        yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(json_payload)
+        yield "\n"
+        return
     text = "".join(",".join(map(str, line)) + "\n" for line in (rows[0], *(row.values() for row in rows)))
-    return text if fmt == "csv" else "".join(_aligned([text]))
+    yield from [text] if fmt == "csv" else _aligned([text])
 
 
 def _csv_row(record, t1: float, t2: float) -> str:
@@ -144,9 +141,8 @@ def _aligned(chunks):
         yield "".join(map(aligned, chunk.split("\n")[:-1]))
 
 
-def _deliver(text, output: str | None) -> None:
-    """Write the text, one str or its chunks, to stdout or output: a device or FIFO in place, a file by rename."""
-    chunks = [text] if isinstance(text, str) else text
+def _deliver(chunks, output: str | None) -> None:
+    """Write the text's chunks to stdout or output: a device or FIFO in place, a file by rename."""
     if output is None:
         try:
             for chunk in chunks:
@@ -230,19 +226,19 @@ def _cmd_table(args):
     return chunks if args.format == "csv" else _aligned(chunks)
 
 
-def _cmd_factor(args) -> str:
+def _cmd_factor(args):
     wavelength, rate = _salt_or_given(args, (core._WAVELENGTH.si, core._RATE.si), ("wavelength", "rate"))
     value = core.decoherence_factor(
         length_m(args.dx), time_s(args.time), length_m(wavelength), rate_per_s(rate)
     )
     if args.format == "human":
-        return f"decoherence factor = {value!r}\n"
+        return [f"decoherence factor = {value!r}\n"]
     row = {"separation_m": args.dx, "time_s": args.time, "wavelength_m": wavelength, "rate_per_s": rate,
            "factor": value}
     return _render_table([row], args.format, row)
 
 
-def _cmd_sim(args) -> str:
+def _cmd_sim(args):
     wavelength, rate = _salt_or_given(args, (core._WAVELENGTH.si, core._RATE.si), ("wavelength", "rate"))
     spec = densmat.SuperpositionSpec(
         separation=length_m(args.separation),
@@ -267,7 +263,7 @@ def _cmd_sim(args) -> str:
     return _render_table(rows, args.format, payload)
 
 
-def _cmd_xray(args) -> str:
+def _cmd_xray(args):
     (record,) = _select(_records(args), [args.salt])
     # through the public context and check, as library callers take them
     (check,) = _salt_values(args, record, lambda _, temperature: regimes.xray_consistency(
@@ -276,7 +272,7 @@ def _cmd_xray(args) -> str:
     return _render_table([row], args.format, row)
 
 
-def _cmd_bcs(args) -> str:
+def _cmd_bcs(args):
     counts = args.modes
     if not counts:
         raise ValidationError("--modes must list at least one mode count")
@@ -292,13 +288,13 @@ def _cmd_bcs(args) -> str:
     if len(counts) >= 3:
         # overlap_decay_rate's fit, over the log overlaps above: each profile is drawn once
         payload["decay_rate_per_mode"] = vacuum._log_overlap_slope(counts, [row["log_overlap"] for row in rows])
-    text = _render_table(rows, args.format, payload)
+    chunks = _render_table(rows, args.format, payload)
     if args.format == "human" and "decay_rate_per_mode" in payload:
-        text += f"decay rate per mode = {payload['decay_rate_per_mode']!r}\n"
-    return text
+        return [*chunks, f"decay rate per mode = {payload['decay_rate_per_mode']!r}\n"]
+    return chunks
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args):
     t1, t2 = map(time_s, _salt_or_given(args, (core._TAU1.si, core._TAU2.si), ("tau1", "tau2")))
     report = regimes.classify(
         t1,
@@ -324,7 +320,7 @@ def _cmd_classify(args) -> str:
         f"verdict: {report.verdict.value}",
         f"({regimes.THRESHOLD_NOTE})",
     ]
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 # -- parser -------------------------------------------------------------------
@@ -413,7 +409,7 @@ def main(argv=None) -> int:
         try:
             args = _parser.parse_args(argv)
         except SystemExit as exc:  # argparse printed the help: flushed here, so a fault of stdout gets its line
-            _deliver("", None)
+            _deliver([], None)
             return 0 if exc.code in (0, None) else int(exc.code)
         _deliver(args.handler(args), args.output)
         return 0

@@ -237,7 +237,7 @@ def _offset_for_separation(rho: ReducedDensityMatrix, separation: Quantity) -> i
     if separation.si < 0:
         raise ValidationError("separation must be nonnegative")
     h = rho.spacing.si
-    offset = round(separation.si / h)
+    offset = round(min(separation.si / h, rho.size))  # capped: an infinite quotient cannot be rounded
     if separation.si > 0 and offset == 0:
         raise ValidationError(
             f"separation {separation.si:g} m is below the grid resolution {h:g} m"

@@ -1,6 +1,6 @@
 """The public API: every annotation of a public function or constructor resolves.
 
-Every module-level import of the package's modules is used, or exported by ``__all__``.
+Every import of the package's modules, at module level or in a function, is used, or exported by ``__all__``.
 """
 
 import ast
@@ -26,10 +26,10 @@ SOURCE = Path(iondecoh.__file__).parent
 
 
 def _unused_imports(path: Path) -> list[str]:
-    """The names a module imports at module level and never uses, apart from those its ``__all__`` exports."""
+    """The names a module imports in any scope and never uses, apart from those its ``__all__`` exports."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -41,5 +41,5 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
-def test_every_module_level_import_is_used(path):
+def test_every_import_in_every_scope_is_used(path):
     assert _unused_imports(path) == []

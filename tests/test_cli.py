@@ -379,6 +379,13 @@ ONE_LINE_ERRORS = {
     "bcs-modes-not-an-int": (["bcs", "--modes", "10,x"], "argument --modes: invalid int value: 'x'"),
     "factor-dx-not-a-number": (["factor", "--salt", "NaCl", "--dx", "abc", "--time", "1"],
                                "argument --dx: invalid float value: 'abc'"),
+    # --salt beside an explicit value is refused, not dropped in favour of the salt's
+    "factor-salt-and-both-values": (["factor", "--salt", "NaCl", "--wavelength", "1", "--rate", "1", "--dx", "3e-9",
+                                     "--time", "1e-16", "--format", "csv"],
+                                    "give either --salt or both --wavelength and --rate"),
+    "sim-salt-and-rate": ([*MISSING_SIM, "--rate", "1"], "give either --salt or both --wavelength and --rate"),
+    "classify-salt-and-tau1": (["classify", "--salt", "NaCl", "--tau1", "5", "--tau-dyn", "1"],
+                               "give either --salt or both --tau1 and --tau2"),
     "data-file-not-utf8": (["table", "--data-file", DATA_FILE],
                            "cannot read data file '{path}': not UTF-8 text (invalid start byte)",
                            b"\xff" + GOOD_LINE.encode()),
@@ -994,6 +1001,19 @@ def test_memory_error_exits_one(capsys, monkeypatch, command, target, message, l
     assert (code, out, err) == (1, "", line + "\n")
 
 
+def test_memory_error_mid_write_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # json is encoded as it is written, so a fault of the encoder is met inside the write
+    def one_chunk_then_out_of_memory(self, payload):
+        yield "{"
+        raise MemoryError
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", one_chunk_then_out_of_memory)
+    output = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *SMALL_RUNS["sim"], "--format", "json", "--output", str(output))
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", list(BULK_FLAGS))
 def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
     # table runs tau1 and tau2 over each record's SI floats, with no context:
@@ -1026,23 +1046,26 @@ def test_the_constructor_and_the_loader_build_the_same_record(tmp_path):
         assert built._si == loaded._si
 
 
-def _salt_payload(count):
-    salts = [{"name": f"S{i}", "tau1_s": 4.6e-40 * (i + 1), "tau2_s": 4.4e-38 / (i + 1)} for i in range(count)]
-    for i, entry in enumerate(salts):
-        if i % 3 == 0:
-            entry["ref_tau1_s"] = 4.6e-40
-    return {"temperature_k": 310.0, "ion_count": 1e23, "salts": salts}
+def _sample(i):
+    return {"time_s": 1e-18 * i, "coherence": math.exp(-i / 7), "trace": 1.0 - 1e-16 * (i % 3),
+            "purity": 0.5 + 0.5 / (i + 1), "min_eigenvalue": -1e-19 * (i % 5)}
 
 
-@pytest.mark.parametrize("count", [0, 1, 2000])
-def test_json_table_text_equals_json_dumps(count):
-    payload = _salt_payload(count)
-    assert cli._render_table([], "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+# the payload shapes the five commands pass: a flat row (factor, xray), a nested
+# inputs (classify), a list of sample or point dicts (sim, bcs) and an empty list
+JSON_PAYLOADS = {
+    "flat": {"salt": "NaCl", "separation_m": 3e-9, "time_s": 1e-16, "factor": 0.0, "rate_per_s": 2.17e16},
+    "nested-inputs": {"inputs": {"tau1_s": 4.6e-40, "coherent_phase_observed": True, "threshold_ratio": 1000.0},
+                      "note": "tau_dyn / tau_dec", "salt": "NaCl", "verdict": "ClassicalLimit"},
+    "samples": {"separation_m": 3e-9, "width_m": 3e-10, "samples": [_sample(i) for i in range(2000)]},
+    "points": {"decay_rate_per_mode": -0.1, "points": [{"modes": 10 ** i, "log_overlap": -i / 3, "overlap": 0.7 ** i}
+                                                       for i in range(1, 7)]},
+    "empty-list": {"samples": [], "wavelength_m": 2.99e-11},
+}
 
 
-@pytest.mark.parametrize("chunks", [cli._JSON_BATCH - 1, cli._JSON_BATCH, cli._JSON_BATCH + 1, 2 * cli._JSON_BATCH])
-def test_json_text_is_whole_either_side_of_a_batch(chunks):
-    # {"salts": k floats} encodes in k + 8 chunks
-    payload = {"salts": [0.5] * (chunks - 8)}
-    assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)) == chunks
-    assert cli._render_table([], "json", payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+@pytest.mark.parametrize("shape", list(JSON_PAYLOADS))
+def test_json_chunks_join_to_json_dumps(shape):
+    payload = JSON_PAYLOADS[shape]
+    text = "".join(cli._render_table([], "json", payload))
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"

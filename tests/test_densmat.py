@@ -212,6 +212,12 @@ def test_unresolvable_separation_rejected():
         densmat.coherence_ratio(rho, length_m(rho.spacing.si / 10.0))
     with pytest.raises(ValidationError, match="extent"):
         densmat.coherence_ratio(rho, length_m(1.0))
+    # the separation over the spacing 2.7e-150 m is infinite, which round() cannot take
+    tiny = densmat.prepare_superposition(densmat.SuperpositionSpec(length_m(1e-150), length_m(1e-150)), num_points=16)
+    with pytest.raises(ValidationError, match="^separation exceeds the grid extent$"):
+        densmat.coherence_ratio(tiny, length_m(1e300))
+    with pytest.raises(ValidationError, match="^separation exceeds the grid extent$"):
+        densmat.evolve_series(tiny, RATE, WAVELENGTH, t_total=time_s(1e-16), steps=1, separation=length_m(1e300))
     with pytest.raises(ValidationError, match="^separation must be nonnegative$"):
         densmat.coherence_ratio(rho, length_m(-rho.spacing.si))
     incoherent = small_state(np.eye(4) / 4.0, [0.25, 0.0, 0.0, 0.0])
