@@ -76,16 +76,18 @@ def _records(args):
         raise SaltDataError(f"cannot read data file {path!r}: {exc}") from None
 
 
-def _salt_values(args, record: SaltRecord, *formulas) -> list:
+def _salt_values(args, record: SaltRecord, thermal_energy: float, *formulas) -> list:
     """Each formula(operands, T) at the salt's operands (cation_kg, kT, n, a, N) and --temperature T.
 
-    A fault of --temperature or --ion-count is every salt's, so it names
-    none; a fault of a formula names the salt.
+    thermal_energy is core._thermal_energy at --temperature and --ion-count, which the caller checks once a
+    run: a fault of either is every salt's, so it names none; a fault of a formula names the salt.
     """
-    operands = (record._si.cation_kg, core._thermal_energy(args.temperature, args.ion_count), record._si.per_m3,
-                record._si.edge, args.ion_count)
+    operands = (record._si.cation_kg, thermal_energy, record._si.per_m3, record._si.edge, args.ion_count)
     try:
-        return [formula(operands, args.temperature) for formula in formulas]
+        values = []  # a loop, not a list comprehension, which costs a function call a salt
+        for formula in formulas:
+            values.append(formula(operands, args.temperature))
+        return values
     except (IonDecohError, ValueError) as exc:
         raise ValidationError(f"salt {record.name!r}: {exc}") from None
 
@@ -97,7 +99,7 @@ def _salt_or_given(args, formulas, flags) -> list:
         raise ValidationError(f"give either --salt or both --{flags[0]} and --{flags[1]}")
     if args.salt is not None:
         (record,) = _select(_records(args), [args.salt])
-        return _salt_values(args, record, *formulas)
+        return _salt_values(args, record, core._thermal_energy(args.temperature, args.ion_count), *formulas)
     return values
 
 
@@ -182,31 +184,34 @@ def _cmd_table(args):
     second pass: a data-file fault (exit 2) anywhere in the file, then an
     unknown or empty --salts, then a --temperature or --ion-count fault, then
     the first formula fault in file order. The first exit-1 fault is held, no
-    later row is evaluated, and the rest of the file is still read.
+    later row is evaluated, and the rest of the file is still read. k_B T is
+    checked once, at the first record evaluated, so the order is unchanged.
     """
     requested = None if args.salts == "all" else [name.strip() for name in args.salts.split(",") if name.strip()]
     tau1, tau2 = core._TAU1.si, core._TAU2.si
     as_json = args.format == "json"
     if as_json:
         import json
+        from json.encoder import encode_basestring_ascii  # json.dumps of a str
 
         def row_text(record, t1, t2):
             """The salt's object as the whole payload's sort_keys, indent=2 text gives it, and a comma."""
             r1, r2 = record._si.ref_tau1, record._si.ref_tau2
-            return (f'    {{\n      "name": {json.dumps(record.name)},\n'
+            return (f'    {{\n      "name": {encode_basestring_ascii(record.name)},\n'
                     + ("" if r1 is None else f'      "ref_tau1_s": {r1!r},\n')
                     + ("" if r2 is None else f'      "ref_tau2_s": {r2!r},\n')
                     + f'      "tau1_s": {t1!r},\n      "tau2_s": {t2!r}\n    }},\n')
     else:
         row_text = _csv_row
 
-    fault = None  # the first exit-1 fault, held until the whole file is read
+    fault = thermal_energy = None  # fault: the first exit-1 fault, held until the whole file is read
     chunks, batch = [], []
     for record in _records(args) if requested is None else _select(_records(args), requested):
         if fault is not None:
             continue
         try:
-            t1, t2 = _salt_values(args, record, tau1, tau2)
+            thermal_energy = thermal_energy or core._thermal_energy(args.temperature, args.ion_count)  # once: it is > 0
+            t1, t2 = _salt_values(args, record, thermal_energy, tau1, tau2)
         except ValidationError as exc:
             fault = exc
             continue
@@ -266,7 +271,8 @@ def _cmd_sim(args):
 def _cmd_xray(args):
     (record,) = _select(_records(args), [args.salt])
     # through the public context and check, as library callers take them
-    (check,) = _salt_values(args, record, lambda _, temperature: regimes.xray_consistency(
+    thermal_energy = core._thermal_energy(args.temperature, args.ion_count)
+    (check,) = _salt_values(args, record, thermal_energy, lambda _, temperature: regimes.xray_consistency(
         core.context_for_salt(record, temperature_kelvin(temperature), args.ion_count), record, time_s(args.tau_x)))
     row = {"salt": record.name, **check.to_dict()}
     return _render_table([row], args.format, row)

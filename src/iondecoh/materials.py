@@ -11,6 +11,7 @@ Records keep file order, which is also the fixed output order everywhere.
 Every SaltRecord's number density, density / (m_cation + m_anion), is a positive normal double.
 A record keeps SI floats, each ion as its symbol, charge number and kg, and its fields
 give IonSpecies and Quantities on access; the loader builds no Quantity.
+Each row is parsed in one pass; only a row that fails it is parsed again, field by field.
 The loader yields each record as its line is read, so a caller that iterates
 it can keep less than the records; load_salts lists them. A line may hold at
 most 65,536 characters, its newline included. One rule picks salts by name,
@@ -49,6 +50,10 @@ _SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 _FIELD_COUNT = 10  # the columns the module docstring lists, which the loader unpacks by name
 _MAX_LINE = 65536  # characters a line may hold, its newline included
+# each numeric column's index, name and factor to SI units, in column order; from 7 on a column may be "-"
+_NUMERIC_COLUMNS = ((2, "cation_mass_amu", _AMU), (4, "anion_mass_amu", _AMU), (5, "density_kg_m3", 1.0),
+                    (6, "lattice_a_angstrom", 1e-10), (7, "water_per_ion", 1.0), (8, "ref_tau1_1e-40s", 1e-40),
+                    (9, "ref_tau2_1e-38s", 1e-38))
 _BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", "salts.csv")
 # a SaltRecord's SI floats, each ion as its (symbol, charge number) and its mass in kg; per_m3 is n
 _SaltFloats = namedtuple("_SaltFloats", "cation cation_kg anion anion_kg density edge water ref_tau1 ref_tau2 per_m3")
@@ -119,7 +124,8 @@ class SaltRecord(_Record):
         per_m3 = _NUMBER_DENSITY.si((density, cation_kg, anion_kg), name)
         set_name, set_si = self._setters
         set_name(self, name)
-        set_si(self, _SaltFloats(cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2, per_m3))
+        floats = (cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2, per_m3)
+        set_si(self, tuple.__new__(_SaltFloats, floats))  # a namedtuple's own __new__ is a Python function
 
     cation = property(lambda self: IonSpecies(self._si.cation[0], Quantity(self._si.cation_kg, MASS),
                                               self._si.cation[1]))
@@ -176,7 +182,9 @@ def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
     positive normal double, which SaltRecord rejects, or a line over
     _MAX_LINE characters, which a stream with readline stops reading at the
     cap (/dev/zero, a FIFO that sends no newline). The error comes when
-    iteration reaches the faulty line, after the records before it.
+    iteration reaches the faulty line, after the records before it. A row's
+    numbers are parsed in one pass; only a row that fails it goes through
+    _parse_float, stripped field by field in column order, for its fault.
     """
     seen: set[str] = set()
     ions: dict[str, tuple[str, int]] = {}  # symbol -> (symbol, charge number), parsed once a load
@@ -187,28 +195,39 @@ def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) != _FIELD_COUNT:
-            raise SaltDataError(
-                f"expected {_FIELD_COUNT} fields, got {len(fields)}", line_number
-            )
-        (name, cation_symbol, cation_field, anion_symbol, anion_field,
-         density_field, lattice_field, water_field, tau1_field, tau2_field) = fields
+            raise SaltDataError(f"expected {_FIELD_COUNT} fields, got {len(fields)}", line_number)
+        # only the text used as text is stripped; float() skips the whitespace around a number itself
+        name, cation_symbol, anion_symbol = fields[0].strip(), fields[1].strip(), fields[3].strip()
+        water_field, tau1_field, tau2_field = fields[7].strip(), fields[8].strip(), fields[9].strip()
         if name in seen:
             raise SaltDataError(f"duplicate salt name {name!r}", line_number)
         seen.add(name)
-        cation_kg = _parse_float(cation_field, "cation_mass_amu", line_number, _AMU)
-        anion_kg = _parse_float(anion_field, "anion_mass_amu", line_number, _AMU)
-        density = _parse_float(density_field, "density_kg_m3", line_number)
-        lattice = _parse_float(lattice_field, "lattice_a_angstrom", line_number, 1e-10)
-        water = None if water_field == "-" else _parse_float(water_field, "water_per_ion", line_number)
-        tau1 = None if tau1_field == "-" else _parse_float(tau1_field, "ref_tau1_1e-40s", line_number, 1e-40)
-        tau2 = None if tau2_field == "-" else _parse_float(tau2_field, "ref_tau2_1e-38s", line_number, 1e-38)
+        try:
+            cation_kg, anion_kg = float(fields[2]) * _AMU, float(fields[4]) * _AMU
+            density, lattice = float(fields[5]), float(fields[6]) * 1e-10
+            water = None if water_field == "-" else float(water_field)
+            tau1 = None if tau1_field == "-" else float(tau1_field) * 1e-40
+            tau2 = None if tau2_field == "-" else float(tau2_field) * 1e-38
+            good = (_SMALLEST_NORMAL <= cation_kg <= _LARGEST and _SMALLEST_NORMAL <= anion_kg <= _LARGEST
+                    and _SMALLEST_NORMAL <= density <= _LARGEST and _SMALLEST_NORMAL <= lattice <= _LARGEST
+                    and (water is None or _SMALLEST_NORMAL <= water <= _LARGEST)
+                    and (tau1 is None or _SMALLEST_NORMAL <= tau1 <= _LARGEST)
+                    and (tau2 is None or _SMALLEST_NORMAL <= tau2 <= _LARGEST))
+        except ValueError:
+            good = False
+        if not good:  # each field again, stripped, in column order: the first bad one raises
+            cation_kg, anion_kg, density, lattice, water, tau1, tau2 = [
+                None if column >= 7 and fields[column].strip() == "-"
+                else _parse_float(fields[column].strip(), label, line_number, scale)
+                for column, label, scale in _NUMERIC_COLUMNS]
         # the fields are positive normal doubles, so only an ion symbol, a zero
         # charge, the name or the number density can fail from here on
         try:
-            cation, anion = [ions.get(s) or ions.setdefault(s, (s, parse_ion(s, 1.0).charge_number))
-                             for s in (cation_symbol, anion_symbol)]
+            for symbol in (cation_symbol, anion_symbol):
+                ions[symbol] = ions.get(symbol) or (symbol, parse_ion(symbol, 1.0).charge_number)
+            cation, anion = ions[cation_symbol], ions[anion_symbol]
             record = SaltRecord.__new__(SaltRecord)
             record._set_si(name, cation, cation_kg, anion, anion_kg, density, lattice, water, tau1, tau2)
         except ValidationError as exc:

@@ -1014,6 +1014,16 @@ def test_memory_error_mid_write_leaves_no_file(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_memory_error_mid_write_to_stdout_leaves_the_text_written_so_far(capsys, monkeypatch):
+    # stdout takes each chunk as it is made, so a failing run's stdout is not a result
+    def one_chunk_then_out_of_memory(self, payload):
+        yield "{"
+        raise MemoryError
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", one_chunk_then_out_of_memory)
+    assert run_cli(capsys, *SMALL_RUNS["sim"], "--format", "json") == (1, "{", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("case", list(BULK_FLAGS))
 def test_bulk_table_rows_equal_the_library_bit_for_bit(capsys, tmp_path, case):
     # table runs tau1 and tau2 over each record's SI floats, with no context:

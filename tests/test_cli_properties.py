@@ -29,8 +29,13 @@ Valid data files with generated salt names (non-ASCII, quotes, backslashes,
 punctuation), reference times present or missing, and ``--salts`` subsets
 in any order give ``table`` text, streamed a few rows a chunk, equal to the
 text of a run that renders every row at once, in all three formats.
+
+Run as a script, ``PYTHONPATH=src python tests/test_cli_properties.py``
+draws ``faulty_data_files.json`` again from ``data_files``, with its fixed
+seed, and records ``table``'s exit code and error line over each file.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -40,6 +45,7 @@ import re
 import tempfile
 from unittest import mock
 
+import hypothesis
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -407,3 +413,47 @@ def test_streamed_table_text_equals_the_text_rendered_whole(file, fmt, pick, tem
                 out = io.StringIO(handle.read())
         expected = _table_text_as_rendered_whole(path, selection and set(selection), fmt, temperature, ion_count)
     assert out.getvalue() == expected
+
+
+FAULTY_FILES = os.path.join(os.path.dirname(__file__), "faulty_data_files.json")
+
+
+def draw_faulty_files(count=40, per_kind=3, seed=26):
+    """The first count files the seeded data_files strategy draws that ``table`` rejects, at most per_kind of each
+    kind of error line, as file name -> its text (an invalid byte as a lone surrogate), exit code and stderr line.
+    A line's kind is the line without its line number, quoted texts and numbers, so the files spread over faults."""
+    drawn = []
+
+    @hypothesis.seed(seed)
+    @settings(max_examples=3000, database=None, deadline=None, phases=[hypothesis.Phase.generate])
+    @given(file=data_files())
+    def draw(file):
+        drawn.append(file[0])
+
+    draw()
+    faulty, kinds = {}, collections.Counter()
+    with tempfile.TemporaryDirectory() as directory:
+        for data in dict.fromkeys(drawn):
+            name = f"faulty-{len(faulty):02d}.csv"
+            with open(os.path.join(directory, name), "wb") as handle:
+                handle.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                os.environ.pop(cli.ENV_DATA_DIR, None)
+                code = cli.main(["table", "--data-file", os.path.join(directory, name), "--format", "csv"])
+            line = err.getvalue().replace(os.path.join(directory, name), name)
+            kind = re.sub(r"line \d+|'[^']*'|\S*\d\S*", "", line)  # the line without its line, names and numbers
+            if code and kinds[kind] < per_kind:
+                kinds[kind] += 1
+                faulty[name] = {"text": data.decode("utf-8", "surrogateescape"), "exit": code, "stderr": line}
+                if len(faulty) == count:
+                    break
+    return faulty
+
+
+if __name__ == "__main__":
+    # draws the committed faulty data files and records each one's error line from this tree
+    with open(FAULTY_FILES, "w", encoding="utf-8") as _out:
+        json.dump(draw_faulty_files(), _out, indent=2)
+        _out.write("\n")
+    print(f"wrote {FAULTY_FILES}")

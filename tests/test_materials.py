@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 
@@ -239,3 +240,69 @@ def test_an_open_stream_is_read_no_further_than_the_cap(tmp_path):
         with pytest.raises(SaltDataError, match="^line 1: more than 65536 characters$"):
             list(materials.load_salt_database(handle))
         assert handle.readline() == "#" * (70_000 - materials._MAX_LINE - 1) + "\n"
+
+
+GOOD_FIELDS = "NaCl,Na+,22.990,Cl-,35.453,2163,5.64,10,4.6,4.4".split(",")
+# each numeric column's index, and a text whose SI form falls below the smallest normal double, with that form
+BELOW_NORMAL = {
+    "cation_mass_amu": (2, "1e-300", "0.0"),
+    "anion_mass_amu": (4, "1e-300", "0.0"),
+    "density_kg_m3": (5, "1e-310", "1e-310"),
+    "lattice_a_angstrom": (6, "1e-300", "1e-310"),
+    "water_per_ion": (7, "1e-310", "1e-310"),
+    "ref_tau1_1e-40s": (8, "1e-300", "0.0"),
+    "ref_tau2_1e-38s": (9, "1e-300", "0.0"),
+}
+
+
+def _row(**swaps) -> str:
+    """GOOD_FIELDS as a line, with the text of each column named in swaps replaced."""
+    fields = list(GOOD_FIELDS)
+    for column, text in swaps.items():
+        fields[BELOW_NORMAL[column][0]] = text
+    return ",".join(fields) + "\n"
+
+
+def _load_error(text: str) -> str:
+    with pytest.raises(SaltDataError) as excinfo:
+        list(materials.load_salt_database(io.StringIO(text)))
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("abc", "cannot parse 'abc' as a number"),
+    (" abc ", "cannot parse 'abc' as a number"),  # the message quotes the field stripped
+    ("nan", "'nan' is not a finite number"),
+    ("inf", "'inf' is not a finite number"),
+    ("-inf", "'-inf' is not a finite number"),
+    (None, None),  # the column's value below the smallest normal double in SI units
+])
+@pytest.mark.parametrize("column", list(BELOW_NORMAL))
+def test_each_numeric_column_names_its_fault(column, text, fault):
+    if text is None:
+        _, text, si = BELOW_NORMAL[column]
+        fault = f"{text!r} is {si} in SI units, not a positive normal double"
+    assert _load_error("# header\n" + _row(**{column: text})) == f"line 2: field {column!r}: {fault}"
+
+
+@pytest.mark.parametrize("first, later", list(itertools.combinations(BELOW_NORMAL, 2)))
+def test_a_row_with_two_bad_fields_names_the_first_in_column_order(first, later):
+    # the later field cannot be parsed at all; the first parses, but is not positive
+    assert _load_error(_row(**{first: "-1", later: "abc"})).startswith(f"line 1: field {first!r}: '-1' is -")
+    assert _load_error(_row(**{first: "nan", later: "abc"})) == f"line 1: field {first!r}: 'nan' is not a finite number"
+
+
+def test_a_bad_number_on_a_duplicate_name_row_reports_the_duplicate():
+    assert _load_error(_row() + _row(density_kg_m3="abc")) == "line 2: duplicate salt name 'NaCl'"
+
+
+@pytest.mark.parametrize("missing", [False, True])
+def test_space_padded_fields_load_as_the_unpadded_row(missing):
+    fields = list(GOOD_FIELDS)
+    if missing:
+        fields[7:10] = ["-", "-", "-"]
+    padded = ",".join(f" {field}\t " for field in fields) + "\n"
+    (plain,) = materials.load_salt_database(io.StringIO(",".join(fields) + "\n"))
+    (loaded,) = materials.load_salt_database(io.StringIO(padded))
+    assert loaded == plain and loaded._si == plain._si
+    assert (loaded.water_per_ion is None) is missing

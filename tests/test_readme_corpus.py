@@ -12,10 +12,18 @@ manifest; this prints each case whose digest changed, appeared or went away:
 
     PYTHONPATH=src python tests/test_readme_corpus.py
 
+``faulty_data_files.json`` holds 39 data files drawn once, with a fixed seed,
+from the ``data_files`` strategy of ``test_cli_properties.py``, each with the
+exit code and stderr line of ``table`` over it. This draws them again and
+records this tree's lines:
+
+    PYTHONPATH=src python tests/test_cli_properties.py
+
 To compare this working tree with a commit on one machine, sim and bcs
 included, run every case, plus the README's sim and bcs examples in each
 format, as a child ``python -m iondecoh.cli`` of each tree; this prints each
-case whose stdout, stderr or exit code differs, and exits 1 if any does:
+case whose stdout, stderr or exit code differs, and exits 1 if any does; the
+faulty data files are cases too, so every changed error line shows at once:
 
     PYTHONPATH=src python tests/test_readme_corpus.py --against REV
 """
@@ -102,6 +110,14 @@ README_CASES = {" ".join(argv): argv for argv in
 BULK_CASES = {" ".join(argv): argv for argv in (["table", "--data-file", PERTURBED, *flags, "--format", fmt]
               for flags in BULK_FLAGS.values() for fmt in ("csv", "json"))}
 CASES = {**README_CASES, **BULK_CASES}
+# file name -> its text (an invalid byte as a lone surrogate), and table's exit code and stderr over it
+FAULTY = json.loads(MANIFEST.with_name("faulty_data_files.json").read_text(encoding="utf-8"))
+FAULTY_CASES = {" ".join(argv): argv for argv in (["table", "--data-file", name, "--format", "csv"] for name in FAULTY)}
+
+
+def write_faulty_files(directory):
+    for name, file in FAULTY.items():
+        (directory / name).write_bytes(file["text"].encode("utf-8", "surrogateescape"))
 
 
 def run(argv):
@@ -119,9 +135,10 @@ def stdout_sha256(argv):
 
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
-    """The manifest's digests; the cases run over the bundled table, beside a written PERTURBED."""
+    """The manifest's digests; the cases run over the bundled table, beside a written PERTURBED and FAULTY."""
     workdir = tmp_path_factory.mktemp("corpus")
     write_perturbed_salts(workdir / PERTURBED)
+    write_faulty_files(workdir)
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv(cli.ENV_DATA_DIR, raising=False)
         patch.chdir(workdir)
@@ -159,6 +176,12 @@ def test_readme_example_as_written(digests, argv):
     assert stdout_sha256(argv) == digests[" ".join(with_format(argv))]
 
 
+@pytest.mark.parametrize("case", list(FAULTY_CASES))
+def test_faulty_data_file_error_line(digests, case):
+    file = FAULTY[FAULTY_CASES[case][2]]
+    assert run(FAULTY_CASES[case]) == (file["exit"], "", file["stderr"])
+
+
 def run_child(src, argv, cwd):
     """The exit code, stdout and stderr of argv run as a child python -m iondecoh.cli of the tree src."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
@@ -168,7 +191,7 @@ def run_child(src, argv, cwd):
 
 def against(rev):
     """Run each case in this working tree and in rev's committed files; print each that differs, 1 if any does."""
-    cases = {**CASES, **{" ".join(argv): argv for argv in
+    cases = {**CASES, **FAULTY_CASES, **{" ".join(argv): argv for argv in
                          (with_format(example, fmt) for example in readme_examples(("sim", "bcs")) for fmt in FORMATS)}}
     with tempfile.TemporaryDirectory() as work:
         tree = pathlib.Path(work, "rev")
@@ -178,6 +201,7 @@ def against(rev):
             sys.exit(f"cannot read {rev}: {archive.stderr.decode().strip()}")
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
         write_perturbed_salts(pathlib.Path(work, PERTURBED))
+        write_faulty_files(pathlib.Path(work))
         differ = 0
         for case, argv in cases.items():
             ours, theirs = run_child(ROOT / "src", argv, work), run_child(tree / "src", argv, work)
