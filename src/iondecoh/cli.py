@@ -288,7 +288,9 @@ def _cmd_bcs(args):
         family = vacuum.pairing_family(args.gap, args.half_bandwidth, args.seed)
     rows = []
     for count in counts:
-        log_overlap = vacuum.log_vacuum_overlap(family(count))
+        # each profile is made here and dropped after its sum, so its logs are taken in place
+        profile = family(count)
+        log_overlap = vacuum.log_vacuum_overlap(profile, out=profile.u)
         rows.append({"modes": count, "log_overlap": log_overlap, "overlap": math.exp(log_overlap)})
     payload = {"points": rows}
     if len(counts) >= 3:

@@ -104,23 +104,19 @@ class SaltRecord(_Record):
         lattice_edge.require(LENGTH, f"{name}: lattice_a_angstrom")
         refs = [None if ref is None else ref.require(TIME, f"{name}: {label}").si
                 for label, ref in (("ref_tau1", ref_tau1), ("ref_tau2", ref_tau2))]
+        if name:  # an empty name is the first fault, which _set_si raises
+            for label, value in (("density_kg_m3", mass_density.si), ("lattice_a_angstrom", lattice_edge.si),
+                                 ("water_per_ion", water_per_ion), ("ref_tau1", refs[0]), ("ref_tau2", refs[1])):
+                if value is not None and value <= 0:
+                    raise ValidationError(f"{name}: {label} must be positive")
         self._set_si(name, (cation.symbol, cation.charge_number), cation.mass.si, (anion.symbol, anion.charge_number),
                      anion.mass.si, mass_density.si, lattice_edge.si, water_per_ion, *refs)
 
     def _set_si(self, name, cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2) -> None:
-        """Check the record's SI floats and keep them: the one initialiser, of the constructor and the loader."""
+        """Check the name and number density and keep the SI floats: the one initialiser, of the constructor and
+        the loader, whose callers have checked that each value given is positive."""
         if not name:
             raise ValidationError("salt name must be nonempty")
-        if density <= 0:
-            raise ValidationError(f"{name}: density_kg_m3 must be positive")
-        if edge <= 0:
-            raise ValidationError(f"{name}: lattice_a_angstrom must be positive")
-        if water is not None and water <= 0:
-            raise ValidationError(f"{name}: water_per_ion must be positive")
-        if ref_tau1 is not None and ref_tau1 <= 0:
-            raise ValidationError(f"{name}: ref_tau1 must be positive")
-        if ref_tau2 is not None and ref_tau2 <= 0:
-            raise ValidationError(f"{name}: ref_tau2 must be positive")
         per_m3 = _NUMBER_DENSITY.si((density, cation_kg, anion_kg), name)
         set_name, set_si = self._setters
         set_name(self, name)
@@ -225,9 +221,13 @@ def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
         # the fields are positive normal doubles, so only an ion symbol, a zero
         # charge, the name or the number density can fail from here on
         try:
-            for symbol in (cation_symbol, anion_symbol):
-                ions[symbol] = ions.get(symbol) or (symbol, parse_ion(symbol, 1.0).charge_number)
-            cation, anion = ions[cation_symbol], ions[anion_symbol]
+            try:
+                cation, anion = ions[cation_symbol], ions[anion_symbol]
+            except KeyError:  # a symbol first seen in this row: each parsed once a load, the cation first
+                for symbol in (cation_symbol, anion_symbol):
+                    if symbol not in ions:
+                        ions[symbol] = (symbol, parse_ion(symbol, 1.0).charge_number)
+                cation, anion = ions[cation_symbol], ions[anion_symbol]
             record = SaltRecord.__new__(SaltRecord)
             record._set_si(name, cation, cation_kg, anion, anion_kg, density, lattice, water, tau1, tau2)
         except ValidationError as exc:

@@ -13,6 +13,14 @@ uniform profile the slope is exactly ln U. In the infinite-mode limit the
 overlap vanishes and the two vacua support unitarily inequivalent
 representations; the decay rate quantifies how fast a finite system
 approaches that limit.
+
+Memory: a pairing profile of K modes is one array of K doubles. It is
+allocated whole and filled ``_BLOCK_MODES`` modes at a time, each block's
+band energies drawn from the one generator stream and evaluated in that
+block's slice, so the band energies never take a second array of K
+doubles. ``log_vacuum_overlap`` takes the logs into a new array, and so
+leaves its argument as it is, unless it is given ``out=profile.u`` by a
+caller that owns the profile; the float is the same either way.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from collections.abc import Callable, Sequence
 from ._numpy import np
 from .errors import ValidationError
 from .units import _Record
+
+_BLOCK_MODES = 65_536  # modes a pairing profile is evaluated in at a time
 
 
 class BogoliubovProfile(_Record):
@@ -67,8 +77,10 @@ def pairing_family(
 
     The returned callable maps a mode count K to a profile and keeps no
     state: each call draws its K band energies from a fresh
-    ``np.random.default_rng(seed)``. The generator takes one double per
-    uniform draw, so family(K1) is a prefix of family(K2) whenever K1 < K2,
+    ``np.random.default_rng(seed)``, ``_BLOCK_MODES`` at a time, and holds
+    one array of K doubles, the U_k, plus one block. The generator takes
+    one double per uniform draw, so the blocks draw what one whole draw
+    would, and family(K1) is a prefix of family(K2) whenever K1 < K2,
     whatever order the counts are requested in. That makes overlap decay
     across counts monotone and the log-slope fit well posed.
     """
@@ -84,24 +96,38 @@ def pairing_family(
     def family(modes: int) -> BogoliubovProfile:
         if modes < 0:
             raise ValidationError(f"modes must be nonnegative, got {modes}")
-        xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
-        # U_k = sqrt(1 - V_k^2), evaluated in place on one buffer
-        u = np.hypot(xi, gap)
-        np.divide(xi, u, out=u)
-        np.subtract(1.0, u, out=u)
-        np.multiply(0.5, u, out=u)
-        np.subtract(1.0, u, out=u)
-        return BogoliubovProfile(np.sqrt(u, out=u))
+        # allocated first, so an oversize count fails on this one allocation
+        u = np.empty(modes)
+        rng = np.random.default_rng(seed)
+        for start in range(0, modes, _BLOCK_MODES):
+            # U_k = sqrt(1 - V_k^2), evaluated in place in the block's slice;
+            # each step is elementwise and the stream continues from block to
+            # block, so every U_k is the bits of one whole-array evaluation
+            block = u[start:start + _BLOCK_MODES]
+            xi = rng.uniform(-half_bandwidth, half_bandwidth, block.size)
+            np.hypot(xi, gap, out=block)
+            np.divide(xi, block, out=block)
+            np.subtract(1.0, block, out=block)
+            np.multiply(0.5, block, out=block)
+            np.subtract(1.0, block, out=block)
+            np.sqrt(block, out=block)
+        return BogoliubovProfile(u)
 
     return family
 
 
-def log_vacuum_overlap(profile: BogoliubovProfile) -> float:
-    """ln of the vacuum overlap, sum_k ln U_k; 0.0 for zero modes."""
+def log_vacuum_overlap(profile: BogoliubovProfile, *, out: np.ndarray | None = None) -> float:
+    """ln of the vacuum overlap, sum_k ln U_k; 0.0 for zero modes.
+
+    The logs are taken into a new array, so the profile is left as it is,
+    or into ``out``: ``profile.u`` itself for a caller that owns the
+    profile and needs no second array of K doubles. Either way one np.sum
+    runs over the whole array of logs, so the float is the same.
+    """
     u = profile.u
     if u.size and np.min(u) <= 0.0:
         raise ValidationError("every U_k must be positive")
-    return float(np.sum(np.log(u)))
+    return float(np.sum(np.log(u, out=out)))
 
 
 def vacuum_overlap(profile: BogoliubovProfile) -> float:

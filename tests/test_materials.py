@@ -5,7 +5,7 @@ import pytest
 
 from iondecoh import materials
 from iondecoh.errors import DimensionError, SaltDataError, ValidationError
-from iondecoh.units import mass_density_kg_m3, time_s
+from iondecoh.units import MASS, Quantity, mass_density_kg_m3, time_s
 
 EXPECTED_ORDER = [
     "NaF", "NaCl", "NaBr", "NaI", "KF", "KCl", "KBr", "CsF",
@@ -185,6 +185,26 @@ def test_record_rejects_a_bulk_field_that_is_not_positive(field, label, value):
     fields = dict(zip(materials.SaltRecord._fields, nacl._values()))
     fields[field] = value if field == "water_per_ion" else fields[field] * value
     with pytest.raises(ValidationError, match=rf"^NaCl: {label} must be positive$"):
+        materials.SaltRecord(**fields)
+
+
+def test_the_constructor_reports_its_faults_in_order():
+    # name, density, edge, water, ref_tau1, ref_tau2, then the number density: each fault mended in turn
+    nacl = materials.salt_by_name(materials.bundled_salt_database(), "NaCl")
+    light = materials.IonSpecies("X+", Quantity(1e-30, MASS), 1)
+    fields = dict(name="", cation=light, anion=light, mass_density=mass_density_kg_m3(-1.0),
+                  lattice_edge=-nacl.lattice_edge, water_per_ion=0.0, ref_tau1=time_s(-1.0), ref_tau2=time_s(0.0))
+    mends = [("name", "NaCl", "salt name must be nonempty"),
+             ("mass_density", mass_density_kg_m3(1e300), "NaCl: density_kg_m3 must be positive"),
+             ("lattice_edge", nacl.lattice_edge, "NaCl: lattice_a_angstrom must be positive"),
+             ("water_per_ion", 10.0, "NaCl: water_per_ion must be positive"),
+             ("ref_tau1", nacl.ref_tau1, "NaCl: ref_tau1 must be positive"),
+             ("ref_tau2", nacl.ref_tau2, "NaCl: ref_tau2 must be positive")]
+    for field, good, message in mends:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            materials.SaltRecord(**fields)
+        fields[field] = good
+    with pytest.raises(ValidationError, match=r"^NaCl: number density inf m\^-3 is not a positive normal double$"):
         materials.SaltRecord(**fields)
 
 

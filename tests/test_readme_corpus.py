@@ -21,7 +21,8 @@ records this tree's lines:
 
 To compare this working tree with a commit on one machine, sim and bcs
 included, run every case, plus the README's sim and bcs examples in each
-format, as a child ``python -m iondecoh.cli`` of each tree; this prints each
+format and a bcs run over counts on each side of its block size in csv
+and json, as a child ``python -m iondecoh.cli`` of each tree; this prints each
 case whose stdout, stderr or exit code differs, and exits 1 if any does; the
 faulty data files are cases too, so every changed error line shows at once:
 
@@ -113,6 +114,9 @@ CASES = {**README_CASES, **BULK_CASES}
 # file name -> its text (an invalid byte as a lone surrogate), and table's exit code and stderr over it
 FAULTY = json.loads(MANIFEST.with_name("faulty_data_files.json").read_text(encoding="utf-8"))
 FAULTY_CASES = {" ".join(argv): argv for argv in (["table", "--data-file", name, "--format", "csv"] for name in FAULTY)}
+# bcs over counts on each side of the pairing profile's block size (vacuum._BLOCK_MODES, 65,536), for --against
+BCS_BLOCK_CASES = {" ".join(argv): argv for argv in
+                   (["bcs", "--modes", "65535,65536,65537,200000", "--format", fmt] for fmt in ("csv", "json"))}
 
 
 def write_faulty_files(directory):
@@ -191,7 +195,7 @@ def run_child(src, argv, cwd):
 
 def against(rev):
     """Run each case in this working tree and in rev's committed files; print each that differs, 1 if any does."""
-    cases = {**CASES, **FAULTY_CASES, **{" ".join(argv): argv for argv in
+    cases = {**CASES, **FAULTY_CASES, **BCS_BLOCK_CASES, **{" ".join(argv): argv for argv in
                          (with_format(example, fmt) for example in readme_examples(("sim", "bcs")) for fmt in FORMATS)}}
     with tempfile.TemporaryDirectory() as work:
         tree = pathlib.Path(work, "rev")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iondecoh import vacuum
+from iondecoh import cli, vacuum
 from iondecoh.errors import ValidationError
 
 
@@ -127,10 +128,43 @@ def test_overlap_guards_against_mutated_coefficients():
         vacuum.log_vacuum_overlap(profile)
 
 
-@pytest.mark.parametrize("gap, half_bandwidth, seed", [(0.2, 1.0, 0), (1e-3, 5.0, 17)])
-@pytest.mark.parametrize("modes", [0, 1, 63, 1000, 100_001])
-def test_pairing_profile_matches_the_out_of_place_formula_bit_for_bit(gap, half_bandwidth, seed, modes):
-    # the expression the in-place evaluation replaced, kept as its oracle
+B = vacuum._BLOCK_MODES
+# each side of one and two block edges, and the 10^6 modes the benchmark runs
+BLOCK_EDGE_MODES = [0, 1, B - 1, B, B + 1, 2 * B + 3, 1_000_000]
+
+
+def cli_log_overlaps(capsys, *argv):
+    """The log overlaps that bcs prints in json: repr floats, so each is the float computed."""
+    assert cli.main(["bcs", *argv, "--format", "json"]) == 0
+    return [point["log_overlap"] for point in json.loads(capsys.readouterr().out)["points"]]
+
+
+@pytest.mark.parametrize("gap, half_bandwidth, seed", [(0.2, 1.0, 0), (1e-3, 5.0, 17), (0.7, 0.3, 123_456)])
+@pytest.mark.parametrize("modes", BLOCK_EDGE_MODES)
+def test_pairing_profile_matches_the_whole_array_formula_bit_for_bit(capsys, gap, half_bandwidth, seed, modes):
+    # the whole-array expression the block-wise evaluation replaced, kept as its oracle
     xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
     u = np.sqrt(1.0 - 0.5 * (1.0 - xi / np.hypot(xi, gap)))
-    assert np.array_equal(vacuum.pairing_family(gap, half_bandwidth, seed)(modes).u, u)
+    profile = vacuum.pairing_family(gap, half_bandwidth, seed)(modes)
+    assert profile.u.tobytes() == u.tobytes()
+    log_overlap = float(np.sum(np.log(u)))
+    assert vacuum.log_vacuum_overlap(profile) == log_overlap
+    flags = ["--gap", repr(gap), "--half-bandwidth", repr(half_bandwidth), "--seed", str(seed)]
+    assert cli_log_overlaps(capsys, "--modes", str(modes), *flags) == [log_overlap]
+
+
+@pytest.mark.parametrize("u", [0.9, 0.37, 1.0])
+@pytest.mark.parametrize("modes", BLOCK_EDGE_MODES)
+def test_uniform_cli_log_overlap_is_the_sum_over_a_new_array_of_logs(capsys, u, modes):
+    # bcs takes the logs of the profile it made in place; the float is that of logs into a new array
+    assert cli_log_overlaps(capsys, "--modes", str(modes), "--uniform-u", repr(u)) == [
+        float(np.sum(np.log(np.full(modes, u))))]
+
+
+def test_log_overlap_leaves_the_profile_as_it_is_unless_given_it_as_out():
+    profile = vacuum.pairing_family(seed=3)(B + 5)
+    before = profile.u.tobytes()
+    log_overlap = vacuum.log_vacuum_overlap(profile)
+    assert profile.u.tobytes() == before
+    assert vacuum.log_vacuum_overlap(profile, out=profile.u) == log_overlap
+    assert profile.u.tobytes() == np.log(np.frombuffer(before)).tobytes()
