@@ -3,7 +3,9 @@
 The cases: every ``table``, ``factor``, ``xray`` and ``classify`` example in
 README.md, read from the README itself so that the two cannot drift, in human,
 csv and json, plus two explicit-input examples; and ``table --data-file`` over
-a seeded file of perturbed bundled rows, in csv and json at four settings.
+a seeded file of perturbed bundled rows, in csv and json at four settings,
+and over a longer one, of more than two of table's chunks of rows, in each
+format.
 Each digest is checked for the case as listed, for the case with ``--output
 FILE`` and for each README example as written. sim and bcs are left out: their
 last digits depend on the BLAS build. Error lines are pinned as text in
@@ -55,8 +57,9 @@ EXTRA_EXAMPLES = [
     ["factor", "--wavelength", "3e-11", "--rate", "2e15", "--dx", "3e-9", "--time", "1e-15"],
     ["classify", "--tau1", "1e-3", "--tau2", "2e-3", "--tau-dyn", "0.5"],
 ]
-SEED, ROWS = 7, 500
-PERTURBED = f"perturbed-seed{SEED}-rows{ROWS}.csv"  # so the case ids record the generator's settings
+SEED, ROWS, STREAMED_ROWS = 7, 500, 2500
+# so the case ids record the generator's settings
+PERTURBED, STREAMED = (f"perturbed-seed{SEED}-rows{rows}.csv" for rows in (ROWS, STREAMED_ROWS))
 BULK_FLAGS = {"250K": ["--temperature", "250"], "310K": [], "400K": ["--temperature", "400"],
               "310K-N1e19": ["--ion-count", "1e19"]}
 
@@ -88,13 +91,13 @@ def with_format(argv, fmt=None):
     return [*argv, "--format", fmt or "human"]
 
 
-def write_perturbed_salts(path):
-    """ROWS valid records: bundled rows with seeded, full-precision perturbations."""
+def write_perturbed_salts(path, rows=ROWS):
+    """rows valid records: bundled rows with seeded, full-precision perturbations."""
     text = resources.files("iondecoh").joinpath("data/salts.csv").read_text(encoding="utf-8")
     bundled = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
     rng = random.Random(SEED)
     lines = []
-    for i in range(ROWS):
+    for i in range(rows):
         name, cation, m_cat, anion, m_an, density, edge, water, ref1, ref2 = rng.choice(bundled)
         lines.append(",".join([
             f"{name}{i}", cation, repr(float(m_cat) * rng.uniform(0.5, 2.0)),
@@ -108,8 +111,10 @@ def write_perturbed_salts(path):
 # case id -> argv
 README_CASES = {" ".join(argv): argv for argv in
                 (with_format(example, fmt) for example in readme_examples() + EXTRA_EXAMPLES for fmt in FORMATS)}
-BULK_CASES = {" ".join(argv): argv for argv in (["table", "--data-file", PERTURBED, *flags, "--format", fmt]
-              for flags in BULK_FLAGS.values() for fmt in ("csv", "json"))}
+BULK_CASES = {" ".join(argv): argv for argv in (
+    *(["table", "--data-file", PERTURBED, *flags, "--format", fmt] for flags in BULK_FLAGS.values()
+      for fmt in ("csv", "json")),
+    *(["table", "--data-file", STREAMED, "--format", fmt] for fmt in FORMATS))}
 CASES = {**README_CASES, **BULK_CASES}
 # file name -> its text (an invalid byte as a lone surrogate), and table's exit code and stderr over it
 FAULTY = json.loads(MANIFEST.with_name("faulty_data_files.json").read_text(encoding="utf-8"))
@@ -119,7 +124,10 @@ BCS_BLOCK_CASES = {" ".join(argv): argv for argv in
                    (["bcs", "--modes", "65535,65536,65537,200000", "--format", fmt] for fmt in ("csv", "json"))}
 
 
-def write_faulty_files(directory):
+def write_data_files(directory):
+    """PERTURBED, STREAMED and each FAULTY file, in directory."""
+    write_perturbed_salts(directory / PERTURBED)
+    write_perturbed_salts(directory / STREAMED, STREAMED_ROWS)
     for name, file in FAULTY.items():
         (directory / name).write_bytes(file["text"].encode("utf-8", "surrogateescape"))
 
@@ -139,10 +147,9 @@ def stdout_sha256(argv):
 
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
-    """The manifest's digests; the cases run over the bundled table, beside a written PERTURBED and FAULTY."""
+    """The manifest's digests; the cases run over the bundled table, beside the written data files."""
     workdir = tmp_path_factory.mktemp("corpus")
-    write_perturbed_salts(workdir / PERTURBED)
-    write_faulty_files(workdir)
+    write_data_files(workdir)
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv(cli.ENV_DATA_DIR, raising=False)
         patch.chdir(workdir)
@@ -204,8 +211,7 @@ def against(rev):
         if archive.returncode:
             sys.exit(f"cannot read {rev}: {archive.stderr.decode().strip()}")
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
-        write_perturbed_salts(pathlib.Path(work, PERTURBED))
-        write_faulty_files(pathlib.Path(work))
+        write_data_files(pathlib.Path(work))
         differ = 0
         for case, argv in cases.items():
             ours, theirs = run_child(ROOT / "src", argv, work), run_child(tree / "src", argv, work)
@@ -227,7 +233,7 @@ if __name__ == "__main__":
     old = json.loads(MANIFEST.read_text())
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        write_perturbed_salts(pathlib.Path(PERTURBED))
+        write_data_files(pathlib.Path(work))
         new = {case: stdout_sha256(argv) for case, argv in CASES.items()}
     for case in {**old, **new}:
         if old.get(case) != new.get(case):
