@@ -10,7 +10,8 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
 * salt data comes from --data-file, else the IONDECOH_DATA_DIR environment
   variable (a directory containing salts.csv), else the bundled table.
 * exit codes: 0 success, 1 bad arguments or values or a stdout that cannot
-  take the text, 2 unreadable or malformed data file.
+  take the text, 2 unreadable or malformed data file, 130 interrupted
+  (SIGINT, as from Ctrl-C).
 """
 
 from __future__ import annotations
@@ -144,15 +145,22 @@ def _aligned(chunks):
 
 
 def _deliver(chunks, output: str | None) -> None:
-    """Write the text's chunks to stdout or output: a device or FIFO in place, a file by rename."""
+    """Write the text's chunks to stdout or output: a device or FIFO in place, a file by rename.
+
+    A write that fails still reads the rest of the chunks before it is
+    reported, so a fault met where the text is made comes first, as it
+    would if the whole text were made before its first write.
+    """
+    chunks = iter(chunks)
     if output is None:
         try:
-            for chunk in chunks:
-                sys.stdout.write(chunk)
+            sys.stdout.writelines(chunks)  # holds no chunk past its write
             sys.stdout.flush()  # now, not at exit, so a reader that has gone or a full file gets one error line
         except OSError as exc:  # stdout's descriptor, if any, goes to devnull, so the exit flush cannot fail again
             with contextlib.suppress(AttributeError, OSError):
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            for _ in chunks:
+                pass
             raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
         return
     target = os.path.realpath(output)  # a symlink is written through, as the shell's > writes it
@@ -171,6 +179,8 @@ def _deliver(chunks, output: str | None) -> None:
         if tmp is not None:
             os.unlink(tmp)
         if isinstance(exc, OSError):
+            for _ in chunks:
+                pass
             raise ValidationError(f"cannot write {output!r}: {exc.strerror or exc}") from None
         raise
 
@@ -178,15 +188,24 @@ def _deliver(chunks, output: str | None) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_table(args):
-    """The table's text in chunks of rows, each row rendered as its record is read.
+    """The table's text: csv and json in chunks of rows, each handed on once whole; human once every row is read.
 
-    Faults keep the order of a run that loads the whole file first, with no
-    second pass: a data-file fault (exit 2) anywhere in the file, then an
-    unknown or empty --salts, then a --temperature or --ion-count fault, then
-    the first formula fault in file order. The first exit-1 fault is held, no
-    later row is evaluated, and the rest of the file is still read. k_B T is
-    checked once, at the first record evaluated, so the order is unchanged.
+    Each row is rendered as its record is read. Faults keep the order of a
+    run that loads the whole file first, with no second pass: a data-file
+    fault (exit 2) anywhere in the file, then an unknown or empty --salts,
+    then a --temperature or --ion-count fault, then the first formula fault
+    in file order. The first exit-1 fault is held, no later row is
+    evaluated, and the rest of the file is still read. k_B T is checked
+    once, at the first record evaluated, so the order is unchanged. The
+    header goes out with the first chunk, so a fault before it leaves no
+    text; human needs every column's width before its first line.
     """
+    chunks = _table_chunks(args)
+    return chunks if args.format != "human" else _aligned(list(chunks))
+
+
+def _table_chunks(args):
+    """The csv or json text of _cmd_table, _CHUNK_ROWS rows a chunk, the header in the first."""
     requested = None if args.salts == "all" else [name.strip() for name in args.salts.split(",") if name.strip()]
     tau1, tau2 = core._TAU1.si, core._TAU2.si
     as_json = args.format == "json"
@@ -201,11 +220,13 @@ def _cmd_table(args):
                     + ("" if r1 is None else f'      "ref_tau1_s": {r1!r},\n')
                     + ("" if r2 is None else f'      "ref_tau2_s": {r2!r},\n')
                     + f'      "tau1_s": {t1!r},\n      "tau2_s": {t2!r}\n    }},\n')
+
+        head = f'{{\n  "ion_count": {json.dumps(args.ion_count)},\n  "salts": [\n'
     else:
-        row_text = _csv_row
+        row_text, head = _csv_row, "name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n"
 
     fault = thermal_energy = None  # fault: the first exit-1 fault, held until the whole file is read
-    chunks, batch = [], []
+    batch = []
     for record in _records(args) if requested is None else _select(_records(args), requested):
         if fault is not None:
             continue
@@ -216,8 +237,10 @@ def _cmd_table(args):
             fault = exc
             continue
         if len(batch) == _CHUNK_ROWS:  # joined before the next row, so the last row stays in batch
-            chunks.append("".join(batch))
-            batch.clear()
+            chunk, head = "".join([head, *batch]), ""  # the header goes out with the first chunk
+            batch.clear()  # so the rows are not held beside the chunk's written bytes
+            yield chunk
+            del chunk  # written: not held through the next chunk's rows and join
         batch.append(row_text(record, t1, t2))
     if requested == []:
         raise ValidationError("--salts must name at least one salt")
@@ -225,10 +248,8 @@ def _cmd_table(args):
         raise fault
     if as_json:
         batch[-1] = batch[-1][:-2] + "\n"  # the last salt takes no comma
-        return [f'{{\n  "ion_count": {json.dumps(args.ion_count)},\n  "salts": [\n', *chunks, "".join(batch),
-                f'  ],\n  "temperature_k": {json.dumps(args.temperature)}\n}}\n']
-    chunks = ["name,tau1_1e-40s,tau2_1e-38s,tau1_s,tau2_s\n", *chunks, "".join(batch)]
-    return chunks if args.format == "csv" else _aligned(chunks)
+        batch.append(f'  ],\n  "temperature_k": {json.dumps(args.temperature)}\n}}\n')
+    yield "".join([head, *batch])
 
 
 def _cmd_factor(args):
@@ -431,6 +452,9 @@ def main(argv=None) -> int:
         # numpy's allocation failure says how much it asked for
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # _deliver has removed its new file, if any
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports an interrupted job
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ band energies drawn from the one generator stream and evaluated in that
 block's slice, so the band energies never take a second array of K
 doubles. ``log_vacuum_overlap`` takes the logs into a new array, and so
 leaves its argument as it is, unless it is given ``out=profile.u`` by a
-caller that owns the profile; the float is the same either way.
+caller that owns the profile, as ``overlap_decay_rate`` and the CLI's
+``bcs`` are; the float is the same either way.
 """
 
 from __future__ import annotations
@@ -141,14 +142,21 @@ def overlap_decay_rate(
     """Least-squares slope of ln overlap versus mode count.
 
     Needs at least three distinct counts; for a uniform family the slope
-    is ln u exactly (the points are collinear).
+    is ln u exactly (the points are collinear). Each profile that family
+    returns is summed and dropped, so its logs are taken in place: family
+    must return a new profile each call, as ``pairing_family`` and
+    ``uniform_profile`` do.
     """
     counts = sorted(set(int(k) for k in mode_counts))
     if len(counts) < 3:
         raise ValidationError("need at least three distinct mode counts to fit a slope")
     if counts[0] < 0:
         raise ValidationError("mode counts must be nonnegative")
-    return _log_overlap_slope(counts, [log_vacuum_overlap(family(k)) for k in counts])
+    logs = []
+    for count in counts:
+        profile = family(count)
+        logs.append(log_vacuum_overlap(profile, out=profile.u))
+    return _log_overlap_slope(counts, logs)
 
 
 def _log_overlap_slope(counts: Sequence[int], logs: Sequence[float]) -> float:

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from test_readme_corpus import BULK_FLAGS, ROWS, write_perturbed_salts
+from test_readme_corpus import BULK_FLAGS, ROWS, STREAMED_ROWS, write_perturbed_salts
 
 from iondecoh import cli, core, regimes
 from iondecoh.materials import SaltRecord, load_salts
@@ -1022,6 +1022,95 @@ def test_memory_error_mid_write_to_stdout_leaves_the_text_written_so_far(capsys,
 
     monkeypatch.setattr(json.JSONEncoder, "iterencode", one_chunk_then_out_of_memory)
     assert run_cli(capsys, *SMALL_RUNS["sim"], "--format", "json") == (1, "{", "error: out of memory\n")
+
+
+INTERRUPTED = (130, "", "error: interrupted\n")
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+def test_an_interrupted_sim_is_one_line_and_exit_130(capsys, monkeypatch, tmp_path, output):
+    # raised by hand, as SIGINT's default handler raises it mid-run
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.densmat, "apply_decoherence", interrupted)
+    argv = [*SMALL_RUNS["sim"], "--format", "json", *(["--output", str(tmp_path / "out.json")] if output else [])]
+    assert run_cli(capsys, *argv) == INTERRUPTED
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_interrupt_mid_table_output_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # at row 1,500 the first chunk of rows is already in --output's new file
+    data = tmp_path / "data" / "salts.csv"
+    data.parent.mkdir()
+    write_perturbed_salts(data, STREAMED_ROWS)
+    salt_values, calls = cli._salt_values, []
+
+    def interrupted_at_row_1500(*args):
+        calls.append(None)
+        if len(calls) == 1500:
+            raise KeyboardInterrupt
+        return salt_values(*args)
+
+    monkeypatch.setattr(cli, "_salt_values", interrupted_at_row_1500)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["table", "--data-file", str(data), "--format", "csv", "--output", str(out / "table.csv")]
+    assert run_cli(capsys, *argv) == INTERRUPTED
+    assert len(calls) == 1500 and list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def streamed_files(tmp_path_factory):
+    """STREAMED_ROWS good rows, and the same rows followed by a row of three fields."""
+    directory = tmp_path_factory.mktemp("streamed")
+    write_perturbed_salts(directory / "good.csv", STREAMED_ROWS)
+    text = (directory / "good.csv").read_text()
+    (directory / "faulty.csv").write_text(text + "NaCl,Na+,22.990\n")
+    return directory / "good.csv", directory / "faulty.csv"
+
+
+STREAMED_FAULT = f"error: line {STREAMED_ROWS + 1}: expected 10 fields, got 3\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+def test_a_fault_after_whole_chunks_leaves_only_those_chunks(capsys, tmp_path, streamed_files, fmt):
+    # csv and json are written a chunk of rows at a time, and the last row read
+    # stays unwritten, so the fault after 2,500 rows leaves 2,000 rows of the
+    # text the good rows alone give; human writes nothing until every row is read
+    good, faulty = streamed_files
+    code, text, err = run_cli(capsys, "table", "--data-file", str(good), "--format", fmt)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "table", "--data-file", str(faulty), "--format", fmt)
+    assert (code, err) == (2, STREAMED_FAULT)
+    if fmt == "human":
+        assert out == ""
+    else:
+        rows = out.count('"name": ') if fmt == "json" else out.count("\n") - 1
+        assert text.startswith(out) and rows == 2 * cli._CHUNK_ROWS
+    target = tmp_path / "table.out"
+    assert run_cli(capsys, "table", "--data-file", str(faulty), "--format", fmt, "--output", str(target)) == (
+        2, "", STREAMED_FAULT)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_fault_of_the_text_comes_before_a_fault_of_its_output(capsys, tmp_path, streamed_files):
+    # the file is read to its end, as when the whole text was made before the output was opened
+    argv = ["table", "--data-file", str(streamed_files[1]), "--format", "csv", "--output",
+            str(tmp_path / "missing" / "table.csv")]
+    assert run_cli(capsys, *argv) == (2, "", STREAMED_FAULT)
+    assert run_cli(capsys, *argv[:2], str(streamed_files[0]), *argv[3:]) == (
+        1, "", f"error: cannot write {argv[-1]!r}: No such file or directory\n")
+
+
+def test_a_fault_of_the_text_comes_before_a_closed_stdout(tmp_path, streamed_files):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for data, expected in zip(streamed_files, [(1, BROKEN_PIPE), (2, STREAMED_FAULT)]):
+            assert run_child(["table", "--data-file", str(data), "--format", "csv"], write_end) == expected
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("case", list(BULK_FLAGS))

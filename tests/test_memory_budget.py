@@ -59,12 +59,11 @@ def traced_size(fn):
             tracemalloc.stop()
 
 
-class _Discard:
+class _Discard(io.TextIOBase):
+    """A stdout that keeps nothing; its writelines, as sys.stdout's, holds no line past its write."""
+
     def write(self, text):
         return len(text)
-
-    def flush(self):
-        pass
 
 
 def test_prepare_stays_within_two_and_a_quarter_states():
@@ -107,6 +106,13 @@ def test_bcs_stays_within_its_mode_arrays(extra, bound):
     assert traced_peak(run) / BCS_MODE_BYTES <= bound
 
 
+def test_decay_rate_stays_within_1_2_mode_arrays():
+    # each profile's logs are taken in place, as bcs takes them: measured
+    # 1.13 arrays of K doubles, where logs into a new array took 2.00
+    family = vacuum.pairing_family()
+    assert traced_peak(lambda: vacuum.overlap_decay_rate(family, [10, 100, BCS_MODES])) / BCS_MODE_BYTES <= 1.2
+
+
 def test_inline_prepared_series_stays_within_two_and_a_half_states():
     # as the CLI runs it: prepare's outer product plus its conjugate
     # transpose, then the current state with the next one or with purity's
@@ -120,20 +126,21 @@ def test_inline_prepared_series_stays_within_two_and_a_half_states():
 
 TABLE_ROWS = 2000
 # traced peak of table per byte of the text it renders: table renders each
-# record's row as the record is read and keeps only the text, in chunks of
-# rows, plus the loader's set of names seen; human keeps the csv text and
-# aligns one chunk at a time as it writes. Measured over 2,000 rows: 3.61
-# (csv), 1.86 (json) and 2.83 (human) times 122,183, 372,708 and 164,692
-# bytes of text; each bound is the measured value plus about 15%.
-TABLE_PEAK_PER_TEXT_BYTE = {"csv": 4.15, "json": 2.15, "human": 3.25}
+# record's row as the record is read, beside the loader's set of names seen;
+# csv and json write each chunk of rows as it is joined, and human keeps the
+# csv text and aligns one chunk at a time as it writes. Measured over 2,000
+# rows: 3.16 (csv), 1.48 (json) and 2.71 (human) times 122,183, 372,708 and
+# 164,692 bytes of text, where holding every chunk until the file was read
+# took 3.65, 1.87 and 2.83; each bound is the measured value plus about 15%.
+TABLE_PEAK_PER_TEXT_BYTE = {"csv": 3.63, "json": 1.71, "human": 3.12}
 
 
-def _bundled_rows_file(tmp_path):
-    """TABLE_ROWS bundled rows, each name made unique."""
+def _bundled_rows_file(tmp_path, rows=TABLE_ROWS):
+    """rows bundled rows, each name made unique."""
     path = tmp_path / "salts.csv"
     with open(BUNDLED_CSV, encoding="utf-8") as handle:
         bundled = [line for line in handle if not line.startswith("#")]
-    path.write_text("".join(f"{i}{bundled[i % len(bundled)]}" for i in range(TABLE_ROWS)))
+    path.write_text("".join(f"{i}{bundled[i % len(bundled)]}" for i in range(rows)))
     return path
 
 
@@ -150,6 +157,23 @@ def test_table_stays_within_its_bound_per_byte_of_text(tmp_path, fmt):
             assert cli.main(argv) == 0
 
     assert traced_peak(run) / len(text.getvalue().encode()) <= TABLE_PEAK_PER_TEXT_BYTE[fmt]
+
+
+STREAMED_TABLE_ROWS = 20_000
+
+
+def test_json_table_stays_within_215_bytes_a_row(tmp_path):
+    # json text does not pile up: over 20,000 rows (3.7 MB of text) a json
+    # table peaks at the loader's set of names and one chunk of rows,
+    # measured 196 traced bytes a row, where the loader alone peaks at 188
+    # as its set of names resizes; holding the whole text took 374
+    argv = ["table", "--data-file", str(_bundled_rows_file(tmp_path, STREAMED_TABLE_ROWS)), "--format", "json"]
+
+    def run():
+        with contextlib.redirect_stdout(_Discard()):
+            assert cli.main(argv) == 0
+
+    assert traced_peak(run) / STREAMED_TABLE_ROWS <= 215
 
 
 def test_loaded_records_stay_within_450_bytes_a_row(tmp_path):

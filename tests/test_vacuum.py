@@ -168,3 +168,12 @@ def test_log_overlap_leaves_the_profile_as_it_is_unless_given_it_as_out():
     assert profile.u.tobytes() == before
     assert vacuum.log_vacuum_overlap(profile, out=profile.u) == log_overlap
     assert profile.u.tobytes() == np.log(np.frombuffer(before)).tobytes()
+
+
+@pytest.mark.parametrize("family", [vacuum.pairing_family(0.7, 0.3, 5), lambda k: vacuum.uniform_profile(0.37, k)],
+                         ids=["pairing", "uniform"])
+def test_decay_rate_is_the_fit_over_logs_into_new_arrays(family):
+    # overlap_decay_rate takes each profile's logs in place; the slope is that of the logs into new arrays
+    counts = [10, B + 1, 300_000]
+    logs = [float(np.sum(np.log(family(k).u))) for k in counts]
+    assert vacuum.overlap_decay_rate(family, counts) == float(np.polyfit(np.asarray(counts, dtype=float), logs, 1)[0])
