@@ -5,10 +5,14 @@ README.md, read from the README itself so that the two cannot drift, in human,
 csv and json, plus two explicit-input examples; and ``table --data-file`` over
 a seeded file of perturbed bundled rows, in csv and json at four settings,
 and over a longer one, of more than two of table's chunks of rows, in each
-format.
+format; and ``bcs`` in csv and json over 10^6 modes and over three counts
+whose halves leave a remainder mod 8 at several levels of numpy's pairwise
+sum, the bits that summing a profile a block at a time must keep.
 Each digest is checked for the case as listed, for the case with ``--output
-FILE`` and for each README example as written. sim and bcs are left out: their
-last digits depend on the BLAS build. Error lines are pinned as text in
+FILE`` and for each README example as written. The README's sim and bcs
+examples are left out: their last digits depend on the BLAS build, as the
+bcs cases' decay rate and log overlaps depend on this machine's numpy and
+BLAS, so a new build rewrites their digests. Error lines are pinned as text in
 ``test_cli.ONE_LINE_ERRORS``. After a deliberate change of output, rewrite the
 manifest; this prints each case whose digest changed, appeared or went away:
 
@@ -115,7 +119,10 @@ BULK_CASES = {" ".join(argv): argv for argv in (
     *(["table", "--data-file", PERTURBED, *flags, "--format", fmt] for flags in BULK_FLAGS.values()
       for fmt in ("csv", "json")),
     *(["table", "--data-file", STREAMED, "--format", fmt] for fmt in FORMATS))}
-CASES = {**README_CASES, **BULK_CASES}
+BCS_CASES = {" ".join(argv): argv for argv in (["bcs", "--modes", modes, "--format", fmt]
+                                                for modes in ("1000000", "131075,1000003,2000003")
+                                                for fmt in ("csv", "json"))}
+CASES = {**README_CASES, **BULK_CASES, **BCS_CASES}
 # file name -> its text (an invalid byte as a lone surrogate), and table's exit code and stderr over it
 FAULTY = json.loads(MANIFEST.with_name("faulty_data_files.json").read_text(encoding="utf-8"))
 FAULTY_CASES = {" ".join(argv): argv for argv in (["table", "--data-file", name, "--format", "csv"] for name in FAULTY)}
@@ -179,6 +186,11 @@ def test_readme_example_bytes(digests, tmp_path, case):
 
 @pytest.mark.parametrize("case", list(BULK_CASES))
 def test_bulk_table_bytes(digests, tmp_path, case):
+    check_case(case, digests, tmp_path)
+
+
+@pytest.mark.parametrize("case", list(BCS_CASES))
+def test_bcs_bytes(digests, tmp_path, case):
     check_case(case, digests, tmp_path)
 
 
