@@ -11,7 +11,7 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
   variable (a directory containing salts.csv), else the bundled table.
 * exit codes: 0 success, 1 bad arguments or values or a stdout that cannot
   take the text, 2 unreadable or malformed data file, 130 interrupted
-  (SIGINT, as from Ctrl-C).
+  (SIGINT, as from Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ import os
 import re
 import sys
 
+# the C module behind signal, loaded at interpreter start-up; importing signal
+# itself builds its enums, about 0.75 ms of every run
+import _signal as signal
+
 from . import core, densmat, regimes, vacuum
 from .errors import IonDecohError, SaltDataError, ValidationError
 from .materials import _BUNDLED_PATH, SaltRecord, _read_salts, _select
@@ -30,6 +34,7 @@ from .units import length_m, rate_per_s, temperature_kelvin, time_s
 
 ENV_DATA_DIR = "IONDECOH_DATA_DIR"
 _CHUNK_ROWS = 1000  # table rows joined into one chunk of its text
+_BCS_MODES = 10**9  # the most modes a bcs run sums over all its counts: about 37 s of pairing draws
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,11 +312,13 @@ def _cmd_bcs(args):
         family = lambda k: vacuum.uniform_profile(args.uniform_u, k)  # noqa: E731
     else:
         family = vacuum.pairing_family(args.gap, args.half_bandwidth, args.seed)
+    total = sum(counts)
+    if total > _BCS_MODES:
+        raise ValidationError(f"--modes counts sum to {total} modes, above a run's bound of {_BCS_MODES}")
     rows = []
     for count in counts:
-        # each profile is made here and dropped after its sum, so its logs are taken in place
         profile = family(count)
-        log_overlap = vacuum.log_vacuum_overlap(profile, out=profile.u)
+        log_overlap = vacuum.log_vacuum_overlap(profile)
         rows.append({"modes": count, "log_overlap": log_overlap, "overlap": math.exp(log_overlap)})
     payload = {"points": rows}
     if len(counts) >= 3:
@@ -429,11 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None
 
 
+class _Terminated(BaseException):
+    """Raised by main's SIGTERM handler, so the run ends through _deliver's clean-up, as an interrupt does."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         # built once per process: argparse keeps no state between parse_args calls
         _parser = build_parser()
+    try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # not the main thread, which alone may set a handler
+        previous = _terminate
     try:
         try:
             args = _parser.parse_args(argv)
@@ -455,6 +474,13 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # _deliver has removed its new file, if any
         print("error: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, as a shell reports an interrupted job
+    except _Terminated:  # the same
+        print("error: terminated", file=sys.stderr)
+        return 143  # 128 + SIGTERM
+    finally:
+        if previous is not _terminate:
+            # None: a handler set outside Python, which Python cannot set back
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -14,32 +14,42 @@ overlap vanishes and the two vacua support unitarily inequivalent
 representations; the decay rate quantifies how fast a finite system
 approaches that limit.
 
-Memory: a pairing profile of K modes is one array of K doubles. It is
-allocated whole and filled ``_BLOCK_MODES`` modes at a time, each block's
-band energies drawn from the one generator stream and evaluated in that
-block's slice, so the band energies never take a second array of K
-doubles. ``log_vacuum_overlap`` takes the logs into a new array, and so
-leaves its argument as it is, unless it is given ``out=profile.u`` by a
-caller that owns the profile, as ``overlap_decay_rate`` and the CLI's
-``bcs`` are; the float is the same either way.
+Memory: a profile is its mode count and a source of its U_k, read a leaf
+of at most ``_BLOCK_MODES`` modes at a time. ``pairing_family(...)(K)``
+and ``uniform_profile(u, K)`` draw nothing when they are called.
+``log_vacuum_overlap`` draws, checks and sums one leaf at a time into one
+leaf-sized scratch array, and adds the leaves' sums in the tree that
+numpy's pairwise summation adds them in, so its float is that of
+``np.sum(np.log(profile.u))`` and no array of K doubles is made. Reading
+``profile.u`` makes that array, draws it whole with the same bits, and
+keeps it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Callable, Sequence
 
 from ._numpy import np
 from .errors import ValidationError
 from .units import _Record
 
-_BLOCK_MODES = 65_536  # modes a pairing profile is evaluated in at a time
+_BLOCK_MODES = 65_536  # the most modes drawn, checked and summed at a time
 
 
 class BogoliubovProfile(_Record):
-    """Per-mode coefficients U_k, each in (0, 1]; V_k = sqrt(1 - U_k^2) is implied."""
+    """Per-mode coefficients U_k, each in (0, 1]; V_k = sqrt(1 - U_k^2) is implied.
 
-    __slots__ = _fields = ("u",)
+    ``u`` is the one field. A profile that a family or ``uniform_profile``
+    made draws it on its first read and keeps it.
+    """
+
+    # _draw() starts a pass over the U_k from the first: a function take(block) that gives the next
+    # block.size of them as an array, which is not block; take may use block as its workspace
+    __slots__ = ("_u", "mode_count", "_draw")
+    _fields = ("u",)
 
     def __init__(self, u: np.ndarray) -> None:
         u = np.asarray(u, dtype=float)
@@ -48,11 +58,41 @@ class BogoliubovProfile(_Record):
         # NaN fails both comparisons, so it is rejected too
         if u.size and not (np.min(u) > 0.0 and np.max(u) <= 1.0):
             raise ValidationError("every U_k must be in (0, 1]")
-        _Record.__init__(self, u)
+        self._set(u, u.size, functools.partial(_slices, u))
+
+    def _set(self, u: np.ndarray | None, modes: int, draw: Callable) -> None:
+        for set_field, value in zip(self._setters, (u, modes, draw)):
+            set_field(self, value)
+
+    @classmethod
+    def _drawn(cls, modes: int, draw: Callable) -> BogoliubovProfile:
+        """A profile of modes U_k, drawn by draw() a leaf at a time, and whole on the first read of ``u``."""
+        self = object.__new__(cls)
+        self._set(None, operator.index(modes), draw)
+        return self
 
     @property
-    def mode_count(self) -> int:
-        return int(self.u.size)
+    def u(self) -> np.ndarray:
+        if self._u is None:
+            u = np.empty(self.mode_count)
+            take = self._draw()
+            for start in range(0, u.size, _BLOCK_MODES):
+                block = u[start:start + _BLOCK_MODES]
+                block[...] = take(block)
+            self._set(u, u.size, functools.partial(_slices, u))  # later passes read the array
+        return self._u
+
+
+def _slices(u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A pass over u: each call take(block) gives a view of u's next block.size values."""
+    end = 0
+
+    def take(block):
+        nonlocal end
+        end += block.size
+        return u[end - block.size:end]
+
+    return take
 
 
 def uniform_profile(u: float, modes: int) -> BogoliubovProfile:
@@ -61,7 +101,12 @@ def uniform_profile(u: float, modes: int) -> BogoliubovProfile:
         raise ValidationError(f"modes must be nonnegative, got {modes}")
     if not 0.0 < u <= 1.0:
         raise ValidationError(f"u must be in (0, 1], got {u!r}")
-    return BogoliubovProfile(np.full(modes, float(u)))
+    u = float(u)
+
+    def take(block):
+        return np.full(block.size, u)
+
+    return BogoliubovProfile._drawn(modes, lambda: take)
 
 
 def pairing_family(
@@ -77,13 +122,13 @@ def pairing_family(
         V_k^2 = (1 - xi_k / sqrt(xi_k^2 + gap^2)) / 2,  U_k^2 = 1 - V_k^2.
 
     The returned callable maps a mode count K to a profile and keeps no
-    state: each call draws its K band energies from a fresh
-    ``np.random.default_rng(seed)``, ``_BLOCK_MODES`` at a time, and holds
-    one array of K doubles, the U_k, plus one block. The generator takes
-    one double per uniform draw, so the blocks draw what one whole draw
-    would, and family(K1) is a prefix of family(K2) whenever K1 < K2,
-    whatever order the counts are requested in. That makes overlap decay
-    across counts monotone and the log-slope fit well posed.
+    state. The profile draws nothing until it is read: each pass over it
+    draws its K band energies from a fresh ``np.random.default_rng(seed)``,
+    a leaf of at most ``_BLOCK_MODES`` at a time. The generator takes one
+    double per uniform draw, so the leaves draw what one whole draw would,
+    and family(K1) is a prefix of family(K2) whenever K1 < K2, whatever
+    order the counts are requested in. That makes overlap decay across
+    counts monotone and the log-slope fit well posed.
     """
     if not gap > 0.0:
         raise ValidationError(f"gap must be positive, got {gap!r}")
@@ -94,41 +139,66 @@ def pairing_family(
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
+    def draw():
+        return functools.partial(_pairing_leaf, np.random.default_rng(seed), gap, half_bandwidth)
+
     def family(modes: int) -> BogoliubovProfile:
         if modes < 0:
             raise ValidationError(f"modes must be nonnegative, got {modes}")
-        # allocated first, so an oversize count fails on this one allocation
-        u = np.empty(modes)
-        rng = np.random.default_rng(seed)
-        for start in range(0, modes, _BLOCK_MODES):
-            # U_k = sqrt(1 - V_k^2), evaluated in place in the block's slice;
-            # each step is elementwise and the stream continues from block to
-            # block, so every U_k is the bits of one whole-array evaluation
-            block = u[start:start + _BLOCK_MODES]
-            xi = rng.uniform(-half_bandwidth, half_bandwidth, block.size)
-            np.hypot(xi, gap, out=block)
-            np.divide(xi, block, out=block)
-            np.subtract(1.0, block, out=block)
-            np.multiply(0.5, block, out=block)
-            np.subtract(1.0, block, out=block)
-            np.sqrt(block, out=block)
-        return BogoliubovProfile(u)
+        return BogoliubovProfile._drawn(modes, draw)
 
     return family
 
 
-def log_vacuum_overlap(profile: BogoliubovProfile, *, out: np.ndarray | None = None) -> float:
+def _pairing_leaf(rng, gap: float, half_bandwidth: float, block: np.ndarray) -> np.ndarray:
+    """The pairing model's next block.size U_k, from rng's next band energies; block is their workspace."""
+    u = rng.uniform(-half_bandwidth, half_bandwidth, block.size)
+    # U_k = sqrt(1 - V_k^2), evaluated in place in the band energies' array;
+    # each step is elementwise and the stream continues from leaf to leaf, so
+    # every U_k is the bits of one whole-array evaluation
+    np.hypot(u, gap, out=block)
+    np.divide(u, block, out=u)
+    np.subtract(1.0, u, out=u)
+    np.multiply(0.5, u, out=u)
+    np.subtract(1.0, u, out=u)
+    return np.sqrt(u, out=u)
+
+
+def _pairwise_sum(modes: int, leaf_sum: Callable[[int], float]) -> float:
+    """The sum of modes values as np.sum adds them in one array; leaf_sum(m) sums the next m of them.
+
+    This mirrors numpy's pairwise summation (pairwise_sum in its add loop):
+    a run of more than 128 values splits at n2 = n//2 - (n//2) % 8 and the
+    halves' sums are added. np.sum of a leaf of at most _BLOCK_MODES values
+    sums that leaf's subtree, so splitting the runs above it the same way
+    keeps the bits of the whole array's sum. tests/test_vacuum.py checks
+    those bits, so a numpy that splits otherwise fails there.
+    """
+    if modes <= _BLOCK_MODES:
+        return leaf_sum(modes)
+    half = modes // 2 - modes // 2 % 8
+    return _pairwise_sum(half, leaf_sum) + _pairwise_sum(modes - half, leaf_sum)
+
+
+def log_vacuum_overlap(profile: BogoliubovProfile) -> float:
     """ln of the vacuum overlap, sum_k ln U_k; 0.0 for zero modes.
 
-    The logs are taken into a new array, so the profile is left as it is,
-    or into ``out``: ``profile.u`` itself for a caller that owns the
-    profile and needs no second array of K doubles. Either way one np.sum
-    runs over the whole array of logs, so the float is the same.
+    The U_k are read a leaf at a time, each leaf is checked to be in
+    (0, 1], and its logs are taken into one leaf-sized scratch array, so
+    the profile is left as it is. The float is np.sum(np.log(profile.u)).
     """
-    u = profile.u
-    if u.size and np.min(u) <= 0.0:
-        raise ValidationError("every U_k must be positive")
-    return float(np.sum(np.log(u, out=out)))
+    take = profile._draw()
+    scratch = np.empty(min(profile.mode_count, _BLOCK_MODES))
+
+    def leaf_sum(modes):
+        logs = scratch[:modes]
+        u = take(logs)
+        # NaN fails both comparisons, so it is rejected too
+        if modes and not (np.min(u) > 0.0 and np.max(u) <= 1.0):
+            raise ValidationError("every U_k must be in (0, 1]")
+        return np.sum(np.log(u, out=logs))
+
+    return float(_pairwise_sum(profile.mode_count, leaf_sum))
 
 
 def vacuum_overlap(profile: BogoliubovProfile) -> float:
@@ -142,21 +212,14 @@ def overlap_decay_rate(
     """Least-squares slope of ln overlap versus mode count.
 
     Needs at least three distinct counts; for a uniform family the slope
-    is ln u exactly (the points are collinear). Each profile that family
-    returns is summed and dropped, so its logs are taken in place: family
-    must return a new profile each call, as ``pairing_family`` and
-    ``uniform_profile`` do.
+    is ln u exactly (the points are collinear).
     """
     counts = sorted(set(int(k) for k in mode_counts))
     if len(counts) < 3:
         raise ValidationError("need at least three distinct mode counts to fit a slope")
     if counts[0] < 0:
         raise ValidationError("mode counts must be nonnegative")
-    logs = []
-    for count in counts:
-        profile = family(count)
-        logs.append(log_vacuum_overlap(profile, out=profile.u))
-    return _log_overlap_slope(counts, logs)
+    return _log_overlap_slope(counts, [log_vacuum_overlap(family(count)) for count in counts])
 
 
 def _log_overlap_slope(counts: Sequence[int], logs: Sequence[float]) -> float:

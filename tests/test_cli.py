@@ -2,9 +2,11 @@ import json
 import math
 import os
 import resource
+import signal
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 from test_readme_corpus import BULK_FLAGS, ROWS, STREAMED_ROWS, write_perturbed_salts
@@ -185,6 +187,14 @@ def test_bcs_builds_each_profile_once(capsys, monkeypatch):
     # the same fit as the library's overlap_decay_rate, bit for bit
     expected = cli.vacuum.overlap_decay_rate(family, [10, 100, 1000])
     assert json.loads(out)["decay_rate_per_mode"] == expected
+
+
+def test_bcs_bounds_the_sum_of_its_counts(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_BCS_MODES", 300)
+    code, _, err = run_cli(capsys, "bcs", "--modes", "100,200", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "bcs", "--modes", "100,201") == (
+        1, "", "error: --modes counts sum to 301 modes, above a run's bound of 300\n")
 
 
 def test_classify_nacl(capsys):
@@ -377,6 +387,9 @@ ONE_LINE_ERRORS = {
     "bcs-negative-seed": (["bcs", "--modes", "10", "--seed=-1"], "seed must be a non-negative integer, got -1"),
     "bcs-no-modes": (["bcs", "--modes", ","], "--modes must list at least one mode count"),
     "bcs-modes-not-an-int": (["bcs", "--modes", "10,x"], "argument --modes: invalid int value: 'x'"),
+    # the counts' sum is bounded, not each count, and the run ends before any draw
+    "bcs-modes-above-bound": (["bcs", "--modes", "500000000,500000001"],
+                              "--modes counts sum to 1000000001 modes, above a run's bound of 1000000000"),
     "factor-dx-not-a-number": (["factor", "--salt", "NaCl", "--dx", "abc", "--time", "1"],
                                "argument --dx: invalid float value: 'abc'"),
     # --salt beside an explicit value is refused, not dropped in favour of the salt's
@@ -743,16 +756,22 @@ def test_stdout_into_a_closed_pipe(argv):
     (["sim", "--salt", "NaCl", "--separation", "3e-9", "--width", "3e-10", "--t-total", "2e-16", "--steps", "1",
       "--num-points", "6000"],
      "error: Unable to allocate 549. MiB for an array with shape (6000, 6000) and data type complex128\n"),
-    (["bcs", "--modes", "100000000"],
-     "error: Unable to allocate 763. MiB for an array with shape (100000000,) and data type float64\n"),
+    # 10^8 modes are 763 MiB as one array; bcs sums them a leaf at a time, so the run is whole
+    (["bcs", "--modes", "100000000", "--format", "json"], None),
 ], ids=["sim-6000", "bcs-1e8"])
 def test_allocation_under_an_address_space_limit(tmp_path, monkeypatch, argv, line):
     # OpenBLAS reserves memory per thread at import, so one thread keeps the
     # limit's headroom the same on every machine
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    whole = b""
+    if line is None:
+        with open(tmp_path / "whole", "wb") as stdout:
+            assert run_child(argv, stdout) == (0, "")
+        whole = (tmp_path / "whole").read_bytes()
     with open(tmp_path / "stdout", "wb") as stdout:
-        assert run_child(argv, stdout, limit_in_child(600 << 20, resource.RLIMIT_AS)) == (1, line)
-    assert (tmp_path / "stdout").read_bytes() == b""
+        assert run_child(argv, stdout, limit_in_child(600 << 20, resource.RLIMIT_AS)) == (
+            (1, line) if line else (0, ""))
+    assert (tmp_path / "stdout").read_bytes() == whole
 
 
 def test_negative_phase_in_scientific_notation(capsys):
@@ -1039,25 +1058,58 @@ def test_an_interrupted_sim_is_one_line_and_exit_130(capsys, monkeypatch, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_an_interrupt_mid_table_output_leaves_no_file(capsys, monkeypatch, tmp_path):
+def table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path, stop):
+    """run_cli of a 2,500-row table --output where stop() runs at row 1,500, and the output's directory after."""
     # at row 1,500 the first chunk of rows is already in --output's new file
     data = tmp_path / "data" / "salts.csv"
     data.parent.mkdir()
     write_perturbed_salts(data, STREAMED_ROWS)
     salt_values, calls = cli._salt_values, []
 
-    def interrupted_at_row_1500(*args):
+    def stopped_at_row_1500(*args):
         calls.append(None)
         if len(calls) == 1500:
-            raise KeyboardInterrupt
+            stop()
         return salt_values(*args)
 
-    monkeypatch.setattr(cli, "_salt_values", interrupted_at_row_1500)
+    monkeypatch.setattr(cli, "_salt_values", stopped_at_row_1500)
     out = tmp_path / "out"
     out.mkdir()
     argv = ["table", "--data-file", str(data), "--format", "csv", "--output", str(out / "table.csv")]
-    assert run_cli(capsys, *argv) == INTERRUPTED
-    assert len(calls) == 1500 and list(out.iterdir()) == []
+    result = run_cli(capsys, *argv)
+    assert len(calls) == 1500
+    return result, list(out.iterdir())
+
+
+def test_an_interrupt_mid_table_output_leaves_no_file(capsys, monkeypatch, tmp_path):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    assert table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path, interrupt) == (INTERRUPTED, [])
+
+
+def test_a_sigterm_mid_table_output_leaves_no_file_and_restores_the_handler(capsys, monkeypatch, tmp_path):
+    def outside(signum, frame):  # main sets its own handler in place of this one, then sets this one back
+        raise AssertionError("SIGTERM met the handler that main replaces")
+
+    previous = signal.signal(signal.SIGTERM, outside)
+    try:
+        assert table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path,
+                                                lambda: signal.raise_signal(signal.SIGTERM)) == (
+            (143, "", "error: terminated\n"), [])
+        assert signal.getsignal(signal.SIGTERM) is outside
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def test_main_off_the_main_thread_leaves_sigterm_as_it_is(capsys):
+    # only the main thread may set a handler; a run in another thread keeps the process's
+    before, codes = signal.getsignal(signal.SIGTERM), []
+    thread = threading.Thread(target=lambda: codes.append(cli.main(["bcs", "--modes", "10", "--format", "csv"])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0] and capsys.readouterr().err == ""
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 @pytest.fixture(scope="module")

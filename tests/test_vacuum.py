@@ -129,8 +129,47 @@ def test_overlap_guards_against_mutated_coefficients():
 
 
 B = vacuum._BLOCK_MODES
-# each side of one and two block edges, and the 10^6 modes the benchmark runs
-BLOCK_EDGE_MODES = [0, 1, B - 1, B, B + 1, 2 * B + 3, 1_000_000]
+# each side of one leaf, two leaves, and counts whose halves leave a
+# remainder mod 8 at several levels of numpy's pairwise split
+LEAF_EDGE_MODES = [0, 1, B - 1, B, B + 1, 131_075, 2 * B + 8, 1_000_003, 2_000_003]
+PAIRING = [(0.2, 1.0, 0), (1e-3, 5.0, 17), (0.7, 0.3, 123_456)]
+UNIFORM = [0.9, 0.37, 1.0]
+SOURCES = {**{f"pairing-{gap}-{half_bandwidth}-{seed}": ("pairing", gap, half_bandwidth, seed)
+              for gap, half_bandwidth, seed in PAIRING},
+           **{f"uniform-{u}": ("uniform", u) for u in UNIFORM}}
+
+
+def profile_and_whole_array(source, modes):
+    """A profile of source's modes U_k, and the whole-array U_k that a profile of one array of K doubles held."""
+    if source[0] == "uniform":
+        return vacuum.uniform_profile(source[1], modes), np.full(modes, source[1])
+    _, gap, half_bandwidth, seed = source
+    # the whole-array expression that drawing a leaf at a time replaced, kept as its oracle
+    xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
+    return vacuum.pairing_family(gap, half_bandwidth, seed)(modes), np.sqrt(1.0 - 0.5 * (1.0 - xi / np.hypot(xi, gap)))
+
+
+def strided(u):
+    """A BogoliubovProfile over a view of every other double, holding u."""
+    both = np.empty(2 * u.size)
+    both[::2], both[1::2] = u, np.nan
+    return vacuum.BogoliubovProfile(both[::2])
+
+
+@pytest.mark.parametrize("read", ["u-never-read", "u-read-first", "strided-view"])
+@pytest.mark.parametrize("source", list(SOURCES))
+@pytest.mark.parametrize("modes", LEAF_EDGE_MODES)
+def test_leaf_sums_keep_the_whole_array_sum_bit_for_bit(source, modes, read):
+    profile, u = profile_and_whole_array(SOURCES[source], modes)
+    log_overlap = float(np.sum(np.log(u)))
+    if read == "strided-view":
+        profile = strided(u)
+    elif read == "u-read-first":
+        assert profile.u.tobytes() == u.tobytes()
+    assert profile.mode_count == modes
+    assert vacuum.log_vacuum_overlap(profile) == log_overlap
+    assert profile.u.tobytes() == u.tobytes()  # a profile's sum leaves it as it was
+    assert vacuum.log_vacuum_overlap(profile) == log_overlap
 
 
 def cli_log_overlaps(capsys, *argv):
@@ -139,41 +178,39 @@ def cli_log_overlaps(capsys, *argv):
     return [point["log_overlap"] for point in json.loads(capsys.readouterr().out)["points"]]
 
 
-@pytest.mark.parametrize("gap, half_bandwidth, seed", [(0.2, 1.0, 0), (1e-3, 5.0, 17), (0.7, 0.3, 123_456)])
-@pytest.mark.parametrize("modes", BLOCK_EDGE_MODES)
-def test_pairing_profile_matches_the_whole_array_formula_bit_for_bit(capsys, gap, half_bandwidth, seed, modes):
-    # the whole-array expression the block-wise evaluation replaced, kept as its oracle
-    xi = np.random.default_rng(seed).uniform(-half_bandwidth, half_bandwidth, modes)
-    u = np.sqrt(1.0 - 0.5 * (1.0 - xi / np.hypot(xi, gap)))
-    profile = vacuum.pairing_family(gap, half_bandwidth, seed)(modes)
-    assert profile.u.tobytes() == u.tobytes()
-    log_overlap = float(np.sum(np.log(u)))
-    assert vacuum.log_vacuum_overlap(profile) == log_overlap
-    flags = ["--gap", repr(gap), "--half-bandwidth", repr(half_bandwidth), "--seed", str(seed)]
-    assert cli_log_overlaps(capsys, "--modes", str(modes), *flags) == [log_overlap]
+@pytest.mark.parametrize("source", list(SOURCES))
+def test_bcs_log_overlaps_are_the_whole_array_sums(capsys, source):
+    kind, *params = SOURCES[source]
+    flags = (["--uniform-u", repr(params[0])] if kind == "uniform" else
+             ["--gap", repr(params[0]), "--half-bandwidth", repr(params[1]), "--seed", str(params[2])])
+    expected = [float(np.sum(np.log(profile_and_whole_array(SOURCES[source], modes)[1])))
+                for modes in LEAF_EDGE_MODES]
+    assert cli_log_overlaps(capsys, "--modes", ",".join(map(str, LEAF_EDGE_MODES)), *flags) == expected
 
 
-@pytest.mark.parametrize("u", [0.9, 0.37, 1.0])
-@pytest.mark.parametrize("modes", BLOCK_EDGE_MODES)
-def test_uniform_cli_log_overlap_is_the_sum_over_a_new_array_of_logs(capsys, u, modes):
-    # bcs takes the logs of the profile it made in place; the float is that of logs into a new array
-    assert cli_log_overlaps(capsys, "--modes", str(modes), "--uniform-u", repr(u)) == [
-        float(np.sum(np.log(np.full(modes, u))))]
+def test_drawn_profiles_draw_nothing_until_read(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(vacuum, "_pairing_leaf", no_draw)
+    profile = vacuum.pairing_family()(10**12)
+    assert profile.mode_count == 10**12
+    assert vacuum.uniform_profile(0.5, 10**12).mode_count == 10**12
 
 
-def test_log_overlap_leaves_the_profile_as_it_is_unless_given_it_as_out():
-    profile = vacuum.pairing_family(seed=3)(B + 5)
-    before = profile.u.tobytes()
-    log_overlap = vacuum.log_vacuum_overlap(profile)
-    assert profile.u.tobytes() == before
-    assert vacuum.log_vacuum_overlap(profile, out=profile.u) == log_overlap
-    assert profile.u.tobytes() == np.log(np.frombuffer(before)).tobytes()
+def test_decay_rate_leaves_profiles_that_share_one_array_as_they_are():
+    u = vacuum.pairing_family(seed=4)(B + 5).u
+    before = u.tobytes()
+    profiles = {k: vacuum.BogoliubovProfile(u[:k]) for k in (10, 100, B + 5)}
+    logs = [float(np.sum(np.log(u[:k]))) for k in profiles]
+    slope = float(np.polyfit(np.asarray(list(profiles), dtype=float), logs, 1)[0])
+    assert vacuum.overlap_decay_rate(profiles.__getitem__, list(profiles)) == slope
+    assert u.tobytes() == before
 
 
 @pytest.mark.parametrize("family", [vacuum.pairing_family(0.7, 0.3, 5), lambda k: vacuum.uniform_profile(0.37, k)],
                          ids=["pairing", "uniform"])
-def test_decay_rate_is_the_fit_over_logs_into_new_arrays(family):
-    # overlap_decay_rate takes each profile's logs in place; the slope is that of the logs into new arrays
+def test_decay_rate_is_the_fit_over_the_whole_array_sums(family):
     counts = [10, B + 1, 300_000]
     logs = [float(np.sum(np.log(family(k).u))) for k in counts]
     assert vacuum.overlap_decay_rate(family, counts) == float(np.polyfit(np.asarray(counts, dtype=float), logs, 1)[0])
