@@ -10,8 +10,8 @@ Subcommands: table, factor, sim, xray, bcs, classify. Shared behaviour:
 * salt data comes from --data-file, else the IONDECOH_DATA_DIR environment
   variable (a directory containing salts.csv), else the bundled table.
 * exit codes: 0 success, 1 bad arguments or values or a stdout that cannot
-  take the text, 2 unreadable or malformed data file, 130 interrupted
-  (SIGINT, as from Ctrl-C), 143 terminated (SIGTERM).
+  take the text, 2 unreadable or malformed data file; 128 + the signal
+  number: 130 interrupted (SIGINT, as from Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only -1 and -1.5 for negative numbers, not -1e-3,
-        # and would parse the latter as an option name
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # -inf or -nan, and would parse those as option names
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
     def error(self, message):
         raise ValidationError(message)
@@ -152,25 +152,19 @@ def _aligned(chunks):
 def _deliver(chunks, output: str | None) -> None:
     """Write the text's chunks to stdout or output: a device or FIFO in place, a file by rename.
 
-    A write that fails still reads the rest of the chunks before it is
-    reported, so a fault met where the text is made comes first, as it
-    would if the whole text were made before its first write.
+    Any fault removes this run's new file, if any; one not of a write goes on.
+    A failed write sends a failed stdout to devnull and reads the rest of the
+    chunks before its one line, so a fault met where the text is made comes
+    first, as it would if the whole text were made before its first write.
     """
     chunks = iter(chunks)
-    if output is None:
-        try:
-            sys.stdout.writelines(chunks)  # holds no chunk past its write
-            sys.stdout.flush()  # now, not at exit, so a reader that has gone or a full file gets one error line
-        except OSError as exc:  # stdout's descriptor, if any, goes to devnull, so the exit flush cannot fail again
-            with contextlib.suppress(AttributeError, OSError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            for _ in chunks:
-                pass
-            raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from None
-        return
-    target = os.path.realpath(output)  # a symlink is written through, as the shell's > writes it
     tmp = None  # the new file, once this run has created it
     try:
+        if output is None:
+            sys.stdout.writelines(chunks)  # holds no chunk past its write
+            sys.stdout.flush()  # now, not at exit, so a reader that has gone or a full file gets one error line
+            return
+        target = os.path.realpath(output)  # a symlink is written through, as the shell's > writes it
         if os.path.exists(target) and not os.path.isfile(target):
             handle = open(target, "w", encoding="utf-8")
         else:
@@ -183,11 +177,15 @@ def _deliver(chunks, output: str | None) -> None:
     except BaseException as exc:
         if tmp is not None:
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            for _ in chunks:
-                pass
-            raise ValidationError(f"cannot write {output!r}: {exc.strerror or exc}") from None
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        if output is None:  # stdout's descriptor, if any, goes to devnull, so the exit flush cannot fail again
+            with contextlib.suppress(AttributeError, OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for _ in chunks:
+            pass
+        where = "to stdout" if output is None else repr(output)
+        raise ValidationError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -436,12 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None
 
 
-class _Terminated(BaseException):
-    """Raised by main's SIGTERM handler, so the run ends through _deliver's clean-up, as an interrupt does."""
-
-
-def _terminate(signum, frame):
-    raise _Terminated
+def _terminate(signum, frame):  # main's SIGTERM handler
+    raise KeyboardInterrupt(signum)  # so the run ends as an interrupt does, through _deliver's clean-up
 
 
 def main(argv=None) -> int:
@@ -456,9 +450,9 @@ def main(argv=None) -> int:
     try:
         try:
             args = _parser.parse_args(argv)
-        except SystemExit as exc:  # argparse printed the help: flushed here, so a fault of stdout gets its line
+        except SystemExit:  # the help's, argparse's one exit left: flushed here, so a fault of stdout gets its line
             _deliver([], None)
-            return 0 if exc.code in (0, None) else int(exc.code)
+            return 0
         _deliver(args.handler(args), args.output)
         return 0
     except SaltDataError as exc:
@@ -471,12 +465,10 @@ def main(argv=None) -> int:
         # numpy's allocation failure says how much it asked for
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # _deliver has removed its new file, if any
-        print("error: interrupted", file=sys.stderr)
-        return 130  # 128 + SIGINT, as a shell reports an interrupted job
-    except _Terminated:  # the same
-        print("error: terminated", file=sys.stderr)
-        return 143  # 128 + SIGTERM
+    except KeyboardInterrupt as exc:  # SIGINT's, or SIGTERM's from _terminate; _deliver has removed its new file
+        signum = signal.SIGTERM if exc.args == (signal.SIGTERM,) else signal.SIGINT
+        print("error: terminated" if signum == signal.SIGTERM else "error: interrupted", file=sys.stderr)
+        return 128 + signum  # as a shell reports a job that the signal ended
     finally:
         if previous is not _terminate:
             # None: a handler set outside Python, which Python cannot set back

@@ -43,7 +43,12 @@ class BogoliubovProfile(_Record):
     """Per-mode coefficients U_k, each in (0, 1]; V_k = sqrt(1 - U_k^2) is implied.
 
     ``u`` is the one field. A profile that a family or ``uniform_profile``
-    made draws it on its first read and keeps it.
+    made draws it on its first read and keeps it. ``repr``, copy, deepcopy
+    and pickle read ``u``, so on such a profile they draw and keep its K
+    doubles, and a count too large for memory (10^12 modes) fails on numpy's
+    allocation. ``==`` and ``hash`` behave as for any record that holds an
+    array: ``==`` of two profiles raises ValueError for more than one mode,
+    and ``hash`` raises TypeError.
     """
 
     # _draw() starts a pass over the U_k from the first: a function take(block) that gives the next

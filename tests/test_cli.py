@@ -387,6 +387,9 @@ ONE_LINE_ERRORS = {
     "bcs-negative-seed": (["bcs", "--modes", "10", "--seed=-1"], "seed must be a non-negative integer, got -1"),
     "bcs-no-modes": (["bcs", "--modes", ","], "--modes must list at least one mode count"),
     "bcs-modes-not-an-int": (["bcs", "--modes", "10,x"], "argument --modes: invalid int value: 'x'"),
+    # a negative non-finite value, written with a space, is the flag's value, not an option name
+    "bcs-modes-minus-inf": (["bcs", "--modes", "-inf"], "argument --modes: invalid int value: '-inf'"),
+    "bcs-gap-minus-infinity": (["bcs", "--modes", "10", "--gap", "-Infinity"], "gap must be positive, got -inf"),
     # the counts' sum is bounded, not each count, and the run ends before any draw
     "bcs-modes-above-bound": (["bcs", "--modes", "500000000,500000001"],
                               "--modes counts sum to 1000000001 modes, above a run's bound of 1000000000"),
@@ -1058,12 +1061,18 @@ def test_an_interrupted_sim_is_one_line_and_exit_130(capsys, monkeypatch, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-def table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path, stop):
-    """run_cli of a 2,500-row table --output where stop() runs at row 1,500, and the output's directory after."""
-    # at row 1,500 the first chunk of rows is already in --output's new file
+def table_stopped_at_row_1500(capsys, monkeypatch, tmp_path, stop, output):
+    """The code and stderr of a 2,500-row csv table where stop() runs at row 1,500, and the output's directory after.
+
+    The table goes to --output in that directory if output, else to stdout.
+    At row 1,500 the first chunk of rows, the header and rows 1 to 1,000, is
+    already written: stdout must hold it, and --output's new file is removed.
+    """
     data = tmp_path / "data" / "salts.csv"
     data.parent.mkdir()
     write_perturbed_salts(data, STREAMED_ROWS)
+    argv = ["table", "--data-file", str(data), "--format", "csv"]
+    first_chunk = "".join(run_cli(capsys, *argv)[1].splitlines(keepends=True)[:1001])
     salt_values, calls = cli._salt_values, []
 
     def stopped_at_row_1500(*args):
@@ -1075,28 +1084,31 @@ def table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path, stop):
     monkeypatch.setattr(cli, "_salt_values", stopped_at_row_1500)
     out = tmp_path / "out"
     out.mkdir()
-    argv = ["table", "--data-file", str(data), "--format", "csv", "--output", str(out / "table.csv")]
-    result = run_cli(capsys, *argv)
+    code, text, err = run_cli(capsys, *argv, *(["--output", str(out / "table.csv")] if output else []))
     assert len(calls) == 1500
-    return result, list(out.iterdir())
+    assert first_chunk.count("\n") == 1001 and text == ("" if output else first_chunk)
+    return code, err, list(out.iterdir())
 
 
-def test_an_interrupt_mid_table_output_leaves_no_file(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+def test_an_interrupt_mid_table_output_leaves_no_file(capsys, monkeypatch, tmp_path, output):
     def interrupt():
         raise KeyboardInterrupt
 
-    assert table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path, interrupt) == (INTERRUPTED, [])
+    assert table_stopped_at_row_1500(capsys, monkeypatch, tmp_path, interrupt, output) == (
+        130, "error: interrupted\n", [])
 
 
-def test_a_sigterm_mid_table_output_leaves_no_file_and_restores_the_handler(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+def test_a_sigterm_mid_table_output_leaves_no_file_and_restores_the_handler(capsys, monkeypatch, tmp_path, output):
     def outside(signum, frame):  # main sets its own handler in place of this one, then sets this one back
         raise AssertionError("SIGTERM met the handler that main replaces")
 
     previous = signal.signal(signal.SIGTERM, outside)
     try:
-        assert table_output_stopped_at_row_1500(capsys, monkeypatch, tmp_path,
-                                                lambda: signal.raise_signal(signal.SIGTERM)) == (
-            (143, "", "error: terminated\n"), [])
+        assert table_stopped_at_row_1500(capsys, monkeypatch, tmp_path,
+                                         lambda: signal.raise_signal(signal.SIGTERM), output) == (
+            143, "error: terminated\n", [])
         assert signal.getsignal(signal.SIGTERM) is outside
     finally:
         signal.signal(signal.SIGTERM, previous)

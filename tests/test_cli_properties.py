@@ -176,9 +176,12 @@ FLOAT_FLAGS = {
 def test_a_non_finite_float_flag_names_itself(data):
     subcommand = data.draw(st.sampled_from([name for name in ARGV if FLOAT_FLAGS[name]]), label="subcommand")
     option = data.draw(st.sampled_from(FLOAT_FLAGS[subcommand]), label="flag")
-    value = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e309", "-1e999"]), label="value")
+    value = data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "-nan", "1e309", "-1e999"]),
+                      label="value")
+    # as --flag=value or --flag value: a leading - is a negative value, not an option name
+    given = data.draw(st.sampled_from([[f"{option}={value}"], [option, value]]), label="form")
     # first, so that argparse converts it before any other flag of the drawn argv
-    argv = [subcommand, f"{option}={value}", *data.draw(ARGV[subcommand], label="argv")[1:]]
+    argv = [subcommand, *given, *data.draw(ARGV[subcommand], label="argv")[1:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

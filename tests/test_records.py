@@ -131,6 +131,37 @@ def test_pickle_and_copy_round_trip(name, clone):
         assert restored == record
 
 
+DRAWN_PROFILES = {
+    "pairing": lambda: vacuum.pairing_family(seed=3)(5),
+    "uniform": lambda: vacuum.uniform_profile(0.5, 3),
+}
+
+
+@pytest.mark.parametrize("draw", list(DRAWN_PROFILES.values()), ids=list(DRAWN_PROFILES))
+@pytest.mark.parametrize("clone", [
+    lambda record: pickle.loads(pickle.dumps(record)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_a_drawn_profile_is_the_record_over_its_u(draw, clone):
+    # a profile that draws its U_k when read prints, pickles and copies as one built over them, bit for bit
+    built = vacuum.BogoliubovProfile(draw().u)
+    assert repr(draw()) == repr(built)
+    assert pickle.dumps(draw()) == pickle.dumps(built)
+    restored, twin = clone(draw()), clone(built)
+    assert type(restored) is vacuum.BogoliubovProfile and repr(restored) == repr(twin)
+    assert (restored.mode_count, restored.u.tobytes()) == (twin.mode_count, built.u.tobytes())
+
+
+@pytest.mark.parametrize("draw", list(DRAWN_PROFILES.values()), ids=list(DRAWN_PROFILES))
+def test_a_drawn_profile_compares_and_hashes_as_a_record_of_an_array(draw):
+    # as a tuple of arrays does: == of more than one mode is ambiguous, and an array is unhashable
+    with pytest.raises(ValueError, match="ambiguous"):
+        draw() == draw()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(draw())
+
+
 def test_thermal_energy_is_derived_but_not_a_field():
     ctx = RECORDS["DecoherenceContext"][0]()
     assert ctx.thermal_energy == units.CODATA.k_B * ctx.temperature
