@@ -176,7 +176,8 @@ def _deliver(chunks, output: str | None) -> None:
             os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:
-            os.unlink(tmp)
+            with contextlib.suppress(FileNotFoundError):  # renamed already, if a signal came just after the rename
+                os.unlink(tmp)
         if not isinstance(exc, OSError):
             raise
         if output is None:  # stdout's descriptor, if any, goes to devnull, so the exit flush cannot fail again

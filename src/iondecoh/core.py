@@ -76,7 +76,7 @@ class DecoherenceContext(_Record):
     """
 
     _fields = ("ion_mass", "temperature", "bath_density", "lattice_edge", "ion_count")
-    __slots__ = ("temperature", "ion_count", "_si")  # _si: (m, kT, n, a, N), as the formula bodies take them
+    __slots__ = ("temperature", "_si")  # _si: (m, kT, n, a, N), as the formula bodies take them
 
     def __init__(self, ion_mass: Quantity, temperature: Quantity, bath_density: Quantity,
                  lattice_edge: Quantity, ion_count: float = DEFAULT_ION_COUNT) -> None:
@@ -87,17 +87,11 @@ class DecoherenceContext(_Record):
         for label, q in (("ion_mass", ion_mass), ("bath_density", bath_density), ("lattice_edge", lattice_edge)):
             if q.si <= 0:
                 raise ValidationError(f"{label} must be positive, got {q.si!r}")
-        self._set_si(ion_mass.si, temperature, bath_density.si, lattice_edge.si, ion_count)
-
-    def _set_si(self, m: float, temperature: Quantity, n: float, a: float, ion_count: float) -> None:
-        """Check T and N and keep the SI floats: the one initialiser, of the constructor and context_for_salt."""
         thermal_energy = _thermal_energy(temperature.si, ion_count)
-        set_temperature, set_ion_count, set_si = self._setters
-        set_temperature(self, temperature)
-        set_ion_count(self, ion_count)
-        set_si(self, (m, thermal_energy, n, a, ion_count))
+        self._fill(temperature, (ion_mass.si, thermal_energy, bath_density.si, lattice_edge.si, ion_count))
 
     ion_mass = property(lambda self: Quantity(self._si[0], MASS))
+    ion_count = property(lambda self: self._si[4])
     bath_density = property(lambda self: Quantity(self._si[2], NUMBER_DENSITY))
     lattice_edge = property(lambda self: Quantity(self._si[3], LENGTH))
     thermal_energy = property(lambda self: Quantity(self._si[1], ENERGY), doc="k_B T, derived from the temperature.")
@@ -128,9 +122,9 @@ def context_for_salt(
     count are checked here, and no Quantity is built.
     """
     temperature.require(TEMPERATURE, "temperature")
-    ctx = DecoherenceContext.__new__(DecoherenceContext)
-    ctx._set_si(record._si.cation_kg, temperature, record._si.per_m3, record._si.edge, ion_count)
-    return ctx
+    thermal_energy = _thermal_energy(temperature.si, ion_count)
+    return DecoherenceContext._of(temperature, (record._si.cation_kg, thermal_energy, record._si.per_m3,
+                                                record._si.edge, ion_count))
 
 
 # -- formulas -------------------------------------------------------------------

@@ -104,24 +104,14 @@ class SaltRecord(_Record):
         lattice_edge.require(LENGTH, f"{name}: lattice_a_angstrom")
         refs = [None if ref is None else ref.require(TIME, f"{name}: {label}").si
                 for label, ref in (("ref_tau1", ref_tau1), ("ref_tau2", ref_tau2))]
-        if name:  # an empty name is the first fault, which _set_si raises
+        if name:  # an empty name is the first fault, which _salt_floats raises
             for label, value in (("density_kg_m3", mass_density.si), ("lattice_a_angstrom", lattice_edge.si),
                                  ("water_per_ion", water_per_ion), ("ref_tau1", refs[0]), ("ref_tau2", refs[1])):
                 if value is not None and value <= 0:
                     raise ValidationError(f"{name}: {label} must be positive")
-        self._set_si(name, (cation.symbol, cation.charge_number), cation.mass.si, (anion.symbol, anion.charge_number),
-                     anion.mass.si, mass_density.si, lattice_edge.si, water_per_ion, *refs)
-
-    def _set_si(self, name, cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2) -> None:
-        """Check the name and number density and keep the SI floats: the one initialiser, of the constructor and
-        the loader, whose callers have checked that each value given is positive."""
-        if not name:
-            raise ValidationError("salt name must be nonempty")
-        per_m3 = _NUMBER_DENSITY.si((density, cation_kg, anion_kg), name)
-        set_name, set_si = self._setters
-        set_name(self, name)
-        floats = (cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2, per_m3)
-        set_si(self, tuple.__new__(_SaltFloats, floats))  # a namedtuple's own __new__ is a Python function
+        self._fill(name, _salt_floats(name, (cation.symbol, cation.charge_number), cation.mass.si,
+                                      (anion.symbol, anion.charge_number), anion.mass.si, mass_density.si,
+                                      lattice_edge.si, water_per_ion, *refs))
 
     cation = property(lambda self: IonSpecies(self._si.cation[0], Quantity(self._si.cation_kg, MASS),
                                               self._si.cation[1]))
@@ -138,6 +128,16 @@ class SaltRecord(_Record):
 _NUMBER_DENSITY = _Formula("number density", NUMBER_DENSITY, (MASS_DENSITY, MASS, MASS),
                            lambda c, density, cation_kg, anion_kg: density / (cation_kg + anion_kg),
                            "{at}: {label} {value!r} m^-3 is not a positive normal double", _SMALLEST_NORMAL)
+
+
+def _salt_floats(name, cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2) -> _SaltFloats:
+    """A SaltRecord's _si, once the name and number density are checked: for the constructor and the loader,
+    whose callers have checked that each value given is positive."""
+    if not name:
+        raise ValidationError("salt name must be nonempty")
+    per_m3 = _NUMBER_DENSITY.si((density, cation_kg, anion_kg), name)
+    floats = (cation, cation_kg, anion, anion_kg, density, edge, water, ref_tau1, ref_tau2, per_m3)
+    return tuple.__new__(_SaltFloats, floats)  # a namedtuple's own __new__ is a Python function
 
 
 def number_density(record: SaltRecord) -> Quantity:
@@ -228,8 +228,8 @@ def load_salt_database(stream: Iterable[str]) -> Iterator[SaltRecord]:
                     if symbol not in ions:
                         ions[symbol] = (symbol, parse_ion(symbol, 1.0).charge_number)
                 cation, anion = ions[cation_symbol], ions[anion_symbol]
-            record = SaltRecord.__new__(SaltRecord)
-            record._set_si(name, cation, cation_kg, anion, anion_kg, density, lattice, water, tau1, tau2)
+            record = SaltRecord._of(name, _salt_floats(name, cation, cation_kg, anion, anion_kg, density, lattice,
+                                                       water, tau1, tau2))
         except ValidationError as exc:
             raise SaltDataError(str(exc), line_number) from None
         yield record

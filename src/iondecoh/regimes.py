@@ -57,7 +57,7 @@ class RegimeReport(_Record):
     def __init__(self, *fields, **by_name) -> None:
         _Record.__init__(self, *fields, **by_name)
         at = (self.tau_dyn.require(TIME, "tau_dyn").si, self.tau_dec.require(TIME, "tau_dec").si)
-        self._setters[-1](self, _TIMESCALE_RATIO.si(at, at))
+        self._fill(*self._values(), _TIMESCALE_RATIO.si(at, at))
 
     @property
     def tau_dec(self) -> Quantity:
@@ -109,12 +109,9 @@ def classify(
         verdict = Verdict.QFT_REGIME_INDICATED
     else:
         verdict = Verdict.CLASSICAL_LIMIT
-    # built by hand: the constructor would compute the ratio again, and a perfbench libloop case would take
-    # 11.4 us, not 10.2 us
-    report = object.__new__(RegimeReport)
-    _Record.__init__(report, tau1, tau2, tau_dyn, coherent_phase_observed, threshold_ratio, verdict)
-    report._setters[-1](report, ratio)
-    return report
+    # not the constructor, which would compute the ratio again: a perfbench libloop case would take 11.4 us,
+    # not 10.2 us
+    return RegimeReport._of(tau1, tau2, tau_dyn, coherent_phase_observed, threshold_ratio, verdict, ratio)
 
 
 class XRayCheck(_Record):

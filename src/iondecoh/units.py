@@ -15,7 +15,10 @@ which proves its result's dimension, and every call runs the same body over
 SI floats and wraps only the result. A :class:`Dimension` is interned, one
 instance per exponent tuple, so comparing two dimensions is an identity
 test. Both classes, and the package's records, are slotted and frozen:
-assigning to a field raises ``dataclasses.FrozenInstanceError``.
+assigning to a field raises ``dataclasses.FrozenInstanceError``. A record's
+slots are written only by ``_Record._fill``, which its constructor ends with,
+and ``_Record._of``, which makes a record from values its caller has checked;
+``Quantity``, the hot path, writes its own two slots.
 
 Inputs arrive in the units people actually use (amu, angstrom) and are
 converted on construction; all internal math is SI.
@@ -65,12 +68,13 @@ class _Record:
 
     ``==`` (within one class), ``hash``, ``repr``, pickle and copy go over the fields in
     order, as for a frozen dataclass. A subclass that checks its fields calls this ``__init__`` last.
+    ``_fill`` and ``_of`` are the only writers of a record's slots, which they take in slot order.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # the slots' own setters, which bypass the frozen __setattr__; __init__ fills the first, the fields
+        # the slots' own setters, which bypass the frozen __setattr__
         cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs) -> None:
@@ -82,8 +86,20 @@ class _Record:
                 raise KeyError
         except KeyError:
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}") from None
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
+        self._fill(*args)
+
+    def _fill(self, *values) -> None:
+        """Write values to the slots, in slot order."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """A record whose slots hold values, in slot order, that the caller has checked; __init__ is not run."""
+        self = object.__new__(cls)
+        for set_slot, value in zip(cls._setters, values):  # _fill's loop, inline: the loader calls this per row
+            set_slot(self, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

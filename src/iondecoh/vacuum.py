@@ -63,18 +63,7 @@ class BogoliubovProfile(_Record):
         # NaN fails both comparisons, so it is rejected too
         if u.size and not (np.min(u) > 0.0 and np.max(u) <= 1.0):
             raise ValidationError("every U_k must be in (0, 1]")
-        self._set(u, u.size, functools.partial(_slices, u))
-
-    def _set(self, u: np.ndarray | None, modes: int, draw: Callable) -> None:
-        for set_field, value in zip(self._setters, (u, modes, draw)):
-            set_field(self, value)
-
-    @classmethod
-    def _drawn(cls, modes: int, draw: Callable) -> BogoliubovProfile:
-        """A profile of modes U_k, drawn by draw() a leaf at a time, and whole on the first read of ``u``."""
-        self = object.__new__(cls)
-        self._set(None, operator.index(modes), draw)
-        return self
+        self._fill(u, u.size, functools.partial(_slices, u))
 
     @property
     def u(self) -> np.ndarray:
@@ -84,7 +73,7 @@ class BogoliubovProfile(_Record):
             for start in range(0, u.size, _BLOCK_MODES):
                 block = u[start:start + _BLOCK_MODES]
                 block[...] = take(block)
-            self._set(u, u.size, functools.partial(_slices, u))  # later passes read the array
+            self._fill(u, u.size, functools.partial(_slices, u))  # later passes read the array
         return self._u
 
 
@@ -111,7 +100,7 @@ def uniform_profile(u: float, modes: int) -> BogoliubovProfile:
     def take(block):
         return np.full(block.size, u)
 
-    return BogoliubovProfile._drawn(modes, lambda: take)
+    return BogoliubovProfile._of(None, operator.index(modes), lambda: take)
 
 
 def pairing_family(
@@ -150,7 +139,7 @@ def pairing_family(
     def family(modes: int) -> BogoliubovProfile:
         if modes < 0:
             raise ValidationError(f"modes must be nonnegative, got {modes}")
-        return BogoliubovProfile._drawn(modes, draw)
+        return BogoliubovProfile._of(None, operator.index(modes), draw)
 
     return family
 

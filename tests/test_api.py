@@ -1,6 +1,7 @@
 """The public API: every annotation of a public function or constructor resolves.
 
 Every import of the package's modules, at module level or in a function, is used, or exported by ``__all__``.
+Only ``units`` writes a record's slots.
 """
 
 import ast
@@ -72,3 +73,30 @@ def test_an_import_is_matched_against_its_own_scope(tmp_path):
                     "    return h\n\n\ndef k():\n    return json.dumps\n")
     # f's json is unused though g and k use theirs; k's use is the module's
     assert _unused_imports(path) == ["module.py:5: json"]
+
+
+def _slot_writes(path: Path) -> list[str]:
+    """Each read of ``_setters`` and each ``__new__`` call but a namedtuple's ``tuple.__new__``, in line order:
+    outside units, such code would write a record's slots that ``_Record._fill`` and ``_Record._of`` alone write."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "_setters":
+            found.append((node.lineno, "_setters"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+              and ast.unparse(node.func) != "tuple.__new__"):
+            found.append((node.lineno, ast.unparse(node.func)))
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SOURCE.glob("*.py")) if path.name != "units.py"],
+                         ids=lambda path: path.name)
+def test_only_units_writes_a_records_slots(path):
+    assert _slot_writes(path) == []
+
+
+def test_a_slot_write_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import collections\n\nP = collections.namedtuple('P', 'x')\n\n\ndef f(cls, record):\n"
+                    "    made = object.__new__(cls)\n    record._setters[0](record, 1)\n"
+                    "    return made, Record.__new__(Record), tuple.__new__(P, (1,))\n")
+    assert _slot_writes(path) == ["module.py:7: object.__new__", "module.py:8: _setters", "module.py:9: Record.__new__"]

@@ -900,11 +900,14 @@ def test_xray_reaches_xray_consistency_through_its_module_attribute(capsys, monk
     ("table", 0), ("factor", 0), ("sim", 0), ("classify", 0), ("xray", 1),
 ])
 def test_only_xray_builds_a_context(capsys, monkeypatch, command, contexts):
-    # every other salt command runs its formulas over the record's floats
+    # every other salt command runs its formulas over the record's floats; a context's constructor ends in _fill,
+    # and context_for_salt calls _of
     built = []
-    set_si = core.DecoherenceContext._set_si
-    monkeypatch.setattr(core.DecoherenceContext, "_set_si",
-                        lambda self, *args: built.append(args) or set_si(self, *args))
+    fill, of = core.DecoherenceContext._fill, core.DecoherenceContext._of
+    monkeypatch.setattr(core.DecoherenceContext, "_fill",
+                        lambda self, *values: built.append(values) or fill(self, *values))
+    monkeypatch.setattr(core.DecoherenceContext, "_of",
+                        classmethod(lambda cls, *values: built.append(values) or of(*values)))
     assert run_cli(capsys, *SMALL_RUNS[command])[0] == 0
     assert len(built) == contexts
 
@@ -1112,6 +1115,26 @@ def test_a_sigterm_mid_table_output_leaves_no_file_and_restores_the_handler(caps
         assert signal.getsignal(signal.SIGTERM) is outside
     finally:
         signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.parametrize("interrupt, ending", [
+    (KeyboardInterrupt(), INTERRUPTED),
+    (KeyboardInterrupt(signal.SIGTERM), (143, "", "error: terminated\n")),
+], ids=["sigint", "sigterm"])
+def test_an_interrupt_just_after_the_rename_is_one_line(capsys, monkeypatch, tmp_path, interrupt, ending):
+    # a signal handled at the bytecode after os.replace returns: the new file is already the whole target
+    argv = ["factor", "--wavelength", "1e-10", "--rate", "1e15", "--dx", "1e-10", "--time", "1e-16"]
+    whole = run_cli(capsys, *argv)[1]
+    replace = os.replace
+
+    def replaced_then_interrupted(source, target):
+        replace(source, target)
+        raise interrupt
+
+    monkeypatch.setattr(os, "replace", replaced_then_interrupted)
+    target = tmp_path / "f.txt"
+    assert run_cli(capsys, *argv, "--output", str(target)) == ending
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == whole
 
 
 def test_main_off_the_main_thread_leaves_sigterm_as_it_is(capsys):

@@ -11,6 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
+from test_readme_corpus import STREAMED_ROWS, write_perturbed_salts
+
 from iondecoh import core, densmat, materials, regimes, units, vacuum
 from iondecoh.units import LENGTH, MASS, MASS_DENSITY, NUMBER_DENSITY, TEMPERATURE, TIME, Quantity
 
@@ -23,8 +25,9 @@ KG, M, S, K = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)
 ION_X = materials.IonSpecies("X+", Quantity(1.0, MASS), 1)
 ION_Y = materials.IonSpecies("Y-", Quantity(2.0, MASS), -1)
 EYE = "array([[1., 0.],\n       [0., 1.]])"
+AMU = 1.66053906892e-27
 
-# name -> (build, repr)
+# name -> (build, repr); a name with "._of" is a record that a fast path makes, which skips the constructor
 RECORDS = {
     "IonSpecies": (
         lambda: materials.IonSpecies("X+", Quantity(1.0, MASS), 1),
@@ -35,11 +38,21 @@ RECORDS = {
         f"anion=IonSpecies(symbol='Y-', mass={q(2.0, KG)}, charge_number=-1), "
         f"mass_density={q(3.0, (1, -3, 0, 0, 0))}, lattice_edge={q(4.0, M)}, "
         "water_per_ion=None, ref_tau1=None, ref_tau2=None)"),
+    "SaltRecord._of": (
+        lambda: next(materials.load_salt_database(["XY,X+,1,Y-,2,3,4,5,1,1\n"])),
+        f"SaltRecord(name='XY', cation=IonSpecies(symbol='X+', mass={q(AMU, KG)}, charge_number=1), "
+        f"anion=IonSpecies(symbol='Y-', mass={q(2 * AMU, KG)}, charge_number=-1), "
+        f"mass_density={q(3.0, (1, -3, 0, 0, 0))}, lattice_edge={q(4e-10, M)}, "
+        f"water_per_ion=5.0, ref_tau1={q(1e-40, S)}, ref_tau2={q(1e-38, S)})"),
     "DecoherenceContext": (
         lambda: core.DecoherenceContext(Quantity(1.0, MASS), Quantity(2.0, TEMPERATURE),
                                         Quantity(3.0, NUMBER_DENSITY), Quantity(4.0, LENGTH)),
         f"DecoherenceContext(ion_mass={q(1.0, KG)}, temperature={q(2.0, K)}, "
         f"bath_density={q(3.0, (0, -3, 0, 0, 0))}, lattice_edge={q(4.0, M)}, ion_count=1e+23)"),
+    "DecoherenceContext._of": (
+        lambda: core.context_for_salt(RECORDS["SaltRecord"][0](), Quantity(2.0, TEMPERATURE), 7.0),
+        f"DecoherenceContext(ion_mass={q(1.0, KG)}, temperature={q(2.0, K)}, "
+        f"bath_density={q(1.0, (0, -3, 0, 0, 0))}, lattice_edge={q(4.0, M)}, ion_count=7.0)"),
     "SuperpositionSpec": (
         lambda: densmat.SuperpositionSpec(Quantity(1.0, LENGTH), Quantity(0.5, LENGTH)),
         f"SuperpositionSpec(separation={q(1.0, M)}, width={q(0.5, M)}, relative_phase=0.0)"),
@@ -64,6 +77,9 @@ RECORDS = {
     "BogoliubovProfile": (
         lambda: vacuum.BogoliubovProfile([0.5, 1.0]),
         "BogoliubovProfile(u=array([0.5, 1. ]))"),
+    "BogoliubovProfile._of": (
+        lambda: vacuum.uniform_profile(0.5, 2),
+        "BogoliubovProfile(u=array([0.5, 0.5]))"),
     "PhysicalConstants": (
         lambda: units.CODATA,
         f"PhysicalConstants(hbar={q(1.0545718176461565e-34, (1, 2, -1, 0, 0))}, "
@@ -72,13 +88,13 @@ RECORDS = {
         f"c={q(299792458.0, (0, 1, -1, 0, 0))})"),
 }
 # records that hold numpy arrays are unhashable, as a tuple of arrays is
-WITH_ARRAYS = {"ReducedDensityMatrix", "BogoliubovProfile"}
+WITH_ARRAYS = {"ReducedDensityMatrix", "BogoliubovProfile", "BogoliubovProfile._of"}
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_repr_is_the_dataclass_repr(name):
     build, expected = RECORDS[name]
-    assert type(build()).__name__ == name
+    assert type(build()).__name__ == name.partition(".")[0]
     assert repr(build()) == expected
 
 
@@ -107,7 +123,7 @@ def test_a_changed_field_breaks_equality():
 def test_fields_are_frozen(name):
     build, expected = RECORDS[name]
     record = build()
-    field = expected[len(name) + 1:].split("=")[0]  # the first field, as the repr names it
+    field = expected.partition("(")[2].split("=")[0]  # the first field, as the repr names it
     with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{field}'"):
         setattr(record, field, None)
     with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{field}'"):
@@ -160,6 +176,27 @@ def test_a_drawn_profile_compares_and_hashes_as_a_record_of_an_array(draw):
         draw() == draw()
     with pytest.raises(TypeError, match="unhashable"):
         hash(draw())
+
+
+@pytest.mark.parametrize("rows", [None, STREAMED_ROWS], ids=["bundled", "perturbed"])
+def test_fast_path_records_equal_their_constructors_twins(tmp_path, rows):
+    # the loader's SaltRecord and context_for_salt's context skip the constructors; _si holds what formulas read
+    path = materials._BUNDLED_PATH
+    if rows is not None:
+        path = tmp_path / "salts.csv"
+        write_perturbed_salts(path, rows)
+    records = materials.load_salts(path)
+    assert len(records) == (rows or 16)
+    for rec in records:
+        twin = materials.SaltRecord(rec.name, rec.cation, rec.anion, rec.mass_density, rec.lattice_edge,
+                                    rec.water_per_ion, rec.ref_tau1, rec.ref_tau2)
+        assert (rec, repr(rec), rec._si) == (twin, repr(twin), twin._si)
+        for temperature, ion_count in ((core.DEFAULT_TEMPERATURE, core.DEFAULT_ION_COUNT),
+                                       (Quantity(77.0, TEMPERATURE), 1)):
+            ctx = core.context_for_salt(rec, temperature, ion_count)
+            twin = core.DecoherenceContext(rec.cation.mass, temperature, materials.number_density(rec),
+                                           rec.lattice_edge, ion_count)
+            assert (ctx, repr(ctx), ctx._si) == (twin, repr(twin), twin._si)
 
 
 def test_thermal_energy_is_derived_but_not_a_field():
