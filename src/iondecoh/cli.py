@@ -83,12 +83,12 @@ def _records(args):
 
 
 def _salt_values(args, record: SaltRecord, thermal_energy: float, *formulas) -> list:
-    """Each formula(operands, T) at the salt's operands (cation_kg, kT, n, a, N) and --temperature T.
+    """Each formula(operands, T) at core._salt_operands of the salt and --ion-count, and --temperature T.
 
     thermal_energy is core._thermal_energy at --temperature and --ion-count, which the caller checks once a
     run: a fault of either is every salt's, so it names none; a fault of a formula names the salt.
     """
-    operands = (record._si.cation_kg, thermal_energy, record._si.per_m3, record._si.edge, args.ion_count)
+    operands = core._salt_operands(record, thermal_energy, args.ion_count)
     try:
         values = []  # a loop, not a list comprehension, which costs a function call a salt
         for formula in formulas:

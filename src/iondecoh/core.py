@@ -21,8 +21,9 @@ g q_e^2 / (k T a) is independent of both mass and density.
 Mass convention: m is the cation mass. This is the only convention that
 reproduces the bundled reference times (NaCl: 4.6e-40 s and 4.4e-38 s);
 the anion, mean, reduced, and summed masses all miss by 10 to 60 percent.
+_salt_operands applies it, once, for context_for_salt and the CLI alike.
 The bath number density n counts formula units, density / (m_cation + m_anion),
-derived and range-checked once, in materials; context_for_salt only reads it.
+derived and range-checked once, in materials; _salt_operands only reads it.
 
 Charge convention: all ions scatter with unit charge q_e; the charge
 numbers carried by the species records are metadata only.
@@ -37,7 +38,6 @@ formula raises a ValidationError naming it.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import ValidationError
 from .materials import SaltRecord
@@ -55,15 +55,15 @@ from .units import (
     Quantity,
     _FLOATS,
     _Formula,
+    _LARGEST,
     _over_floats,
     _Record,
+    _SMALLEST_NORMAL,
     temperature_kelvin,
 )
 
 DEFAULT_TEMPERATURE = temperature_kelvin(310.0)
 DEFAULT_ION_COUNT = 1e23
-
-_SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 
 class DecoherenceContext(_Record):
@@ -123,8 +123,12 @@ def context_for_salt(
     """
     temperature.require(TEMPERATURE, "temperature")
     thermal_energy = _thermal_energy(temperature.si, ion_count)
-    return DecoherenceContext._of(temperature, (record._si.cation_kg, thermal_energy, record._si.per_m3,
-                                                record._si.edge, ion_count))
+    return DecoherenceContext._of(temperature, _salt_operands(record, thermal_energy, ion_count))
+
+
+def _salt_operands(record: SaltRecord, thermal_energy: float, ion_count: float) -> tuple:
+    """The formulas' operands (m, kT, n, a, N) at a salt record, with the cation's mass as m: the mass convention."""
+    return record._si.cation_kg, thermal_energy, record._si.per_m3, record._si.edge, ion_count
 
 
 # -- formulas -------------------------------------------------------------------

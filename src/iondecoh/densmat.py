@@ -30,7 +30,7 @@ import sys
 from ._numpy import np
 from .core import suppression_rate_time
 from .errors import ValidationError
-from .units import LENGTH, Quantity, _Record, length_m, time_s
+from .units import _LARGEST, LENGTH, Quantity, _Record, length_m, time_s
 
 HERMITICITY_ATOL = 1e-12
 TRACE_RTOL = 1e-9
@@ -85,6 +85,8 @@ def prepare_superposition(
     """
     if num_points < 8:
         raise ValidationError(f"num_points must be at least 8, got {num_points}")
+    if 16 * num_points ** 2 > sys.maxsize:  # no allocation can hold the state; its digits could run to any length
+        raise ValidationError("num_points is too large: a state of 16 * num_points**2 bytes exceeds the address space")
     w = spec.width.si
     four_w2 = 4.0 * w * w
     if four_w2 == 0.0:
@@ -106,7 +108,7 @@ def prepare_superposition(
     h = float(x[1] - x[0])
     # h * sum |psi|^2 = 1 makes sum |rho_ij|^2 = 1 / h^2, which bounds every
     # term of the purity sum, so 1 / h^2 must be a finite double
-    if h * h < 1.0 / sys.float_info.max:
+    if h * h < 1.0 / _LARGEST:
         raise ValidationError(f"grid spacing {h!r} m is too small: 1 / spacing**2 overflows")
     c = 0.5 * spec.separation.si
     # |psi|^2 per packet is a normal density with variance w^2; a squared
@@ -114,7 +116,7 @@ def prepare_superposition(
     with np.errstate(over="ignore"):
         g1 = np.exp(-((x - c) ** 2) / four_w2)
         g2 = np.exp(-((x + c) ** 2) / four_w2)
-    psi = (g1 + np.exp(1j * spec.relative_phase) * g2).astype(np.complex128)
+    psi = g1 + np.exp(1j * spec.relative_phase) * g2
     norm = math.sqrt(h * float(np.sum(np.abs(psi) ** 2)))
     if not norm > 0:
         raise ValidationError(
@@ -187,19 +189,13 @@ def purity(rho: ReducedDensityMatrix) -> float:
     return rho.spacing.si ** 2 * float(np.sum(magnitude))
 
 
-def _max_abs_over_row_blocks(rho: ReducedDensityMatrix, block) -> float:
-    """Largest |block(rows)| over the row blocks of the state.
-
-    The max is exact, so blocking does not change it, and np.max over the
-    block maxima keeps a NaN from any block.
-    """
-    return float(np.max([np.max(np.abs(block(rows))) for rows in _row_blocks(rho.size)]))
-
-
 def hermiticity_defect(rho: ReducedDensityMatrix) -> float:
-    """Largest elementwise deviation from rho = rho^dagger."""
+    """Largest elementwise deviation from rho = rho^dagger, taken a block of rows at a time.
+
+    Blocks keep the temporaries small; the max is exact, so they change nothing, and np.max keeps any block's NaN.
+    """
     a = rho.elements
-    return _max_abs_over_row_blocks(rho, lambda rows: a[rows] - a[:, rows].conj().T)
+    return float(np.max([np.max(np.abs(a[rows] - a[:, rows].conj().T)) for rows in _row_blocks(rho.size)]))
 
 
 def min_eigenvalue(rho: ReducedDensityMatrix) -> float:
@@ -220,7 +216,8 @@ def check_invariants(rho: ReducedDensityMatrix) -> tuple[float, float]:
     the Hermiticity defect NaN, so it is rejected before the eigensolve.
     """
     defect = hermiticity_defect(rho)
-    largest = _max_abs_over_row_blocks(rho, lambda rows: rho.elements[rows])
+    # in blocks: a whole |rho| freed here would keep purity's on glibc's heap, 6 MB more peak RSS at N = 1024
+    largest = float(np.max([np.max(np.abs(rho.elements[rows])) for rows in _row_blocks(rho.size)]))
     if not defect <= HERMITICITY_ATOL * max(1.0, largest):
         raise ValidationError(f"state is not Hermitian: defect {defect:g}")
     tr = trace(rho)
@@ -288,6 +285,8 @@ def evolve_series(
     """
     if steps < 1:
         raise ValidationError(f"steps must be at least 1, got {steps}")
+    if steps > _LARGEST:  # an int no double holds, so t_total / steps has no value; its digits could run to any length
+        raise ValidationError("steps must be at most the largest double, got a larger integer")
     dt = t_total / steps
 
     def sample(state: ReducedDensityMatrix) -> SimSample:

@@ -26,7 +26,6 @@ import functools
 import math
 import os
 import re
-import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -40,13 +39,14 @@ from .units import (
     TIME,
     Quantity,
     _Formula,
+    _LARGEST,
     _Record,
+    _SMALLEST_NORMAL,
     mass_amu,
 )
 
 _ION_SYMBOL = re.compile(r"^([A-Z][a-z]?)(\d*)([+-])$")
 _AMU = CODATA.amu.si  # kg, the factor mass_amu applies
-_SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 _FIELD_COUNT = 10  # the columns the module docstring lists, which the loader unpacks by name
 _MAX_LINE = 65536  # characters a line may hold, its newline included

@@ -153,6 +153,6 @@ def xray_consistency(ctx: DecoherenceContext, record: SaltRecord, tau_x: Quantit
     if tau_x.si <= 0:
         raise ValidationError(f"tau_x must be positive, got {tau_x.si!r}")
     tau1 = _tau1(ctx)
-    operands = (record._si.density, record._si.cation_kg + record._si.anion_kg, tau1.si, tau_x.si)
+    operands = (record.mass_density.si, record.formula_mass.si, tau1.si, tau_x.si)
     density, spacing, wavelength = (f.quantity(operands, tau_x.si) for f in (_DENSITY, _SPACING, _WAVELENGTH_X))
     return XRayCheck(tau1, tau_x, wavelength, density, spacing)

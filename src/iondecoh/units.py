@@ -48,7 +48,7 @@ _BASE_SYMBOLS = ("kg", "m", "s", "K", "C")
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 _INTERNED: dict[tuple, "Dimension"] = {}
-_LARGEST = sys.float_info.max
+_SMALLEST_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max  # the normal doubles' range, for every module
 
 
 def _frozen_setattr(self, name, value):
@@ -303,7 +303,7 @@ def _quotient(a: float, b: float) -> float:
     """a / b, raising the constructor's ValueError where float division raises."""
     try:
         return a / b
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):  # OverflowError: an int operand no double holds
         raise ValueError(f"quantity magnitude must be finite, got {a!r} / {b!r}") from None
 
 

@@ -1,7 +1,8 @@
 """The public API: every annotation of a public function or constructor resolves.
 
 Every import of the package's modules, at module level or in a function, is used, or exported by ``__all__``.
-Only ``units`` writes a record's slots.
+Only ``units`` writes a record's slots. Each rule that several modules apply has one home: only ``materials`` and
+``core`` read a salt record's masses, number density and lattice edge, and only ``units`` reads the double range.
 """
 
 import ast
@@ -100,3 +101,32 @@ def test_a_slot_write_is_found(tmp_path):
                     "    made = object.__new__(cls)\n    record._setters[0](record, 1)\n"
                     "    return made, Record.__new__(Record), tuple.__new__(P, (1,))\n")
     assert _slot_writes(path) == ["module.py:7: object.__new__", "module.py:8: _setters", "module.py:9: Record.__new__"]
+
+
+# attribute -> the modules that may read it: a salt record's floats, which core._salt_operands turns into the
+# formulas' operands, and the double range, which units binds once as _SMALLEST_NORMAL and _LARGEST
+HOMES = {**dict.fromkeys(("cation_kg", "anion_kg", "per_m3", "edge"), ("materials.py", "core.py")),
+         "float_info": ("units.py",)}
+
+
+def _reads_outside_their_home(path: Path) -> list[str]:
+    """Each read of an attribute that HOMES keeps in other modules, in line order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and path.name not in HOMES.get(node.attr, (path.name,)))
+    return [f"{path.name}:{line}: {attr}" for line, attr in found]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_each_rule_is_read_only_in_its_home(path):
+    assert _reads_outside_their_home(path) == []
+
+
+def test_a_read_outside_its_home_is_found(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text("import sys\n\n\ndef f(record, cation_kg):\n    edge = record._si.edge\n"
+                    "    return cation_kg, edge, record.name, sys.float_info.max, record.per_m3\n")
+    assert _reads_outside_their_home(path) == ["cli.py:5: edge", "cli.py:6: float_info", "cli.py:6: per_m3"]
+    home = tmp_path / "core.py"
+    home.write_text(path.read_text())
+    assert _reads_outside_their_home(home) == ["core.py:6: float_info"]

@@ -379,6 +379,13 @@ ONE_LINE_ERRORS = {
         ["sim", "--wavelength", "3e-10", "--rate", "1", "--separation", "0", "--width", "1e300",
          "--t-total", "1e-9", "--steps", "1", "--num-points", "16", "--format", "csv"],
         "width 1e+300 m is too large: 4 * width**2 overflows"),
+    # an integer flag of any size ends in one line: a state above the address space, a step count no double holds
+    **{f"sim-num-points-{count}": (
+        [*PHASE_SIM[:-2], "--num-points", str(count)],
+        "num_points is too large: a state of 16 * num_points**2 bytes exceeds the address space")
+       for count in (2**62, 2**63 - 1)},
+    "sim-steps-1e400": ([*PHASE_SIM[:-4], "--steps", "1" + "0" * 400, "--num-points", "8"],
+                        "steps must be at most the largest double, got a larger integer"),
     "sim-span-overflows": (
         ["sim", "--wavelength", "1e-10", "--rate", "1", "--separation", "0", "--width", "1e150",
          "--extent-widths", "1.8e158", "--t-total", "1e-15", "--steps", "1", "--num-points", "8",

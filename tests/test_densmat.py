@@ -358,8 +358,36 @@ def test_blocked_maxima_and_purity_match_the_full_array_bit_for_bit(n, phase):
     for state in (rho, skewed):
         a = state.elements
         assert densmat.hermiticity_defect(state) == float(np.max(np.abs(a - a.conj().T)))
-        assert densmat._max_abs_over_row_blocks(state, lambda rows: a[rows]) == float(np.max(np.abs(a)))
         assert densmat.purity(state) == state.spacing.si ** 2 * float(np.sum(np.abs(a) ** 2))
+
+
+@pytest.mark.parametrize("k, hermitian", [(0.5, True), (2.0, False)])
+def test_hermiticity_tolerance_scales_with_the_largest_magnitude(k, hermitian):
+    rho = two_packet_state(num_points=64)
+    largest = float(np.max(np.abs(rho.elements)))
+    assert largest > 1e8  # so a tolerance of HERMITICITY_ATOL alone would reject k = 0.5 too
+    elements = rho.elements.copy()
+    elements[0, 1] += k * densmat.HERMITICITY_ATOL * largest  # upper triangle: the eigensolve does not read it
+    skewed = densmat.ReducedDensityMatrix(rho.positions, rho.spacing, elements, rho.initial_band_peaks, rho.time)
+    if hermitian:
+        densmat.check_invariants(skewed)
+    else:
+        with pytest.raises(ValidationError, match="state is not Hermitian"):
+            densmat.check_invariants(skewed)
+
+
+# 16 N^2 bytes above sys.maxsize from N = 759,250,125 on, on 64 bits; no run at or below the bound is started
+@pytest.mark.parametrize("num_points", [759_250_125, 2**63 - 1, 10**400], ids=["bound+1", "2**63-1", "10**400"])
+def test_a_state_above_the_address_space_is_rejected_before_any_allocation(monkeypatch, num_points):
+    monkeypatch.setattr(np, "linspace", None)  # the first allocation, which must not be reached
+    with pytest.raises(ValidationError, match=r"^num_points is too large: a state of 16 \* num_points\*\*2 bytes"):
+        two_packet_state(num_points=num_points)
+
+
+def test_a_step_count_no_double_holds_is_rejected_without_its_digits():
+    with pytest.raises(ValidationError, match="^steps must be at most the largest double, got a larger integer$"):
+        densmat.evolve_series(two_packet_state(num_points=8), RATE, WAVELENGTH, t_total=time_s(1e-15),
+                              steps=10**400, separation=SEPARATION)
 
 
 @pytest.mark.parametrize("row, column", [(0, 0), (3, 150), (199, 198)])

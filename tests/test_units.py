@@ -94,6 +94,9 @@ def test_overflow_and_zero_divisor_raise_the_finite_magnitude_error():
         lambda: units.Quantity(1.0) / units.Quantity(0.0),
         lambda: units.Quantity(1.0) / 0.0,
         lambda: 1.0 / units.Quantity(0.0),
+        # an int no double holds: float division raises OverflowError
+        lambda: units.time_s(1.0) / 10**400,
+        lambda: 10**400 / units.time_s(1.0),
     )
     for case in cases:
         with pytest.raises(ValueError, match="quantity magnitude must be finite"):
